@@ -92,7 +92,8 @@ def factor_strictly(through: MonMorphism, target: MonMorphism):
     chi1 = MatS(ctx, p, q, tuple(sol.at(k, 0) for k in range(m)))
     chi0 = MatS(ctx, p, q, tuple(sol.at(m + k, 0) for k in range(m)))
     chi = MonMorphism(target.src, through.src, chi1, chi0)
-    assert compose(through, chi) == target
+    if compose(through, chi) != target:
+        raise AssertionError("strict factorization does not compose back")
     return chi
 
 
@@ -124,8 +125,10 @@ def ar_sequence(f: MonObject) -> ArSequence:
     start = tau(f, 0)
     theta = MonMorphism(start, middle, col, col)
     g = MonMorphism(middle, f, row, row)
-    assert _exactness_failure(start, middle, f, theta, g) is None
-    assert not is_split_epi(g)
+    if _exactness_failure(start, middle, f, theta, g) is not None:
+        raise AssertionError("almost split sequence is not exact")
+    if is_split_epi(g):
+        raise AssertionError("almost split sequence splits")
     return ArSequence(start, middle, f, theta, g)
 
 

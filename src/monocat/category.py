@@ -14,8 +14,8 @@ from functools import cached_property
 
 from .errors import (CokernelNotOmegaTorsion, ContextMismatch, NotComposable,
                      NonSquare, NotMono, SquareNotCommuting)
-from .linalg import (INFINITY, MatS, block, det, identity, inverse_frac, mat,
-                     snf, zeros)
+from .linalg import (INFINITY, MatS, block, identity, inverse_frac, mat, snf,
+                     zeros)
 from .rings import RingCtx
 
 

@@ -64,17 +64,12 @@ class MatS:
             raise ValueError(
                 f"shape mismatch in matrix product: {self.rows}x{self.cols} times "
                 f"{other.rows}x{other.cols}")
-        zero = self.ctx.zero()
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.at(i, k)
-                    if not self.ctx.is_zero(a):
-                        acc = acc + a * other.at(k, j)
-                out.append(acc)
-        return MatS(self.ctx, self.rows, other.cols, tuple(out))
+        ctx, n, m = self.ctx, self.cols, other.cols
+        a = self.entries
+        cols = [other.entries[j::m] for j in range(m)]
+        return MatS(ctx, self.rows, m,
+                    tuple(_dot(zip(a[i * n:(i + 1) * n], col), ctx)
+                          for i in range(self.rows) for col in cols))
 
     def scale(self, c: Scalar) -> "MatS":
         return MatS(self.ctx, self.rows, self.cols, tuple(c * e for e in self.entries))
@@ -87,9 +82,27 @@ class MatS:
         return MatS(self.ctx, len(row_idx), len(col_idx),
                     tuple(self.at(i, j) for i in row_idx for j in col_idx))
 
-    def format_rows(self) -> list[list[str]]:
-        return [[self.ctx.format_scalar(self.at(i, j)) for j in range(self.cols)]
-                for i in range(self.rows)]
+
+def _dot(pairs, ctx: RingCtx) -> Scalar:
+    """Sum of a * b over the pairs, normalized once: the terms accumulate
+    as an unreduced numerator over a common denominator."""
+    if ctx.kind == "int-local":
+        terms = ((a.numerator * b.numerator, a.denominator * b.denominator)
+                 for a, b in pairs if a and b)
+        normalize = Fraction
+    else:
+        terms = ((a.num * b.num, a.den * b.den)
+                 for a, b in pairs if a.num.coeffs and b.num.coeffs)
+        normalize = PolyFrac.make
+    num = den = None
+    for tn, td in terms:
+        if num is None:
+            num, den = tn, td
+        elif td == den:
+            num = num + tn
+        else:
+            num, den = num * td + tn * den, den * td
+    return ctx.zero() if num is None else normalize(num, den)
 
 
 def coerce_scalar(ctx: RingCtx, value) -> Scalar:
@@ -481,16 +494,6 @@ class MatR:
         if self.ctx != other.ctx:
             raise ContextMismatch("residue matrices over different contexts")
 
-    def __add__(self, other: "MatR") -> "MatR":
-        self._check(other)
-        return MatR(self.ctx, self.rows, self.cols,
-                    tuple(self.ctx.residue_add(a, b)
-                          for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "MatR":
-        return MatR(self.ctx, self.rows, self.cols,
-                    tuple(self.ctx.residue_neg(e) for e in self.entries))
-
     def __matmul__(self, other: "MatR") -> "MatR":
         self._check(other)
         if self.cols != other.rows:
@@ -515,10 +518,6 @@ class MatR:
                 acc = ctx.residue_add(acc, ctx.residue_mul(self.at(i, k), vec[k]))
             out.append(acc)
         return tuple(out)
-
-    def format_rows(self) -> list[list[str]]:
-        return [[self.ctx.format_residue(self.at(i, j)) for j in range(self.cols)]
-                for i in range(self.rows)]
 
 
 def reduce_mat(a: MatS) -> MatR:

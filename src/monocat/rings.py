@@ -13,6 +13,13 @@ element omega = pi^t and the residue chain ring R = S/(omega).  Scalars are
 plain :class:`fractions.Fraction` values in the int-local case and
 :class:`PolyFrac` values in the poly-local case; residues are canonical
 integers in [0, p^t) respectively polynomials of degree < t.
+
+Normalization policy.  Coefficients inside a :class:`Poly` are always
+canonical, and the polynomial operations keep them so inline (``% q`` over
+F_q; over Q a Fraction operation already yields a Fraction) instead of
+re-normalizing each coefficient.  A :class:`PolyFrac` or Fraction is brought
+to lowest terms once per result: a matrix product accumulates each entry as
+an unreduced numerator over a denominator and normalizes it once.
 """
 
 from __future__ import annotations
@@ -39,13 +46,28 @@ Residue = Union[int, "Poly"]
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin.  The prime bases up to 41 decide every n
+    below 3317044064679887385961981, the least strong pseudoprime to all of
+    them (up to 37 would stop at 318665857834031151167461, a product of two
+    primes); larger n raise ValueError."""
+    if n >= 3317044064679887385961981:
+        raise ValueError(f"cannot decide whether {n} is prime: too large")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
@@ -79,10 +101,7 @@ class Poly:
 
     @staticmethod
     def make(coeffs, q: int | None = None) -> "Poly":
-        cs = [_coeff_canon(c, q) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs), q)
+        return _canon([_coeff_canon(c, q) for c in coeffs], q)
 
     @staticmethod
     def const(c, q: int | None = None) -> "Poly":
@@ -120,41 +139,36 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return Poly.make([x + y for x, y in zip(a, b)], self.q)
+        a, b, q = self.coeffs, other.coeffs, self.q
+        if len(a) < len(b):
+            a, b = b, a
+        return _canon([x + y for x, y in zip(a, b)] + list(a[len(b):]), q)
 
     def __neg__(self) -> "Poly":
-        return Poly.make([-c for c in self.coeffs], self.q)
+        return _canon([-c for c in self.coeffs], self.q)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly((), self.q)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly.make(out, self.q)
+        a, b, q = self.coeffs, other.coeffs, self.q
+        if not a or not b:
+            return Poly((), q)
+        out = [_ZERO_Q if q is None else 0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _canon(out, q)
 
     def scale(self, c) -> "Poly":
-        return Poly.make([a * c for a in self.coeffs], self.q)
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly.make((0,) * k + self.coeffs, self.q)
+        c = _coeff_canon(c, self.q)
+        return _canon([a * c for a in self.coeffs], self.q)
 
     def truncate(self, k: int) -> "Poly":
         """Reduce modulo x^k."""
-        return Poly.make(self.coeffs[:k], self.q)
+        return _canon(list(self.coeffs[:k]), self.q)
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -166,30 +180,47 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        q, b = self.q, other.coeffs
         rem = list(self.coeffs)
-        dq = other.degree
-        inv = _coeff_inv(other.leading(), self.q)
+        dq = len(b) - 1
+        inv = _coeff_inv(b[-1], q)
         quo = [0] * max(0, len(rem) - dq)
+        # over F_q the remainder stays unreduced until _canon
         for i in range(len(rem) - dq - 1, -1, -1):
-            c = _coeff_canon(rem[i + dq] * inv, self.q)
+            c = rem[i + dq] * inv if q is None else rem[i + dq] * inv % q
             quo[i] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = _coeff_canon(rem[i + j] - c * b, self.q)
-        return Poly.make(quo, self.q), Poly.make(rem[:dq], self.q)
+            if c:
+                for j in range(dq):
+                    rem[i + j] -= c * b[j]
+        return _canon(quo, q), _canon(rem[:dq], q)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor (Euclid)."""
         a, b = self, other
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
+        return a.monic()
+
+
+_ZERO_Q = Fraction(0)
+
+
+def _canon(cs: list, q: int | None) -> Poly:
+    """The Poly of a coefficient list: Fractions over Q, any integers over
+    F_q (reduced here); trailing zeros are dropped."""
+    if q is not None:
+        cs = [c % q for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return Poly(tuple(cs), q)
 
 
 def _coeff_canon(c, q: int | None):
     """Canonical coefficient: Fraction for q None, int in [0, q) otherwise."""
     if q is None:
-        return c if isinstance(c, Fraction) else Fraction(c)
+        return c if type(c) is Fraction else Fraction(c)
+    if type(c) is int:
+        return c % q
     if isinstance(c, Fraction):
         if c.denominator % q == 0:
             raise ZeroDivisionError(f"denominator {c.denominator} not invertible mod {q}")
@@ -224,13 +255,18 @@ class PolyFrac:
             raise ZeroDivisionError("polynomial fraction with zero denominator")
         num._check(den)
         if num.is_zero():
-            return PolyFrac(Poly((), num.q), Poly.const(1, num.q))
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead_inv = _coeff_inv(den.leading(), den.q)
-        return PolyFrac(num.scale(lead_inv), den.monic())
+            return PolyFrac(num, Poly.const(1, num.q))
+        if den.degree == 0:
+            if den.coeffs[0] == 1:
+                return PolyFrac(num, den)
+        elif num.degree > 0:
+            # a constant on either side has gcd 1 with the other
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num.divmod(g)[0]
+                den = den.divmod(g)[0]
+        lead_inv = _coeff_inv(den.leading(), num.q)
+        return PolyFrac(num.scale(lead_inv), den.scale(lead_inv))
 
     @staticmethod
     def from_poly(p: Poly) -> "PolyFrac":
@@ -345,11 +381,6 @@ class RingCtx:
 
     # -- scalar predicates and arithmetic ------------------------------------
 
-    def is_scalar(self, a) -> bool:
-        if self.kind == "int-local":
-            return isinstance(a, Fraction)
-        return isinstance(a, PolyFrac) and a.q == self.coeff_q
-
     def is_zero(self, a: Scalar) -> bool:
         if self.kind == "int-local":
             return a == 0
@@ -448,9 +479,6 @@ class RingCtx:
             return (r1 + r2) % (self.p ** self.t)
         return (r1 + r2).truncate(self.t)
 
-    def residue_sub(self, r1: Residue, r2: Residue) -> Residue:
-        return self.residue_add(r1, self.residue_neg(r2))
-
     def residue_neg(self, r: Residue) -> Residue:
         if self.kind == "int-local":
             return (-r) % (self.p ** self.t)
@@ -512,7 +540,9 @@ class RingCtx:
             return str(a)
         num = _format_poly(a.num)
         if a.den.degree == 0 and a.den.constant_term() == 1:
-            return num
+            # "1/2 + x" would read back as 1/(2 + x)
+            c0 = a.num.constant_term()
+            return f"({num})" if c0.denominator != 1 and a.num.degree > 0 else num
         return f"({num})/({_format_poly(a.den)})"
 
 
@@ -530,32 +560,6 @@ def _series_inverse(den: Poly, t: int) -> Poly:
             acc += coeffs[i] * out[n - i]
         out.append(_coeff_canon(-acc * c0inv, den.q))
     return Poly.make(out, den.q)
-
-
-# ---------------------------------------------------------------------------
-# module-level wrappers matching the operation names used elsewhere
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str, ctx: RingCtx) -> Scalar:
-    """Field operations with exactness guarantees; 'div' means exact division
-    in S and raises DivisionLeavesRing when the quotient leaves the ring."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return ctx.div_exact(a, b)
-    raise ValueError(f"unknown scalar operation {op!r}")
-
-
-def valuation(a: Scalar, ctx: RingCtx):
-    return ctx.valuation(a)
-
-
-def reduce_mod_omega(a: Scalar, ctx: RingCtx) -> Residue:
-    return ctx.reduce_mod_omega(a)
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +597,16 @@ class _ScalarParser:
     frac := sum ('/' sum)?          -- at most one top-level quotient
     sum  := ('+'|'-')? term (('+'|'-') term)*
     term := '(' sum ')' | coeff ('*'? xpart)? | xpart
-    coeff := INT ('/' INT)?         -- the slash is consumed here only when
-                                        the fraction is directly followed by
-                                        '*' or 'x' (a coefficient)
+    coeff := INT ('/' INT)?         -- the slash is consumed here only inside
+                                        parentheses or when the fraction is
+                                        directly followed by '*' or 'x'
     xpart := 'x' ('^' INT)?
     """
 
     def __init__(self, text: str, ctx: RingCtx):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses; no quotient can start inside one
         self.ctx = ctx
         self.text = text
 
@@ -643,17 +648,20 @@ class _ScalarParser:
         kind, payload = self.peek()
         if kind == "(":
             self.take()
+            self.depth += 1
             value = self.sum_()
+            self.depth -= 1
             if self.take()[0] != ")":
                 raise ParseError(f"unbalanced parentheses in {self.text!r}")
             return value
         if kind == "int":
             self.take()
             coeff = Fraction(payload)
-            # a slash here is a coefficient fraction only when what follows
+            # a slash here is a coefficient fraction when it cannot be the
+            # top-level quotient: inside parentheses, or when what follows
             # the second integer is a variable part
             if (self.peek()[0] == "/" and self.peek(1)[0] == "int"
-                    and self.peek(2)[0] in ("*", "x")):
+                    and (self.depth or self.peek(2)[0] in ("*", "x"))):
                 self.take()
                 den = self.take()[1]
                 if den == 0:
@@ -695,10 +703,6 @@ class _ScalarParser:
         return PolyFrac.from_poly(Poly.make([0] * k + [c], q))
 
 
-def _format_coeff(c) -> str:
-    return str(c)
-
-
 def _format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -709,11 +713,11 @@ def _format_poly(p: Poly) -> str:
         negative = isinstance(c, Fraction) and c < 0
         mag = -c if negative else c
         if k == 0:
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = "x" if k == 1 else f"x^{k}"
         else:
-            body = f"{_format_coeff(mag)}*x" if k == 1 else f"{_format_coeff(mag)}*x^{k}"
+            body = f"{mag}*x" if k == 1 else f"{mag}*x^{k}"
         parts.append(("-" if negative else "+", body))
     sign, body = parts[0]
     out = ("-" if sign == "-" else "") + body

@@ -30,16 +30,6 @@ def random_scalar(ctx: RingCtx, rng: random.Random) -> Scalar:
     return PolyFrac.from_poly(Poly.make(coeffs, q))
 
 
-def random_context(rng: random.Random, max_t: int) -> RingCtx:
-    """Draw a ring context: mostly integers at p in {2, 3}, sometimes a
-    polynomial ring over a small prime field."""
-    t = rng.randrange(1, max_t + 1)
-    roll = rng.randrange(5)
-    if roll == 0:
-        return RingCtx.poly_local(t, q=rng.choice([2, 3]))
-    return RingCtx.int_local(rng.choice([2, 3]), t)
-
-
 def random_object(ctx: RingCtx, rng: random.Random, max_size: int) -> MonObject:
     """diag(pi^{s_i}) conjugated by two random unimodular factors."""
     n = rng.randrange(1, max_size + 1)

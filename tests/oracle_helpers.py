@@ -1,14 +1,18 @@
 """Brute-force oracles shared by the unit tests and the acceptance suite.
 
 Everything here decides by exhaustive enumeration over the finite quotient
-ring; slow on purpose and independent of the library's solvers.
+ring, or recomputes by the plainest method (trial division, one normalized
+operation at a time); slow on purpose and independent of the library's
+solvers and kernels.
 """
 
 import itertools
+from fractions import Fraction
 
 from monocat.category import MonMorphism, MonObject, compose, identity_morphism
 from monocat.homotopy import homotopic
 from monocat.linalg import MatS
+from monocat.rings import Poly, PolyFrac
 from monocat.sampling import all_morphism_params, morphism_from_params
 
 
@@ -41,3 +45,87 @@ def exhaustive_iso_search(psi: MonMorphism) -> bool:
                 and homotopic(compose(psi, phi), id_dst):
             return True
     return False
+
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def naive_matmul(a: MatS, b: MatS) -> MatS:
+    """Matrix product normalizing after every multiply and every add."""
+    ctx = a.ctx
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = ctx.zero()
+            for k in range(a.cols):
+                acc = acc + a.at(i, k) * b.at(k, j)
+            out.append(acc)
+    return MatS(ctx, a.rows, b.cols, tuple(out))
+
+
+# Polynomial arithmetic rebuilt through Poly.make, which canonicalizes every
+# coefficient and trims, and fractions through the full gcd path.
+
+def _coeff(f: Poly, i: int):
+    return f.coeffs[i] if i < len(f.coeffs) else 0
+
+
+def _inv(c, q):
+    return 1 / Fraction(c) if q is None else pow(c, -1, q)
+
+
+def poly_add_ref(f: Poly, g: Poly) -> Poly:
+    n = max(len(f.coeffs), len(g.coeffs))
+    return Poly.make([_coeff(f, i) + _coeff(g, i) for i in range(n)], f.q)
+
+
+def poly_neg_ref(f: Poly) -> Poly:
+    return Poly.make([-c for c in f.coeffs], f.q)
+
+
+def poly_mul_ref(f: Poly, g: Poly) -> Poly:
+    n = len(f.coeffs) + len(g.coeffs)
+    return Poly.make([sum(_coeff(f, i) * _coeff(g, k - i) for i in range(k + 1))
+                      for k in range(n)], f.q)
+
+
+def poly_divmod_ref(f: Poly, g: Poly) -> tuple:
+    quo, rem = Poly.make([], f.q), f
+    while not rem.is_zero() and rem.degree >= g.degree:
+        c = rem.coeffs[-1] * _inv(g.coeffs[-1], f.q)
+        term = Poly.make([0] * (rem.degree - g.degree) + [c], f.q)
+        quo = poly_add_ref(quo, term)
+        rem = poly_add_ref(rem, poly_neg_ref(poly_mul_ref(term, g)))
+    return quo, rem
+
+
+def poly_monic_ref(f: Poly) -> Poly:
+    if f.is_zero():
+        return f
+    inv = _inv(f.coeffs[-1], f.q)
+    return Poly.make([c * inv for c in f.coeffs], f.q)
+
+
+def poly_gcd_ref(f: Poly, g: Poly) -> Poly:
+    while not g.is_zero():
+        f, g = g, poly_divmod_ref(f, g)[1]
+    return poly_monic_ref(f)
+
+
+def polyfrac_ref(num: Poly, den: Poly) -> PolyFrac:
+    """num/den in lowest terms with monic denominator, always through gcd."""
+    if num.is_zero():
+        return PolyFrac(num, Poly.make([1], num.q))
+    g = poly_gcd_ref(num, den)
+    num, den = poly_divmod_ref(num, g)[0], poly_divmod_ref(den, g)[0]
+    inv = _inv(den.coeffs[-1], num.q)
+    return PolyFrac(Poly.make([c * inv for c in num.coeffs], num.q),
+                    Poly.make([c * inv for c in den.coeffs], num.q))

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from monocat.almost_split import (ArSequence, ar_sequence, end_ring_is_local,
@@ -254,3 +259,36 @@ def test_factor_strictly_reproduces_target():
     chi = factor_strictly(seq.g, h)
     assert chi is not None
     assert compose(seq.g, chi) == h
+
+
+POSTCONDITIONS_UNDER_O = """
+import sys
+import monocat.almost_split as a
+from monocat.category import identity_morphism, rank_one, zero_morphism
+from monocat.rings import RingCtx
+assert sys.flags.optimize
+f = rank_one(RingCtx.int_local(2, 2), 1)
+real_compose = a.compose
+a.compose = lambda g, h: zero_morphism(h.src, g.dst)
+try:
+    a.factor_strictly(identity_morphism(f), identity_morphism(f))
+except AssertionError as exc:
+    print("factor:", exc)
+a.compose = real_compose
+a._exactness_failure = lambda *args: "broken"
+try:
+    a.ar_sequence(f)
+except AssertionError as exc:
+    print("ar:", exc)
+"""
+
+
+def test_postconditions_run_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", POSTCONDITIONS_UNDER_O],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "factor: strict factorization does not compose back",
+        "ar: almost split sequence is not exact"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 from monocat.cli import dumps_object, load_object_file, main
 
@@ -255,3 +256,19 @@ def test_stable_hom_ring_mismatch(tmp_path, capsys):
             '"matrix": [["x"]]}')
     code, _, err = run(capsys, "stable-hom", a, b)
     assert code == 2 and "different rings" in err
+
+
+def test_validate_with_an_eighteen_digit_prime(tmp_path, capsys):
+    p = 10 ** 18 + 3
+    path = put(tmp_path, "big.json",
+               f'{{"ring": {{"kind": "int-local", "p": {p}}}, "t": 2, '
+               f'"matrix": [["{p}","1"],["0","{p}"]]}}')
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "validate", path)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and out.startswith("OK n=2")
+    too_big = put(tmp_path, "huge.json",
+                  '{"ring": {"kind": "int-local", "p": 3317044064679887385961981}, '
+                  '"t": 1, "matrix": [["1"]]}')
+    code, _, err = run(capsys, "validate", too_big)
+    assert code == 2 and "too large" in err

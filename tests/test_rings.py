@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monocat.errors import DivisionLeavesRing, InfiniteResidueField, ParseError
-from monocat.rings import INFINITY, Poly, PolyFrac, RingCtx
+from monocat.rings import INFINITY, Poly, PolyFrac, RingCtx, _is_prime
+from oracle_helpers import trial_division_is_prime
 
 Z2 = RingCtx.int_local(2, 2)
 Z3 = RingCtx.int_local(3, 3)
@@ -109,11 +110,35 @@ def test_parse_poly_local():
     assert c.num == Poly.make([1, 1, 1], 2)
 
 
+def test_is_prime_agrees_with_trial_division():
+    assert all(_is_prime(n) == trial_division_is_prime(n) for n in range(10 ** 5))
+
+
+def test_is_prime_large_inputs():
+    assert _is_prime(10 ** 18 + 3)
+    assert _is_prime(2 ** 61 - 1)
+    # strong pseudoprimes to every prime base up to 31 and up to 37
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    with pytest.raises(ValueError):
+        _is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        RingCtx.int_local(10 ** 30 + 57, 1)
+
+
 def test_format_parse_round_trip_poly():
-    samples = ["0", "1", "x", "x^2", "2*x^2 + x", "(x + 1)/(x + 2)", "-x + 3"]
+    samples = ["0", "1", "x", "x^2", "2*x^2 + x", "(x + 1)/(x + 2)", "-x + 3",
+               "1/2 + x", "(1/2 + x)", "(-1/2 + x)/(1 + x)",
+               "(1/2)/(8 + 4*x - 10*x^2)", "1/2", "-7/3"]
     for text in samples:
         a = KX.parse_scalar(text)
         assert KX.parse_scalar(KX.format_scalar(a)) == a
+    # "1/2 + x" is the quotient 1/(2 + x); the polynomial prints in parentheses
+    half_plus_x = PolyFrac.from_poly(Poly.make([Fraction(1, 2), 1]))
+    assert KX.parse_scalar("1/2 + x") != half_plus_x
+    assert KX.format_scalar(half_plus_x) == "(1/2 + x)"
+    assert KX.parse_scalar("(1/2 + x)") == half_plus_x
+    assert KX.format_scalar(KX.parse_scalar("1/2")) == "1/2"
 
 
 def test_format_parse_round_trip_int():
