@@ -14,8 +14,8 @@ from functools import cached_property
 
 from .errors import (CokernelNotOmegaTorsion, ContextMismatch, NotComposable,
                      NonSquare, NotMono, SquareNotCommuting)
-from .linalg import (INFINITY, MatS, block, identity, inverse_frac, mat, snf,
-                     zeros)
+from .linalg import (INFINITY, MatS, SnfResult, block, diag_pi, identity, mat,
+                     snf, zeros)
 from .rings import RingCtx
 
 
@@ -34,7 +34,7 @@ class MonObject:
                 f"object matrix is {self.mat.rows}x{self.mat.cols}")
         if not self.mat.in_ring():
             raise NotMono("object matrix has entries outside the local ring")
-        svals = self._snf.svals
+        svals = self.smith.svals
         if any(s is INFINITY for s in svals):
             raise NotMono("object matrix has zero determinant")
         if any(s > self.ctx.t for s in svals):
@@ -46,35 +46,20 @@ class MonObject:
         return self.mat.rows
 
     @cached_property
-    def _snf(self):
+    def smith(self) -> SnfResult:
+        """mat = U @ diag(pi^s) @ V: the source of svals, inverses, partner."""
         return snf(self.mat)
 
     @property
     def svals(self) -> tuple:
         """Elementary-divisor exponents, weakly increasing."""
-        return self._snf.svals
-
-    @property
-    def basis_u(self) -> MatS:
-        """Row transform of the cached Smith form: mat = basis_u @ D @ basis_v."""
-        return self._snf.u
-
-    @property
-    def basis_v(self) -> MatS:
-        return self._snf.v
-
-    @cached_property
-    def u_inv(self) -> MatS:
-        return inverse_frac(self._snf.u)
-
-    @cached_property
-    def v_inv(self) -> MatS:
-        return inverse_frac(self._snf.v)
+        return self.smith.svals
 
     @cached_property
     def partner_mat(self) -> MatS:
-        """omega * f^{-1}: the matrix of the partner object."""
-        return inverse_frac(self.mat).scale(self.ctx.omega())
+        """omega f^{-1} = V^{-1} diag(pi^(t-s)) U^{-1}: the partner's matrix."""
+        exps = [self.ctx.t - s for s in self.svals]
+        return self.smith.v_inv @ diag_pi(self.ctx, exps) @ self.smith.u_inv
 
     def partner(self) -> "MonObject":
         """The dual object with exponents t - s_i (reversed order)."""

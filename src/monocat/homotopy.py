@@ -55,11 +55,11 @@ def null_homotopy(psi: MonMorphism) -> HomotopyWitness | None:
     ctx = psi.ctx
     f = psi.src
     g = psi.dst
-    b = g.u_inv @ (psi.psi0 @ f.mat) @ f.v_inv
+    b = g.smith.u_inv @ (psi.psi0 @ f.mat) @ f.smith.v_inv
     y = solve_sandwich_congruence(g.svals, f.svals, b, ctx)
     if y is None:
         return None
-    s0 = g.v_inv @ y @ f.u_inv
+    s0 = g.smith.v_inv @ y @ f.smith.u_inv
     num = psi.psi0 @ f.mat - g.mat @ s0 @ f.mat
     omega_inv = ctx.one() / ctx.omega()
     s1 = num.scale(omega_inv)
@@ -186,7 +186,7 @@ class Triangle:
             raise NotComposable("first morphism endpoints are wrong")
         if (self.v.src, self.v.dst) != (self.b, self.c):
             raise NotComposable("second morphism endpoints are wrong")
-        if (self.w.src, self.w.dst) != (self.c, suspend(self.a)):
+        if (self.w.src, self.w.dst.mat) != (self.c, -self.a.partner_mat):
             raise NotComposable("third morphism must land in the shifted start")
 
 
@@ -215,13 +215,13 @@ def rotate(tri: Triangle) -> tuple[Triangle, MonMorphism]:
     isomorphism up to homotopy whenever the input triangle is exact.  Raises
     NotExactTriangle when a composite of the input fails to vanish.
     """
-    if triangle_composite_witnesses(tri) is None:
+    witnesses = triangle_composite_witnesses(tri)
+    if witnesses is None:
         raise NotExactTriangle("a composite in the triangle is not null-homotopic")
-    wv = null_homotopy(compose(tri.w, tri.v))
     cv, _, _ = cone_maps(tri.v)
     iso = MonMorphism(cv, suspend(tri.a),
-                      hstack([tri.w.psi1, wv.s0]),
-                      hstack([tri.w.psi0, wv.s1]))
+                      hstack([tri.w.psi1, witnesses[1].s0]),
+                      hstack([tri.w.psi0, witnesses[1].s1]))
     rotated = Triangle(tri.b, tri.c, suspend(tri.a),
                        tri.v, tri.w, -suspend_morphism(tri.u))
     return rotated, iso

@@ -218,7 +218,7 @@ def kron(a: MatS, b: MatS) -> MatS:
 
 
 def det(a: MatS) -> Scalar:
-    """Exact determinant by fraction-field elimination."""
+    """Exact determinant by elimination; a test reference, no library caller."""
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = a.rows
@@ -249,8 +249,8 @@ def det(a: MatS) -> Scalar:
 def inverse_frac(a: MatS) -> MatS:
     """Exact inverse over the fraction field (Gauss-Jordan).
 
-    Equivalent to adjugate over determinant; raises SingularMatrix when the
-    determinant vanishes.  Entries land back in S whenever det(a) is a unit.
+    Raises SingularMatrix when the determinant vanishes; entries land back in
+    S whenever det(a) is a unit.  A test reference, no library caller.
     """
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
@@ -280,7 +280,7 @@ def inverse_frac(a: MatS) -> MatS:
 
 
 def adjugate(a: MatS) -> MatS:
-    """det(a) * a^{-1}; defined here for the oracle tests."""
+    """det(a) * a^{-1}; a test reference, no library code calls it."""
     d = det(a)
     if a.ctx.is_zero(d):
         raise SingularMatrix("adjugate via inverse needs a nonzero determinant")
@@ -293,13 +293,16 @@ class SnfResult:
 
     U and V are square with unit determinant, D is diagonal with entries
     pi^s for weakly increasing s; zero diagonal entries are reported as
-    valuation INFINITY at the end of ``svals``.
+    valuation INFINITY at the end of ``svals``.  ``u_inv`` and ``v_inv``
+    are the inverses of U and V, built by the same elimination.
     """
 
     u: MatS
     d: MatS
     v: MatS
     svals: tuple
+    u_inv: MatS
+    v_inv: MatS
 
 
 def snf(a: MatS) -> SnfResult:
@@ -315,7 +318,9 @@ def snf(a: MatS) -> SnfResult:
     work = a.to_rows()
     u = identity(ctx, m).to_rows()
     v = identity(ctx, n).to_rows()
-    # invariant: a == U @ work @ V throughout
+    u_inv = identity(ctx, m).to_rows()
+    v_inv = identity(ctx, n).to_rows()
+    # invariant: a == U @ work @ V, and u_inv, v_inv invert U, V throughout
     svals: list = []
     for k in range(min(m, n)):
         best = None
@@ -333,10 +338,13 @@ def snf(a: MatS) -> SnfResult:
             work[k], work[bi] = work[bi], work[k]
             for r in range(m):  # U: swap columns k, bi
                 u[r][k], u[r][bi] = u[r][bi], u[r][k]
+            u_inv[k], u_inv[bi] = u_inv[bi], u_inv[k]
         if bj != k:
             for r in range(m):
                 work[r][k], work[r][bj] = work[r][bj], work[r][k]
             v[k], v[bj] = v[bj], v[k]  # V: swap rows k, bj
+            for r in range(n):
+                v_inv[r][k], v_inv[r][bj] = v_inv[r][bj], v_inv[r][k]
         piv = work[k][k]
         # clear the pivot column: row_i -= q * row_k, U col k += q * U col i
         for i in range(k + 1, m):
@@ -345,8 +353,10 @@ def snf(a: MatS) -> SnfResult:
             q = ctx.div_exact(work[i][k], piv)
             for j in range(k, n):
                 work[i][j] = work[i][j] - q * work[k][j]
-            for r in range(m):
-                u[r][k] = u[r][k] + q * u[r][i]
+            u_inv[i] = [x - q * y if y else x for x, y in zip(u_inv[i], u_inv[k])]
+            for row in u:
+                if row[i]:
+                    row[k] = row[k] + q * row[i]
         # clear the pivot row: col_j -= q * col_k, V row k += q * V row j
         for j in range(k + 1, n):
             if ctx.is_zero(work[k][j]):
@@ -354,8 +364,10 @@ def snf(a: MatS) -> SnfResult:
             q = ctx.div_exact(work[k][j], piv)
             for r in range(m):
                 work[r][j] = work[r][j] - q * work[r][k]
-            for c in range(n):
-                v[k][c] = v[k][c] + q * v[j][c]
+            v[k] = [x + q * y if y else x for x, y in zip(v[k], v[j])]
+            for row in v_inv:
+                if row[k]:
+                    row[j] = row[j] - q * row[k]
         # normalize the pivot to a plain pi power
         sval = int(ctx.valuation(piv))
         unit = ctx.div_exact(piv, ctx.pi_pow(sval))
@@ -367,13 +379,14 @@ def snf(a: MatS) -> SnfResult:
                 work[k][j] = work[k][j] * inv
             for r in range(m):
                 u[r][k] = u[r][k] * unit
+                u_inv[k][r] = u_inv[k][r] * inv
         svals.append(sval)
     while len(svals) < min(m, n):
         svals.append(INFINITY)
-    d = MatS(ctx, m, n, tuple(work[i][j] for i in range(m) for j in range(n)))
-    u_mat = MatS(ctx, m, m, tuple(x for row in u for x in row))
-    v_mat = MatS(ctx, n, n, tuple(x for row in v for x in row))
-    return SnfResult(u_mat, d, v_mat, tuple(svals))
+    d, u, v, u_inv, v_inv = (tuple(x for row in rows for x in row)
+                             for rows in (work, u, v, u_inv, v_inv))
+    return SnfResult(MatS(ctx, m, m, u), MatS(ctx, m, n, d), MatS(ctx, n, n, v),
+                     tuple(svals), MatS(ctx, m, m, u_inv), MatS(ctx, n, n, v_inv))
 
 
 def solve_sandwich_congruence(dl: Sequence, dr: Sequence, b: MatS,
@@ -410,7 +423,7 @@ def solve_linear(a: MatS, rhs: MatS) -> MatS | None:
         raise ValueError("shape mismatch in linear solve")
     ctx = a.ctx
     s = snf(a)
-    c = inverse_frac(s.u) @ rhs
+    c = s.u_inv @ rhs
     ncols = rhs.cols
     y = [[ctx.zero() for _ in range(ncols)] for _ in range(a.cols)]
     for i in range(a.rows):
@@ -426,7 +439,7 @@ def solve_linear(a: MatS, rhs: MatS) -> MatS | None:
             if not ctx.is_zero(target):
                 y[i][j] = ctx.div_exact(target, ctx.pi_pow(int(sval)))
     y_mat = MatS(ctx, a.cols, ncols, tuple(v for row in y for v in row))
-    return inverse_frac(s.v) @ y_mat
+    return s.v_inv @ y_mat
 
 
 def random_unimodular(n: int, seed: int, ctx: RingCtx) -> MatS:

@@ -567,6 +567,7 @@ def _series_inverse(den: Poly, t: int) -> Poly:
 
 
 _INT_RE = re.compile(r"\d+")
+MAX_X_DEGREE = 4096  # largest k in x^k; the parser allocates k + 1 coefficients
 
 
 def _tokenize(text: str):
@@ -685,8 +686,9 @@ class _ScalarParser:
         if self.peek()[0] == "^":
             self.take()
             kind, k = self.take()
-            if kind != "int":
-                raise ParseError(f"expected integer exponent in {self.text!r}")
+            if kind != "int" or k > MAX_X_DEGREE:
+                raise ParseError(f"expected an integer exponent of at most "
+                                 f"{MAX_X_DEGREE} in {self.text!r}")
             return k
         return 1
 

@@ -58,8 +58,8 @@ def morphism_from_params(src: MonObject, dst: MonObject, params) -> MonMorphism:
                 cells0.append(c * ctx.pi_pow(sj - si))
     big1 = MatS(ctx, dst.n, src.n, tuple(cells1))
     big0 = MatS(ctx, dst.n, src.n, tuple(cells0))
-    psi1 = dst.v_inv @ big1 @ src.basis_v
-    psi0 = dst.basis_u @ big0 @ src.u_inv
+    psi1 = dst.smith.v_inv @ big1 @ src.smith.v
+    psi0 = dst.smith.u @ big0 @ src.smith.u_inv
     return MonMorphism(src, dst, psi1, psi0)
 
 

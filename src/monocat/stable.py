@@ -54,7 +54,7 @@ def coker_functor(psi: MonMorphism) -> RModuleMap:
     """The induced map of cokernels in the diagonalized generator bases."""
     ctx = psi.ctx
     src, dst = psi.src, psi.dst
-    h = dst.u_inv @ psi.psi0 @ src.basis_u
+    h = dst.smith.u_inv @ psi.psi0 @ src.smith.u
     src_keep = [i for i, s in enumerate(src.svals) if s > 0]
     dst_keep = [j for j, s in enumerate(dst.svals) if s > 0]
     entries = []

@@ -11,12 +11,15 @@ from monocat.category import (MonMorphism, MonObject, check_morphism, cokernel,
                               projective_envelope, rank_one, zero_morphism)
 from monocat.errors import (CokernelNotOmegaTorsion, NonSquare, NotComposable,
                             NotMono, SquareNotCommuting)
-from monocat.linalg import det, identity, mat, random_unimodular
+from monocat.linalg import (diag_pi, identity, inverse_frac, mat,
+                            random_unimodular)
 from monocat.rings import RingCtx
 
 Z2 = RingCtx.int_local(2, 2)
 Z2_3 = RingCtx.int_local(2, 3)
 F3X = RingCtx.poly_local(2, q=3)
+F2X = RingCtx.poly_local(2, q=2)
+QX = RingCtx.poly_local(2)
 
 
 def test_object_validation():
@@ -37,21 +40,23 @@ def test_poly_object():
 
 def test_partner_laws():
     rng = random.Random(2)
-    for trial in range(20):
-        n = rng.randrange(1, 4)
-        exps = [rng.randrange(0, Z2.t + 1) for _ in range(n)]
-        u = random_unimodular(n, rng.randrange(10 ** 6), Z2)
-        v = random_unimodular(n, rng.randrange(10 ** 6), Z2)
-        core = mat(Z2, [[Z2.pi_pow(exps[i]) if i == j else 0 for j in range(n)]
-                        for i in range(n)])
-        obj = MonObject(Z2, u @ core @ v)
-        part = obj.partner()
-        prod = obj.mat @ part.mat
-        omega_id = identity(Z2, n).scale(Z2.omega())
-        assert prod.entries == omega_id.entries
-        assert (part.mat @ obj.mat).entries == omega_id.entries
-        assert part.partner().mat.entries == obj.mat.entries
-        assert part.svals == tuple(sorted(Z2.t - s for s in exps))
+    for ctx, trials in ((Z2, 20), (F2X, 8), (F3X, 8), (QX, 8)):
+        for trial in range(trials):
+            n = rng.randrange(1, 4)
+            exps = [rng.randrange(0, ctx.t + 1) for _ in range(n)]
+            u = random_unimodular(n, rng.randrange(10 ** 6), ctx)
+            v = random_unimodular(n, rng.randrange(10 ** 6), ctx)
+            obj = MonObject(ctx, u @ diag_pi(ctx, exps) @ v)
+            part = obj.partner()
+            # the partner built from the Smith form equals omega * f^{-1}
+            # computed by Gauss-Jordan, entry for entry
+            assert part.mat == inverse_frac(obj.mat).scale(ctx.omega())
+            prod = obj.mat @ part.mat
+            omega_id = identity(ctx, n).scale(ctx.omega())
+            assert prod.entries == omega_id.entries
+            assert (part.mat @ obj.mat).entries == omega_id.entries
+            assert part.partner().mat.entries == obj.mat.entries
+            assert part.svals == tuple(sorted(ctx.t - s for s in exps))
 
 
 def test_morphism_check():

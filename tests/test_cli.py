@@ -6,6 +6,7 @@ import json
 import time
 
 from monocat.cli import dumps_object, load_object_file, main
+from monocat.rings import MAX_X_DEGREE
 
 CANON = ('{"ring": {"kind": "int-local", "p": 2}, "t": 2, '
          '"matrix": [["2","1"],["0","-2"]]}')
@@ -272,3 +273,14 @@ def test_validate_with_an_eighteen_digit_prime(tmp_path, capsys):
                   '"t": 1, "matrix": [["1"]]}')
     code, _, err = run(capsys, "validate", too_big)
     assert code == 2 and "too large" in err
+
+
+def test_validate_caps_the_exponent_of_x(tmp_path, capsys):
+    def shear(k):
+        return put(tmp_path, f"x{k}.json",
+                   '{"ring": {"kind": "poly-local", "q": 2}, "t": 2, '
+                   f'"matrix": [["1","x^{k}"],["0","1"]]}}')
+    code, out, _ = run(capsys, "validate", shear(MAX_X_DEGREE))
+    assert code == 0 and out.startswith("OK n=2")
+    code, _, err = run(capsys, "validate", shear(MAX_X_DEGREE + 1))
+    assert code == 2 and f"at most {MAX_X_DEGREE}" in err

@@ -71,11 +71,22 @@ def cofactor_det(a: MatS):
     return acc
 
 
+def assert_transform_inverses(res):
+    """The inverses snf tracks alongside U and V are exact two-sided ones."""
+    ctx, m, n = res.u.ctx, res.u.rows, res.v.rows
+    assert (res.u @ res.u_inv).entries == identity(ctx, m).entries
+    assert (res.u_inv @ res.u).entries == identity(ctx, m).entries
+    assert (res.v_inv @ res.v).entries == identity(ctx, n).entries
+    assert (res.v @ res.v_inv).entries == identity(ctx, n).entries
+    assert res.u_inv.in_ring() and res.v_inv.in_ring()
+
+
 def test_snf_frozen_example():
     a = mat(Z2, [[2, 1], [0, -2]])
     res = snf(a)
     assert res.svals == (0, 2)
     assert minors_valuation_oracle(a) == (0, 2)
+    assert_transform_inverses(res)
 
 
 def test_snf_frozen_example_kernel_count():
@@ -88,7 +99,9 @@ def test_snf_frozen_example_kernel_count():
             if (2 * x0 + x1) % 8 == 0 and (-2 * x1) % 8 == 0:
                 count += 1
     assert count == 4
-    assert snf(a).svals == (0, 2)
+    res = snf(a)
+    assert res.svals == (0, 2)
+    assert_transform_inverses(res)
 
 
 def test_snf_factorization_and_transform_units():
@@ -102,6 +115,7 @@ def test_snf_factorization_and_transform_units():
         assert (res.u @ res.d @ res.v).entries == a.entries
         assert Z2.is_unit(det(res.u))
         assert Z2.is_unit(det(res.v))
+        assert_transform_inverses(res)
         # diagonal of pi powers, off-diagonal zero
         for i in range(m):
             for j in range(n):
@@ -124,12 +138,20 @@ def test_snf_poly_ring():
         assert (res.u @ res.d @ res.v).entries == a.entries
         assert KX.is_unit(det(res.u))
         assert res.svals == minors_valuation_oracle(a)
+        assert_transform_inverses(res)
 
 
 def test_snf_singular_tail():
-    a = mat(Z2, [[2, 2], [2, 2]])
-    assert snf(a).svals == (1, INFINITY)
-    assert snf(zeros(Z2, 2, 3)).svals == (INFINITY, INFINITY)
+    cases = [(mat(Z2, [[2, 2], [2, 2]]), (1, INFINITY)),
+             (zeros(Z2, 2, 3), (INFINITY, INFINITY)),
+             (mat(Z2, [[2, 4, 6], [1, 2, 3]]), (0, INFINITY)),
+             (mat(Z2, [[4, 2], [6, 3], [2, 1]]), (0, INFINITY)),
+             (mat(F2X, [["x", "x^2", "1"], ["x^2", "x^3", "x"]]), (0, INFINITY))]
+    for a, svals in cases:
+        res = snf(a)
+        assert res.svals == svals
+        assert (res.u @ res.d @ res.v).entries == a.entries
+        assert_transform_inverses(res)
 
 
 def test_det_matches_cofactor_expansion():
