@@ -6,7 +6,10 @@ nonprojective object we build the almost split sequence ending at it by
 lifting the classical chain of cyclic length modules, and a brute-force
 verifier confirms the right-almost-split property: it enumerates every
 morphism class from every indecomposable test object and decides strict
-factorization with exact linear algebra over the base ring.
+factorization with exact linear algebra over the base ring.  The linear
+system of a strict factorization through g depends on g and on the test
+object only, so the verifier takes one Smith form per (g, test object) and
+solves each class by back-substitution against it.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import MonMorphism, MonObject, compose, identity_morphism, rank_one
-from .errors import (InfiniteResidueField, NotComposable, NotIndecomposable,
-                     ParametersTooLarge, ProjectiveObject)
+from .errors import (CLASS_BUDGET, InfiniteResidueField, NotComposable,
+                     NotIndecomposable, ParametersTooLarge, ProjectiveObject)
 from .homotopy import is_iso_in_homotopy
-from .linalg import (MatS, hstack, identity, kron, mat, snf, solve_linear,
+from .linalg import (MatS, hstack, identity, kron, mat, snf, solve_with_snf,
                      vstack, zeros)
 from .rings import RingCtx
 from .sampling import all_morphism_params, morphism_from_params, param_count
@@ -63,38 +66,55 @@ class ArSequence:
     g: MonMorphism
 
 
-def factor_strictly(through: MonMorphism, target: MonMorphism):
-    """A morphism chi with through o chi == target exactly, or None.
+class StrictFactorizer:
+    """Strict factorizations through one morphism from one source object.
 
     The unknown entries of both components of chi, the commuting condition
     that makes chi a morphism, and the two composition equations are stacked
-    into one linear system over S and solved exactly.
+    into one linear system a @ vec(chi) = rhs over S.  The matrix a depends
+    only on ``through`` and on ``src``; a target enters through rhs alone.
+    So a and its Smith form are built once, and each target costs one
+    back-substitution.
     """
-    if through.dst != target.dst:
-        raise NotComposable("factorization endpoints disagree")
-    ctx = through.ctx
-    p = through.src.n
-    q = target.src.n
-    m = p * q
-    iq = identity(ctx, q)
-    # unknown vector: row-major vec(chi1) then row-major vec(chi0)
-    commute = [(-kron(through.src.mat, iq)),
-               kron(identity(ctx, p), target.src.mat.transpose())]
-    comp1 = [kron(through.psi1, iq), zeros(ctx, through.dst.n * q, m)]
-    comp0 = [zeros(ctx, through.dst.n * q, m), kron(through.psi0, iq)]
-    a = vstack([hstack(commute), hstack(comp1), hstack(comp0)])
-    rhs = vstack([zeros(ctx, m, 1),
-                  MatS(ctx, through.dst.n * q, 1, target.psi1.entries),
-                  MatS(ctx, through.dst.n * q, 1, target.psi0.entries)])
-    sol = solve_linear(a, rhs)
-    if sol is None:
-        return None
-    chi1 = MatS(ctx, p, q, tuple(sol.at(k, 0) for k in range(m)))
-    chi0 = MatS(ctx, p, q, tuple(sol.at(m + k, 0) for k in range(m)))
-    chi = MonMorphism(target.src, through.src, chi1, chi0)
-    if compose(through, chi) != target:
-        raise AssertionError("strict factorization does not compose back")
-    return chi
+
+    def __init__(self, through: MonMorphism, src: MonObject):
+        ctx = through.ctx
+        p, q, r = through.src.n, src.n, through.dst.n
+        iq = identity(ctx, q)
+        # unknown vector: row-major vec(chi1) then row-major vec(chi0)
+        commute = [(-kron(through.src.mat, iq)),
+                   kron(identity(ctx, p), src.mat.transpose())]
+        comp1 = [kron(through.psi1, iq), zeros(ctx, r * q, p * q)]
+        comp0 = [zeros(ctx, r * q, p * q), kron(through.psi0, iq)]
+        self.through = through
+        self.src = src
+        self.smith = snf(vstack([hstack(commute), hstack(comp1),
+                                 hstack(comp0)]))
+
+    def solve(self, target: MonMorphism):
+        """A morphism chi with through o chi == target exactly, or None."""
+        through = self.through
+        if target.src != self.src or target.dst != through.dst:
+            raise NotComposable("factorization endpoints disagree")
+        ctx = through.ctx
+        p, q = through.src.n, self.src.n
+        m = p * q
+        rhs = MatS(ctx, self.smith.u.rows, 1, (ctx.zero(),) * m
+                   + target.psi1.entries + target.psi0.entries)
+        sol = solve_with_snf(self.smith, rhs)
+        if sol is None:
+            return None
+        chi1 = MatS(ctx, p, q, tuple(sol.at(k, 0) for k in range(m)))
+        chi0 = MatS(ctx, p, q, tuple(sol.at(m + k, 0) for k in range(m)))
+        chi = MonMorphism(target.src, through.src, chi1, chi0)
+        if compose(through, chi) != target:
+            raise AssertionError("strict factorization does not compose back")
+        return chi
+
+
+def factor_strictly(through: MonMorphism, target: MonMorphism):
+    """A morphism chi with through o chi == target exactly, or None."""
+    return StrictFactorizer(through, target.src).solve(target)
 
 
 def is_split_epi(h: MonMorphism) -> bool:
@@ -181,11 +201,12 @@ def verify_right_almost_split(seq: ArSequence, ctx: RingCtx | None = None):
     if ctx.residue_modulus is None:
         raise InfiniteResidueField("the verifier enumerates morphism "
                                    "classes over R")
-    if ctx.residue_modulus ** seq.end.n > 4096:
+    if ctx.residue_modulus ** seq.end.n > CLASS_BUDGET:
         raise ParametersTooLarge("too many morphism classes per test object")
     ok = True
     for sp in range(ctx.t + 1):
         test = rank_one(ctx, sp)
+        through_g = StrictFactorizer(seq.g, test)
         classes = 0
         factored = 0
         good = True
@@ -193,7 +214,7 @@ def verify_right_almost_split(seq: ArSequence, ctx: RingCtx | None = None):
             h = morphism_from_params(test, seq.end, params)
             classes += 1
             split = is_split_epi(h)
-            chi = factor_strictly(seq.g, h)
+            chi = through_g.solve(h)
             if chi is not None:
                 factored += 1
             if (chi is not None) == split:
@@ -219,7 +240,7 @@ def end_ring_is_local(f: MonObject) -> bool:
         raise InfiniteResidueField("endomorphism enumeration needs a "
                                    "finite R")
     cells = param_count(f, f)
-    if ctx.residue_modulus ** cells > 4096:
+    if ctx.residue_modulus ** cells > CLASS_BUDGET:
         raise ParametersTooLarge("endomorphism class count out of range")
     iso_by_class = {}
     for params in all_morphism_params(f, f):

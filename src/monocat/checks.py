@@ -1,9 +1,10 @@
 """Seeded property suites shared by the command line and the test suite.
 
 Each suite drives one construction over deterministic random instances and
-counts the trials that satisfy the checked law.  A suite never stops early:
-a regression surfaces as a reduced count in the summary line, never as a
-crash half way through a run.
+counts the trials that satisfy the checked law.  A suite stops early only
+when a trial asks for more enumeration than the budget allows
+(``ParametersTooLarge``); otherwise a regression surfaces as a reduced
+count in the summary line, never as a crash half way through a run.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from .almost_split import tau
 from .category import (compose, decompose, identity_morphism,
                        partner_morphism, rank_one)
-from .errors import MonocatError
+from .errors import MonocatError, ParametersTooLarge
 from .homotopy import (complete_square, cone, cone_maps,
                        factor_through_projective, is_iso_in_homotopy,
                        null_homotopy, octahedron, standard_triangle,
@@ -53,6 +54,8 @@ def _tally(name: str, iters: int, trial) -> SuiteResult:
     for i in range(iters):
         try:
             good = bool(trial(i))
+        except ParametersTooLarge:
+            raise
         except MonocatError:
             good = False
         if good:

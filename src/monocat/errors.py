@@ -68,5 +68,15 @@ class InfiniteResidueField(MonocatError):
     polynomial ring over a prime field)."""
 
 
+# Enumeration budgets, checked before anything is enumerated.  A morphism
+# class costs a linear solve over S, a vector of R^n one residue
+# matrix-vector product, some sixty times cheaper; so vectors get the larger
+# budget.  2^16 admits the 27^3 vectors `mon check` draws at its default
+# sizes and refuses 27^4.
+CLASS_BUDGET = 4096    # morphism classes per test object or endomorphism ring
+VECTOR_BUDGET = 2 ** 16  # vectors of R^n per resolution check
+
+
 class ParametersTooLarge(MonocatError):
-    """Guardrail: requested enumeration exceeds the desk-scale budget."""
+    """Guardrail: requested enumeration exceeds CLASS_BUDGET or
+    VECTOR_BUDGET, raised before anything is enumerated."""

@@ -419,18 +419,27 @@ def solve_linear(a: MatS, rhs: MatS) -> MatS | None:
     Solves through the Smith form: free coordinates are set to zero, so the
     answer is deterministic.  ``rhs`` may have several columns.
     """
-    if a.rows != rhs.rows:
+    return solve_with_snf(snf(a), rhs)
+
+
+def solve_with_snf(s: SnfResult, rhs: MatS) -> MatS | None:
+    """``solve_linear(a, rhs)`` for the a whose Smith form is ``s``.
+
+    Back-substitution only, so one ``snf(a)`` serves every right-hand side
+    of the same a.
+    """
+    ctx = s.d.ctx
+    rows, cols = s.d.rows, s.d.cols
+    if rows != rhs.rows:
         raise ValueError("shape mismatch in linear solve")
-    ctx = a.ctx
-    s = snf(a)
     c = s.u_inv @ rhs
     ncols = rhs.cols
-    y = [[ctx.zero() for _ in range(ncols)] for _ in range(a.cols)]
-    for i in range(a.rows):
+    y = [[ctx.zero() for _ in range(ncols)] for _ in range(cols)]
+    for i in range(rows):
         sval = s.svals[i] if i < len(s.svals) else INFINITY
         for j in range(ncols):
             target = c.at(i, j)
-            if sval is INFINITY or i >= a.cols:
+            if sval is INFINITY or i >= cols:
                 if not ctx.is_zero(target):
                     return None
                 continue
@@ -438,7 +447,7 @@ def solve_linear(a: MatS, rhs: MatS) -> MatS | None:
                 return None
             if not ctx.is_zero(target):
                 y[i][j] = ctx.div_exact(target, ctx.pi_pow(int(sval)))
-    y_mat = MatS(ctx, a.cols, ncols, tuple(v for row in y for v in row))
+    y_mat = MatS(ctx, cols, ncols, tuple(v for row in y for v in row))
     return s.v_inv @ y_mat
 
 

@@ -568,6 +568,7 @@ def _series_inverse(den: Poly, t: int) -> Poly:
 
 _INT_RE = re.compile(r"\d+")
 MAX_X_DEGREE = 4096  # largest k in x^k; the parser allocates k + 1 coefficients
+MAX_INT_DIGITS = 4300  # longest digit run; Python's default int() limit
 
 
 def _tokenize(text: str):
@@ -581,6 +582,10 @@ def _tokenize(text: str):
             continue
         if ch.isdigit():
             m = _INT_RE.match(text, pos)
+            if m.end() - pos > MAX_INT_DIGITS:
+                raise ParseError(f"integer of more than {MAX_INT_DIGITS} digits "
+                                 f"in scalar {text[:20]!r}... "
+                                 f"({len(text)} characters)")
             toks.append(("int", int(m.group())))
             pos = m.end()
             continue

@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .category import MonMorphism, MonObject, RModuleObj, cokernel
-from .errors import ContextMismatch, InfiniteResidueField
+from .errors import (VECTOR_BUDGET, ContextMismatch, InfiniteResidueField,
+                     ParametersTooLarge)
 from .homotopy import StableHomModule, stable_hom, suspend
 from .linalg import MatR, MatS, diag, hstack, reduce_mat, snf
 from .rings import INFINITY, RingCtx
@@ -113,8 +114,11 @@ def _all_vectors(ctx: RingCtx, n: int):
 
 def resolution_is_exact(res: PeriodicResolution, ctx: RingCtx) -> bool:
     """Full enumeration of R^n: kernel of each differential equals the
-    image of the other.  Requires a finite residue field."""
+    image of the other.  Requires a finite residue field, and |R|^n at
+    most VECTOR_BUDGET."""
     n = res.f_bar.rows
+    if ctx.residue_field_size ** (ctx.t * n) > VECTOR_BUDGET:
+        raise ParametersTooLarge("too many vectors to enumerate in R^n")
     ker_f, ker_g = set(), set()
     im_f, im_g = set(), set()
     zero = tuple(ctx.residue_zero() for _ in range(n))

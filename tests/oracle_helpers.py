@@ -9,7 +9,9 @@ solvers and kernels.
 import itertools
 from fractions import Fraction
 
-from monocat.category import MonMorphism, MonObject, compose, identity_morphism
+from monocat.almost_split import _exactness_failure, factor_strictly, is_split_epi
+from monocat.category import (MonMorphism, MonObject, compose, identity_morphism,
+                              rank_one)
 from monocat.homotopy import homotopic
 from monocat.linalg import MatS
 from monocat.rings import Poly, PolyFrac
@@ -45,6 +47,37 @@ def exhaustive_iso_search(psi: MonMorphism) -> bool:
                 and homotopic(compose(psi, phi), id_dst):
             return True
     return False
+
+
+def per_class_verify(seq):
+    """``verify_right_almost_split`` deciding every class with its own
+    ``factor_strictly(seq.g, h)`` call, so each class builds and eliminates
+    its own linear system; same (lines, ok) contract."""
+    ctx = seq.end.ctx
+    label = ",".join(str(v) for v in seq.end.svals)
+    reason = _exactness_failure(seq.tau_f, seq.middle, seq.end, seq.theta,
+                                seq.g)
+    if reason is None and is_split_epi(seq.g):
+        reason = "g is a split epimorphism"
+    if reason is not None:
+        return [f"STRUCT {reason} FAIL", f"ARSS {label} {ctx.t} FAIL"], False
+    lines = []
+    ok = True
+    for sp in range(ctx.t + 1):
+        test = rank_one(ctx, sp)
+        classes = factored = 0
+        good = True
+        for params in all_morphism_params(test, seq.end):
+            h = morphism_from_params(test, seq.end, params)
+            classes += 1
+            chi = factor_strictly(seq.g, h)
+            factored += chi is not None
+            good = good and (chi is not None) != is_split_epi(h)
+        lines.append(f"TEST s'={sp} classes={classes} factored={factored} "
+                     f"{'PASS' if good else 'FAIL'}")
+        ok = ok and good
+    lines.append(f"ARSS {label} {ctx.t} {'PASS' if ok else 'FAIL'}")
+    return lines, ok
 
 
 def trial_division_is_prime(n: int) -> bool:

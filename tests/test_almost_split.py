@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from monocat.almost_split import (ArSequence, ar_sequence, end_ring_is_local,
-                                  factor_strictly, is_split_epi, tau, tau_gp,
+from monocat.almost_split import (ArSequence, StrictFactorizer, ar_sequence,
+                                  end_ring_is_local, factor_strictly,
+                                  is_split_epi, tau, tau_gp,
                                   verify_right_almost_split)
 from monocat.category import (MonMorphism, MonObject, cokernel, compose,
                               direct_sum, identity_morphism, make_object,
@@ -21,6 +22,7 @@ from monocat.errors import (InfiniteResidueField, NotComposable,
 from monocat.linalg import MatS, mat
 from monocat.rings import RingCtx
 from monocat.stable import RModuleObj
+from oracle_helpers import per_class_verify
 
 Z22 = RingCtx.int_local(2, 2)
 Z23 = RingCtx.int_local(2, 3)
@@ -261,6 +263,54 @@ def test_factor_strictly_reproduces_target():
     assert compose(seq.g, chi) == h
 
 
+# the almost split verifier's rings: Z_(2), Z_(3) with t = 2..4, F_2 with t = 2, 3
+VERIFIER_RINGS = ([RingCtx.int_local(p, t) for p in (2, 3) for t in (2, 3, 4)]
+                  + [RingCtx.poly_local(t, q=2) for t in (2, 3)])
+
+
+def verifier_cases(ctx):
+    """For each nonprojective s: the almost split sequence ending at
+    (1 + pi) pi^s, the same with its middle term's corner negated, and the
+    split sequence f -> f + f -> f."""
+    col = MatS(ctx, 2, 1, (ctx.one(), ctx.zero()))
+    row = MatS(ctx, 1, 2, (ctx.zero(), ctx.one()))
+    for s in range(1, ctx.t):
+        f = MonObject(ctx, mat(ctx, [[(ctx.one() + ctx.pi()) * ctx.pi_pow(s)]]))
+        seq = ar_sequence(f)
+        yield seq
+        m = seq.middle.mat
+        flipped = MonObject(ctx, MatS(ctx, 2, 2, (m.at(0, 0), -m.at(0, 1),
+                                                  m.at(1, 0), m.at(1, 1))))
+        yield ArSequence(seq.tau_f, flipped, seq.end, seq.theta, seq.g)
+        middle = direct_sum(f, f)
+        yield ArSequence(f, middle, f, MonMorphism(f, middle, col, col),
+                         MonMorphism(middle, f, row, row))
+
+
+@pytest.mark.parametrize("ctx", VERIFIER_RINGS,
+                         ids=lambda c: f"{c.kind}-{c.p or c.coeff_q}-t{c.t}")
+def test_verifier_matches_per_class_reference(ctx):
+    verdicts = []
+    for seq in verifier_cases(ctx):
+        got = verify_right_almost_split(seq)
+        assert got == per_class_verify(seq)
+        verdicts.append(got[1])
+    # every sequence passes; every flipped (int-local) and split one fails
+    flips = ctx.kind == "int-local"
+    assert verdicts == [True, not flips, False] * (ctx.t - 1)
+
+
+def test_factorizer_rejects_foreign_targets():
+    f = rank_one(Z22, 1)
+    seq = ar_sequence(f)
+    through_g = StrictFactorizer(seq.g, f)
+    assert through_g.solve(zero_morphism(f, f)) is not None
+    with pytest.raises(NotComposable):  # different source
+        through_g.solve(zero_morphism(rank_one(Z22, 2), f))
+    with pytest.raises(NotComposable):  # different codomain
+        through_g.solve(zero_morphism(f, rank_one(Z22, 2)))
+
+
 POSTCONDITIONS_UNDER_O = """
 import sys
 import monocat.almost_split as a
@@ -274,6 +324,12 @@ try:
     a.factor_strictly(identity_morphism(f), identity_morphism(f))
 except AssertionError as exc:
     print("factor:", exc)
+# the verifier's own factorizer, with split epimorphisms never detected
+a.is_split_epi = lambda h: False
+try:
+    a.verify_right_almost_split(a.ar_sequence(f))
+except AssertionError as exc:
+    print("verify:", exc)
 a.compose = real_compose
 a._exactness_failure = lambda *args: "broken"
 try:
@@ -291,4 +347,5 @@ def test_postconditions_run_under_optimize():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "factor: strict factorization does not compose back",
+        "verify: strict factorization does not compose back",
         "ar: almost split sequence is not exact"]

@@ -6,7 +6,7 @@ import json
 import time
 
 from monocat.cli import dumps_object, load_object_file, main
-from monocat.rings import MAX_X_DEGREE
+from monocat.rings import MAX_INT_DIGITS, MAX_X_DEGREE
 
 CANON = ('{"ring": {"kind": "int-local", "p": 2}, "t": 2, '
          '"matrix": [["2","1"],["0","-2"]]}')
@@ -284,3 +284,26 @@ def test_validate_caps_the_exponent_of_x(tmp_path, capsys):
     assert code == 0 and out.startswith("OK n=2")
     code, _, err = run(capsys, "validate", shear(MAX_X_DEGREE + 1))
     assert code == 2 and f"at most {MAX_X_DEGREE}" in err
+
+
+def test_validate_caps_the_digits_of_an_integer(tmp_path, capsys):
+    def unit(digits):
+        return put(tmp_path, f"d{digits}.json",
+                   '{"ring": {"kind": "int-local", "p": 2}, "t": 2, '
+                   f'"matrix": [["{"1" * digits}"]]}}')
+    code, out, _ = run(capsys, "validate", unit(MAX_INT_DIGITS))
+    assert code == 0 and out.startswith("OK n=1")
+    code, _, err = run(capsys, "validate", unit(MAX_INT_DIGITS + 1))
+    assert code == 2 and f"more than {MAX_INT_DIGITS} digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_check_refuses_an_oversized_enumeration(capsys):
+    # the second trial draws Z_(3) with t = 3 and a 4 x 4 object: 27^4 vectors
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "check", "--suite", "periodic",
+                         "--max-size", "4", "--max-t", "3", "--seed", "2",
+                         "--iters", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("violation: ParametersTooLarge")

@@ -2,14 +2,15 @@
 
 Matrix products normalize once per entry and the polynomial operations keep
 coefficients canonical inline; both must give exactly what one normalized
-operation at a time gives (``oracle_helpers``).
+operation at a time gives (``oracle_helpers``).  One Smith form reused for
+many right-hand sides must answer exactly as a fresh solve does.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from monocat.linalg import MatS
+from monocat.linalg import MatS, snf, solve_linear, solve_with_snf
 from monocat.rings import Poly, PolyFrac, RingCtx
 from oracle_helpers import (naive_matmul, poly_add_ref, poly_divmod_ref,
                             poly_gcd_ref, poly_mul_ref, poly_neg_ref,
@@ -94,3 +95,56 @@ def test_polyfrac_make_shortcuts_equal_full_gcd(args):
     assert PolyFrac.make(const, den) == polyfrac_ref(const, den)
     one = Poly.make([1], num.q)
     assert PolyFrac.make(num, one) == polyfrac_ref(num, one)
+
+
+SOLVE_RINGS = [RingCtx.int_local(2, 2), RingCtx.int_local(3, 2),
+               RingCtx.poly_local(2, 2), RingCtx.poly_local(2)]
+
+
+def ring_elements(ctx):
+    """Elements of S: small numerators over unit denominators, so entries
+    often share a valuation and the elimination cancels."""
+    if ctx.kind == "int-local":
+        den = st.sampled_from([d for d in (1, 1, 5, 7) if d % ctx.p])
+        return st.builds(Fraction, st.integers(-8, 8), den)
+    q = ctx.coeff_q
+    one = Poly.make([1], q)
+    den = st.sampled_from([one, one, Poly.make([1, 1], q)])  # 1 + x is a unit
+    return st.builds(PolyFrac.make, polys(q, 3), den)
+
+
+@st.composite
+def linear_systems(draw):
+    """a, then right-hand sides each tagged True when built as a @ x."""
+    ctx = draw(st.sampled_from(SOLVE_RINGS))
+    elem = ring_elements(ctx)
+    rows = draw(st.integers(1, 4))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 4))
+    entries = [draw(elem) for _ in range(rows * cols)]
+    if rows > 1 and draw(st.booleans()):  # a repeated row: rank drops
+        entries[-cols:] = entries[:cols]
+    a = MatS(ctx, rows, cols, tuple(entries))
+    k = draw(st.integers(1, 3))
+    rhss = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            x = MatS(ctx, cols, k, tuple(draw(elem) for _ in range(cols * k)))
+            rhss.append((a @ x, True))
+        else:
+            rhs = MatS(ctx, rows, k, tuple(draw(elem) for _ in range(rows * k)))
+            rhss.append((rhs, False))
+    return a, rhss
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+def test_one_smith_form_serves_every_rhs(system):
+    a, rhss = system
+    s = snf(a)
+    for rhs, consistent in rhss:
+        x = solve_with_snf(s, rhs)
+        assert x == solve_linear(a, rhs)
+        if x is None:
+            assert not consistent
+        else:
+            assert a @ x == rhs

@@ -6,7 +6,7 @@ import pytest
 
 from monocat.category import (RModuleObj, cokernel, identity_morphism,
                               make_object, rank_one)
-from monocat.errors import InfiniteResidueField
+from monocat.errors import InfiniteResidueField, ParametersTooLarge
 from monocat.homotopy import null_homotopy, stable_hom
 from monocat.rings import RingCtx
 from monocat.sampling import (random_morphism, random_null_homotopic,
@@ -109,6 +109,22 @@ def test_two_periodic_resolution_poly():
     ctx = RingCtx.poly_local(2, q=2)
     obj = make_object(ctx, [["x", "1"], ["0", "x"]])
     assert resolution_is_exact(two_periodic_resolution(obj), ctx)
+
+
+def test_resolution_enumeration_is_budgeted():
+    # 27^3 vectors, the most `mon check` draws at its default sizes, are
+    # enumerated; 27^4 exceed VECTOR_BUDGET and are refused up front
+    z33 = RingCtx.int_local(3, 3)
+    f = make_object(z33, [["3", "1", "0"], ["0", "9", "0"], ["0", "0", "1"]])
+    assert resolution_is_exact(two_periodic_resolution(f), z33)
+    g = make_object(z33, [["3", "0", "0", "0"], ["0", "9", "0", "0"],
+                          ["0", "0", "1", "0"], ["0", "0", "0", "27"]])
+    with pytest.raises(ParametersTooLarge):
+        resolution_is_exact(two_periodic_resolution(g), z33)
+    rational = RingCtx.poly_local(2)
+    with pytest.raises(InfiniteResidueField):
+        resolution_is_exact(two_periodic_resolution(rank_one(rational, 1)),
+                            rational)
 
 
 def test_bruteforce_hom_frozen_values():
