@@ -99,7 +99,7 @@ class StrictFactorizer:
         ctx = through.ctx
         p, q = through.src.n, self.src.n
         m = p * q
-        rhs = MatS(ctx, self.smith.u.rows, 1, (ctx.zero(),) * m
+        rhs = MatS(ctx, self.smith.d.rows, 1, (ctx.zero(),) * m
                    + target.psi1.entries + target.psi0.entries)
         sol = solve_with_snf(self.smith, rhs)
         if sol is None:

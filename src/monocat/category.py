@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import (CokernelNotOmegaTorsion, ContextMismatch, NotComposable,
                      NonSquare, NotMono, SquareNotCommuting)
-from .linalg import (INFINITY, MatS, SnfResult, block, diag_pi, identity, mat,
+from .linalg import (INFINITY, MatS, SnfResult, block, identity, mat,
                      snf, zeros)
 from .rings import RingCtx
 
@@ -57,9 +57,15 @@ class MonObject:
 
     @cached_property
     def partner_mat(self) -> MatS:
-        """omega f^{-1} = V^{-1} diag(pi^(t-s)) U^{-1}: the partner's matrix."""
-        exps = [self.ctx.t - s for s in self.svals]
-        return self.smith.v_inv @ diag_pi(self.ctx, exps) @ self.smith.u_inv
+        """omega f^{-1} = V^{-1} diag(pi^(t-s)) U^{-1}: the partner's matrix.
+
+        The diagonal factor is applied as a scaling of the columns of V^{-1}.
+        """
+        ctx, n, v_inv = self.ctx, self.n, self.smith.v_inv
+        scales = [ctx.pi_pow(ctx.t - s) for s in self.svals]
+        scaled = MatS(ctx, n, n, tuple(v_inv.at(i, j) * scales[j]
+                                       for i in range(n) for j in range(n)))
+        return scaled @ self.smith.u_inv
 
     def partner(self) -> "MonObject":
         """The dual object with exponents t - s_i (reversed order)."""

@@ -4,7 +4,9 @@ Each suite drives one construction over deterministic random instances and
 counts the trials that satisfy the checked law.  A suite stops early only
 when a trial asks for more enumeration than the budget allows
 (``ParametersTooLarge``); otherwise a regression surfaces as a reduced
-count in the summary line, never as a crash half way through a run.
+count in the summary line, never as a crash half way through a run.  The
+result also keeps the first failing trial: its index and the library error
+it raised, or "law false" when it returned a false verdict.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class SuiteResult:
     name: str
     passed: int
     total: int
+    first_failure: tuple | None = None  # (trial index, reason)
 
     @property
     def ok(self) -> bool:
@@ -51,16 +54,21 @@ def _draw_context(rng: random.Random, max_t: int, primes, allow_poly: bool
 
 def _tally(name: str, iters: int, trial) -> SuiteResult:
     passed = 0
+    first = None
     for i in range(iters):
         try:
             good = bool(trial(i))
+            reason = "law false"
         except ParametersTooLarge:
             raise
-        except MonocatError:
+        except MonocatError as exc:
             good = False
+            reason = f"{type(exc).__name__}: {exc}"
         if good:
             passed += 1
-    return SuiteResult(name, passed, iters)
+        elif first is None:
+            first = (i, reason)
+    return SuiteResult(name, passed, iters, first)
 
 
 def suite_sigma(seed=0, iters=100, max_size=3, max_t=3, primes=(2, 3),

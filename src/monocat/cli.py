@@ -290,6 +290,10 @@ def cmd_check(args) -> int:
         res = run_suite(name, seed=args.seed, iters=args.iters,
                         max_size=args.max_size, max_t=args.max_t)
         print(res.summary())
+        if res.first_failure is not None:
+            index, reason = res.first_failure
+            print(f"{res.name} first failure: trial {index}: {reason}",
+                  file=sys.stderr)
         all_ok = all_ok and res.ok
     return 0 if all_ok else 1
 

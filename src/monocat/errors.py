@@ -79,4 +79,5 @@ VECTOR_BUDGET = 2 ** 16  # vectors of R^n per resolution check
 
 class ParametersTooLarge(MonocatError):
     """Guardrail: requested enumeration exceeds CLASS_BUDGET or
-    VECTOR_BUDGET, raised before anything is enumerated."""
+    VECTOR_BUDGET, raised before anything is enumerated; or a result
+    holds an integer too long to print (``rings.MAX_INT_DIGITS``)."""

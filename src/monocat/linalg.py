@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -293,16 +294,66 @@ class SnfResult:
 
     U and V are square with unit determinant, D is diagonal with entries
     pi^s for weakly increasing s; zero diagonal entries are reported as
-    valuation INFINITY at the end of ``svals``.  ``u_inv`` and ``v_inv``
-    are the inverses of U and V, built by the same elimination.
+    valuation INFINITY at the end of ``svals``.  The elimination touches
+    only the work matrix and records its elementary operations, in order:
+    ``row_ops`` (row swaps, row additions, pivot scalings) and ``col_ops``
+    (column swaps and additions), each as (kind, a, b, c) with kind
+    "swap" (lines a, b), "add" (line a -= c * line b) or "scale" (pivot
+    line a times the unit b; c is its inverse).  ``u``, ``v`` and their
+    inverses ``u_inv``, ``v_inv`` are built on first read by replaying
+    that record onto an identity matrix, so callers that need only
+    ``svals`` never pay for them.
     """
 
-    u: MatS
     d: MatS
-    v: MatS
     svals: tuple
-    u_inv: MatS
-    v_inv: MatS
+    row_ops: tuple
+    col_ops: tuple
+
+    @cached_property
+    def u(self) -> MatS:
+        return _replay(self.d.ctx, self.d.rows, self.row_ops,
+                       inverse=False, transpose=True)
+
+    @cached_property
+    def u_inv(self) -> MatS:
+        return _replay(self.d.ctx, self.d.rows, self.row_ops,
+                       inverse=True, transpose=False)
+
+    @cached_property
+    def v(self) -> MatS:
+        return _replay(self.d.ctx, self.d.cols, self.col_ops,
+                       inverse=False, transpose=False)
+
+    @cached_property
+    def v_inv(self) -> MatS:
+        return _replay(self.d.ctx, self.d.cols, self.col_ops,
+                       inverse=True, transpose=True)
+
+
+def _replay(ctx: RingCtx, size: int, ops: tuple, *, inverse: bool,
+            transpose: bool) -> MatS:
+    """A Smith transform, built by replaying recorded steps on the identity.
+
+    With ``inverse`` the steps apply as recorded: row steps give U^-1, and
+    column steps, on columns, give V^-1.  Without it each step is undone on
+    the other side: U on columns, V on rows.  Lines are rows, or columns
+    when ``transpose``.  Zero source entries are skipped.
+    """
+    lines = identity(ctx, size).to_rows()
+    for kind, a, b, c in ops:
+        if kind == "swap":
+            lines[a], lines[b] = lines[b], lines[a]
+        elif kind == "scale":
+            f = c if inverse else b
+            lines[a] = [x * f for x in lines[a]]
+        elif inverse:  # line a -= c * line b
+            lines[a] = [x - c * y if y else x for x, y in zip(lines[a], lines[b])]
+        else:  # line b += c * line a
+            lines[b] = [x + c * y if y else x for x, y in zip(lines[b], lines[a])]
+    if transpose:
+        lines = zip(*lines)
+    return MatS(ctx, size, size, tuple(x for line in lines for x in line))
 
 
 def snf(a: MatS) -> SnfResult:
@@ -311,16 +362,14 @@ def snf(a: MatS) -> SnfResult:
     Pivoting picks the entry of minimal valuation, ties broken by smallest
     (row, col).  Because the pivot divides every entry of its submatrix,
     one elimination pass per pivot suffices and the diagonal exponents come
-    out weakly increasing.
+    out weakly increasing.  Only the work matrix is eliminated; the
+    transforms are replayed from the recorded steps when first read.
     """
     ctx = a.ctx
     m, n = a.rows, a.cols
     work = a.to_rows()
-    u = identity(ctx, m).to_rows()
-    v = identity(ctx, n).to_rows()
-    u_inv = identity(ctx, m).to_rows()
-    v_inv = identity(ctx, n).to_rows()
-    # invariant: a == U @ work @ V, and u_inv, v_inv invert U, V throughout
+    row_ops: list = []
+    col_ops: list = []
     svals: list = []
     for k in range(min(m, n)):
         best = None
@@ -336,38 +385,28 @@ def snf(a: MatS) -> SnfResult:
         _, bi, bj = best
         if bi != k:
             work[k], work[bi] = work[bi], work[k]
-            for r in range(m):  # U: swap columns k, bi
-                u[r][k], u[r][bi] = u[r][bi], u[r][k]
-            u_inv[k], u_inv[bi] = u_inv[bi], u_inv[k]
+            row_ops.append(("swap", k, bi, None))
         if bj != k:
             for r in range(m):
                 work[r][k], work[r][bj] = work[r][bj], work[r][k]
-            v[k], v[bj] = v[bj], v[k]  # V: swap rows k, bj
-            for r in range(n):
-                v_inv[r][k], v_inv[r][bj] = v_inv[r][bj], v_inv[r][k]
+            col_ops.append(("swap", k, bj, None))
         piv = work[k][k]
-        # clear the pivot column: row_i -= q * row_k, U col k += q * U col i
+        # clear the pivot column: row_i -= q * row_k
         for i in range(k + 1, m):
             if ctx.is_zero(work[i][k]):
                 continue
             q = ctx.div_exact(work[i][k], piv)
             for j in range(k, n):
                 work[i][j] = work[i][j] - q * work[k][j]
-            u_inv[i] = [x - q * y if y else x for x, y in zip(u_inv[i], u_inv[k])]
-            for row in u:
-                if row[i]:
-                    row[k] = row[k] + q * row[i]
-        # clear the pivot row: col_j -= q * col_k, V row k += q * V row j
+            row_ops.append(("add", i, k, q))
+        # clear the pivot row: col_j -= q * col_k
         for j in range(k + 1, n):
             if ctx.is_zero(work[k][j]):
                 continue
             q = ctx.div_exact(work[k][j], piv)
             for r in range(m):
                 work[r][j] = work[r][j] - q * work[r][k]
-            v[k] = [x + q * y if y else x for x, y in zip(v[k], v[j])]
-            for row in v_inv:
-                if row[k]:
-                    row[j] = row[j] - q * row[k]
+            col_ops.append(("add", j, k, q))
         # normalize the pivot to a plain pi power
         sval = int(ctx.valuation(piv))
         unit = ctx.div_exact(piv, ctx.pi_pow(sval))
@@ -377,16 +416,12 @@ def snf(a: MatS) -> SnfResult:
             inv = ctx.one() / unit
             for j in range(k, n):
                 work[k][j] = work[k][j] * inv
-            for r in range(m):
-                u[r][k] = u[r][k] * unit
-                u_inv[k][r] = u_inv[k][r] * inv
+            row_ops.append(("scale", k, unit, inv))
         svals.append(sval)
     while len(svals) < min(m, n):
         svals.append(INFINITY)
-    d, u, v, u_inv, v_inv = (tuple(x for row in rows for x in row)
-                             for rows in (work, u, v, u_inv, v_inv))
-    return SnfResult(MatS(ctx, m, m, u), MatS(ctx, m, n, d), MatS(ctx, n, n, v),
-                     tuple(svals), MatS(ctx, m, m, u_inv), MatS(ctx, n, n, v_inv))
+    return SnfResult(MatS(ctx, m, n, tuple(x for row in work for x in row)),
+                     tuple(svals), tuple(row_ops), tuple(col_ops))
 
 
 def solve_sandwich_congruence(dl: Sequence, dr: Sequence, b: MatS,

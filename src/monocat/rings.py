@@ -36,6 +36,7 @@ from .errors import (
     ContextMismatch,
     DivisionLeavesRing,
     InfiniteResidueField,
+    ParametersTooLarge,
     ParseError,
 )
 
@@ -517,7 +518,7 @@ class RingCtx:
 
     def format_residue(self, r: Residue) -> str:
         if self.kind == "int-local":
-            return str(r)
+            return _number_text(r)
         return _format_poly(r)
 
     # -- text form ------------------------------------------------------------
@@ -537,7 +538,7 @@ class RingCtx:
 
     def format_scalar(self, a: Scalar) -> str:
         if self.kind == "int-local":
-            return str(a)
+            return _number_text(a)
         num = _format_poly(a.num)
         if a.den.degree == 0 and a.den.constant_term() == 1:
             # "1/2 + x" would read back as 1/(2 + x)
@@ -569,6 +570,8 @@ def _series_inverse(den: Poly, t: int) -> Poly:
 _INT_RE = re.compile(r"\d+")
 MAX_X_DEGREE = 4096  # largest k in x^k; the parser allocates k + 1 coefficients
 MAX_INT_DIGITS = 4300  # longest digit run; Python's default int() limit
+# below 2^_MAX_INT_BITS an integer has at most MAX_INT_DIGITS digits
+_MAX_INT_BITS = int(MAX_INT_DIGITS * math.log2(10))
 
 
 def _tokenize(text: str):
@@ -710,6 +713,17 @@ class _ScalarParser:
         return PolyFrac.from_poly(Poly.make([0] * k + [c], q))
 
 
+def _number_text(c) -> str:
+    """str of an int or Fraction, refusing to print an integer of more than
+    MAX_INT_DIGITS digits, which the scalar parser would not read back."""
+    for n in (c.numerator, c.denominator):
+        if n.bit_length() > _MAX_INT_BITS and abs(n) >= 10 ** MAX_INT_DIGITS:
+            raise ParametersTooLarge(
+                f"result has an integer of more than MAX_INT_DIGITS = "
+                f"{MAX_INT_DIGITS} digits")
+    return str(c)
+
+
 def _format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -720,11 +734,11 @@ def _format_poly(p: Poly) -> str:
         negative = isinstance(c, Fraction) and c < 0
         mag = -c if negative else c
         if k == 0:
-            body = str(mag)
+            body = _number_text(mag)
         elif mag == 1:
             body = "x" if k == 1 else f"x^{k}"
         else:
-            body = f"{mag}*x" if k == 1 else f"{mag}*x^{k}"
+            body = f"{_number_text(mag)}*x" + ("" if k == 1 else f"^{k}")
         parts.append(("-" if negative else "+", body))
     sign, body = parts[0]
     out = ("-" if sign == "-" else "") + body

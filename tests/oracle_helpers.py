@@ -2,18 +2,20 @@
 
 Everything here decides by exhaustive enumeration over the finite quotient
 ring, or recomputes by the plainest method (trial division, one normalized
-operation at a time); slow on purpose and independent of the library's
-solvers and kernels.
+operation at a time, a Smith form that carries its four transforms through
+every step); slow on purpose and independent of the library's solvers and
+kernels.
 """
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from monocat.almost_split import _exactness_failure, factor_strictly, is_split_epi
 from monocat.category import (MonMorphism, MonObject, compose, identity_morphism,
                               rank_one)
 from monocat.homotopy import homotopic
-from monocat.linalg import MatS
+from monocat.linalg import INFINITY, MatS, identity
 from monocat.rings import Poly, PolyFrac
 from monocat.sampling import all_morphism_params, morphism_from_params
 
@@ -78,6 +80,94 @@ def per_class_verify(seq):
         ok = ok and good
     lines.append(f"ARSS {label} {ctx.t} {'PASS' if ok else 'FAIL'}")
     return lines, ok
+
+
+class EagerSnf(NamedTuple):
+    u: MatS
+    d: MatS
+    v: MatS
+    svals: tuple
+    u_inv: MatS
+    v_inv: MatS
+
+
+def eager_snf(a: MatS) -> EagerSnf:
+    """``linalg.snf`` carrying U, V, U^-1 and V^-1 through every elimination
+    step, with the same pivots, zero skips and scalings."""
+    ctx = a.ctx
+    m, n = a.rows, a.cols
+    work = a.to_rows()
+    u = identity(ctx, m).to_rows()
+    v = identity(ctx, n).to_rows()
+    u_inv = identity(ctx, m).to_rows()
+    v_inv = identity(ctx, n).to_rows()
+    # invariant: a == U @ work @ V, and u_inv, v_inv invert U, V throughout
+    svals: list = []
+    for k in range(min(m, n)):
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                val = ctx.valuation(work[i][j])
+                if val is INFINITY:
+                    continue
+                if best is None or val < best[0]:
+                    best = (val, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != k:
+            work[k], work[bi] = work[bi], work[k]
+            for r in range(m):  # U: swap columns k, bi
+                u[r][k], u[r][bi] = u[r][bi], u[r][k]
+            u_inv[k], u_inv[bi] = u_inv[bi], u_inv[k]
+        if bj != k:
+            for r in range(m):
+                work[r][k], work[r][bj] = work[r][bj], work[r][k]
+            v[k], v[bj] = v[bj], v[k]  # V: swap rows k, bj
+            for r in range(n):
+                v_inv[r][k], v_inv[r][bj] = v_inv[r][bj], v_inv[r][k]
+        piv = work[k][k]
+        # clear the pivot column: row_i -= q * row_k, U col k += q * U col i
+        for i in range(k + 1, m):
+            if ctx.is_zero(work[i][k]):
+                continue
+            q = ctx.div_exact(work[i][k], piv)
+            for j in range(k, n):
+                work[i][j] = work[i][j] - q * work[k][j]
+            u_inv[i] = [x - q * y if y else x for x, y in zip(u_inv[i], u_inv[k])]
+            for row in u:
+                if row[i]:
+                    row[k] = row[k] + q * row[i]
+        # clear the pivot row: col_j -= q * col_k, V row k += q * V row j
+        for j in range(k + 1, n):
+            if ctx.is_zero(work[k][j]):
+                continue
+            q = ctx.div_exact(work[k][j], piv)
+            for r in range(m):
+                work[r][j] = work[r][j] - q * work[r][k]
+            v[k] = [x + q * y if y else x for x, y in zip(v[k], v[j])]
+            for row in v_inv:
+                if row[k]:
+                    row[j] = row[j] - q * row[k]
+        # normalize the pivot to a plain pi power
+        sval = int(ctx.valuation(piv))
+        unit = ctx.div_exact(piv, ctx.pi_pow(sval))
+        if not ctx.is_unit(unit) and not ctx.is_zero(unit - ctx.one()):
+            raise AssertionError("pivot unit part is not a unit")
+        if not ctx.is_zero(unit - ctx.one()):
+            inv = ctx.one() / unit
+            for j in range(k, n):
+                work[k][j] = work[k][j] * inv
+            for r in range(m):
+                u[r][k] = u[r][k] * unit
+                u_inv[k][r] = u_inv[k][r] * inv
+        svals.append(sval)
+    while len(svals) < min(m, n):
+        svals.append(INFINITY)
+    d, u, v, u_inv, v_inv = (tuple(x for row in rows for x in row)
+                             for rows in (work, u, v, u_inv, v_inv))
+    return EagerSnf(MatS(ctx, m, m, u), MatS(ctx, m, n, d), MatS(ctx, n, n, v),
+                    tuple(svals), MatS(ctx, m, m, u_inv), MatS(ctx, n, n, v_inv))
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -307,3 +307,27 @@ def test_check_refuses_an_oversized_enumeration(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
     assert err.startswith("violation: ParametersTooLarge")
+
+
+def test_output_caps_the_digits_of_an_integer(tmp_path, capsys):
+    # valid, but the partner's entry 8/N^2 has a 4,400-digit denominator
+    big = "1" * 2200
+    path = put(tmp_path, "big.json",
+               '{"ring": {"kind": "int-local", "p": 2}, "t": 3, '
+               f'"matrix": [["{big}","1"],["0","{big}"]]}}')
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 0 and out == "OK n=2 svals=[0,0]\n"
+    for command in ("sigma", "suspend"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, command, path)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("violation: ParametersTooLarge")
+        assert f"MAX_INT_DIGITS = {MAX_INT_DIGITS}" in err
+        assert "set_int_max_str_digits" not in err
+    # residues modulo 2^15000 reach 4,516 digits
+    path = put(tmp_path, "long_t.json",
+               '{"ring": {"kind": "int-local", "p": 2}, "t": 15000, '
+               '"matrix": [["3","0"],["0","2"]]}')
+    code, _, err = run(capsys, "resolve", path)
+    assert code == 1 and err.startswith("violation: ParametersTooLarge")

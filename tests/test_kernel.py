@@ -3,18 +3,28 @@
 Matrix products normalize once per entry and the polynomial operations keep
 coefficients canonical inline; both must give exactly what one normalized
 operation at a time gives (``oracle_helpers``).  One Smith form reused for
-many right-hand sides must answer exactly as a fresh solve does.
+many right-hand sides must answer exactly as a fresh solve does.  The Smith
+transforms, replayed on first read, must equal those of the eager
+elimination, and callers that need only part of them must build no more.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from monocat import almost_split, category, linalg, stable
+from monocat.almost_split import StrictFactorizer, _exactness_failure, ar_sequence
+from monocat.category import MonObject, identity_morphism, rank_one
+from monocat.homotopy import is_iso_in_homotopy, null_homotopy
 from monocat.linalg import MatS, snf, solve_linear, solve_with_snf
 from monocat.rings import Poly, PolyFrac, RingCtx
-from oracle_helpers import (naive_matmul, poly_add_ref, poly_divmod_ref,
-                            poly_gcd_ref, poly_mul_ref, poly_neg_ref,
-                            polyfrac_ref)
+from monocat.sampling import (morphism_from_params, random_morphism,
+                              random_null_homotopic, random_object)
+from oracle_helpers import (eager_snf, naive_matmul, poly_add_ref,
+                            poly_divmod_ref, poly_gcd_ref, poly_mul_ref,
+                            poly_neg_ref, polyfrac_ref)
 
 RINGS = [RingCtx.int_local(2, 2), RingCtx.int_local(3, 2),
          RingCtx.poly_local(2, 2), RingCtx.poly_local(2, 3),
@@ -111,6 +121,99 @@ def ring_elements(ctx):
     one = Poly.make([1], q)
     den = st.sampled_from([one, one, Poly.make([1, 1], q)])  # 1 + x is a unit
     return st.builds(PolyFrac.make, polys(q, 3), den)
+
+
+@st.composite
+def smith_inputs(draw):
+    """Square, rectangular and empty matrices over S, some with a zero row
+    and some singular through a repeated row."""
+    ctx = draw(st.sampled_from(RINGS))
+    elem = ring_elements(ctx)
+    rows = draw(st.integers(0, 4))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 4))
+    entries = [draw(elem) for _ in range(rows * cols)]
+    if rows > 1 and cols and draw(st.booleans()):
+        if draw(st.booleans()):
+            entries[-cols:] = [ctx.zero()] * cols
+        else:
+            entries[-cols:] = entries[:cols]
+    return MatS(ctx, rows, cols, tuple(entries))
+
+
+TRANSFORMS = ("u", "v", "u_inv", "v_inv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(smith_inputs())
+def test_replayed_transforms_equal_the_eager_elimination(a):
+    lazy, eager = snf(a), eager_snf(a)
+    # repr also tells an int coefficient from an equal Fraction
+    for name in ("d", "svals") + TRANSFORMS:
+        assert repr(getattr(lazy, name)) == repr(getattr(eager, name)), name
+    assert lazy.u @ lazy.d @ lazy.v == a
+
+
+@pytest.fixture
+def smith_record(monkeypatch):
+    """Every SnfResult made while the test runs, wherever snf is called."""
+    made = []
+
+    def recording(a):
+        made.append(snf(a))
+        return made[-1]
+
+    for module in (linalg, category, almost_split, stable):
+        monkeypatch.setattr(module, "snf", recording)
+    return made
+
+
+def built(results) -> set:
+    return {name for r in results for name in TRANSFORMS if name in r.__dict__}
+
+
+SAMPLE_RINGS = [RingCtx.int_local(2, 3), RingCtx.int_local(3, 2),
+                RingCtx.poly_local(2, 2), RingCtx.poly_local(2, 3),
+                RingCtx.poly_local(1)]
+
+
+def test_svals_readers_build_no_transform(smith_record):
+    rng = random.Random(5)
+    morphisms = []
+    for ctx in SAMPLE_RINGS:
+        a, b = (random_object(ctx, rng, 2) for _ in range(2))
+        morphisms.append(random_morphism(a, b, rng))
+    sequences = [ar_sequence(rank_one(ctx, 1)) for ctx in SAMPLE_RINGS[:4]]
+    del smith_record[:]
+    for ctx in SAMPLE_RINGS:
+        obj = random_object(ctx, rng, 3)
+        obj.is_projective()
+        MonObject(ctx, obj.mat).svals
+    for psi in morphisms:
+        is_iso_in_homotopy(psi)
+    for seq in sequences:
+        assert _exactness_failure(seq.tau_f, seq.middle, seq.end, seq.theta,
+                                  seq.g) is None
+    assert len(smith_record) > 20
+    assert built(smith_record) == set()
+
+
+def test_inverse_readers_build_no_forward_transform(smith_record):
+    rng = random.Random(6)
+    cases = []
+    for ctx in SAMPLE_RINGS[:4]:
+        seq = ar_sequence(rank_one(ctx, 1))
+        test = rank_one(ctx, 2)
+        h = morphism_from_params(test, seq.end, [ctx.one()])
+        cases.append((seq.g, test, h))
+    del smith_record[:]
+    for ctx in SAMPLE_RINGS:
+        a, b = (random_object(ctx, rng, 3) for _ in range(2))
+        a.partner_mat
+        null_homotopy(random_null_homotopic(a, b, rng)[0])
+        null_homotopy(identity_morphism(rank_one(ctx, 1)))
+    for g, test, h in cases:
+        StrictFactorizer(g, test).solve(h)
+    assert built(smith_record) == {"u_inv", "v_inv"}
 
 
 @st.composite

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from monocat.errors import DivisionLeavesRing, InfiniteResidueField, ParseError
-from monocat.rings import INFINITY, Poly, PolyFrac, RingCtx, _is_prime
+from monocat.errors import (DivisionLeavesRing, InfiniteResidueField,
+                            ParametersTooLarge, ParseError)
+from monocat.rings import (INFINITY, MAX_INT_DIGITS, Poly, PolyFrac, RingCtx,
+                           _is_prime)
 from oracle_helpers import trial_division_is_prime
 
 Z2 = RingCtx.int_local(2, 2)
@@ -198,3 +200,19 @@ def test_unit_part():
     u = Z2.unit_part(Fraction(12))
     assert Z2.is_unit(u)
     assert u * Z2.pi_pow(2) == 12
+
+
+def test_format_refuses_integers_longer_than_the_parser_reads():
+    edge = 10 ** MAX_INT_DIGITS - 1  # the longest integer the parser reads
+    assert Z2.parse_scalar(Z2.format_scalar(Fraction(edge, 3))) == Fraction(edge, 3)
+    coeff = Fraction(1, edge)
+    for c in (coeff, -coeff):
+        text = KX.format_scalar(PolyFrac.from_poly(Poly.make([0, c], None)))
+        assert len(text) > MAX_INT_DIGITS
+    for c in (Fraction(edge + 1), Fraction(1, edge + 1)):
+        with pytest.raises(ParametersTooLarge):
+            Z2.format_scalar(c)
+        with pytest.raises(ParametersTooLarge):
+            KX.format_scalar(PolyFrac.from_poly(Poly.make([c, 1], None)))
+        with pytest.raises(ParametersTooLarge):
+            KX.format_scalar(PolyFrac.from_poly(Poly.make([0, -c], None)))
