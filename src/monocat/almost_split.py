@@ -22,7 +22,6 @@ from .errors import (CLASS_BUDGET, InfiniteResidueField, NotComposable,
 from .homotopy import is_iso_in_homotopy
 from .linalg import (MatS, hstack, identity, kron, mat, snf, solve_with_snf,
                      vstack, zeros)
-from .rings import RingCtx
 from .sampling import all_morphism_params, morphism_from_params, param_count
 from .stable import RModuleObj, syzygy
 
@@ -174,7 +173,7 @@ def _exactness_failure(start, middle, end, theta, g):
     return None
 
 
-def verify_right_almost_split(seq: ArSequence, ctx: RingCtx | None = None):
+def verify_right_almost_split(seq: ArSequence):
     """Brute-force check that seq.g is right almost split.
 
     For each indecomposable test object (one per exponent s' in [0, t]) the
@@ -186,8 +185,7 @@ def verify_right_almost_split(seq: ArSequence, ctx: RingCtx | None = None):
     Returns (lines, ok): one TEST line per exponent and a final ARSS
     summary line.
     """
-    if ctx is None:
-        ctx = seq.end.ctx
+    ctx = seq.end.ctx
     label = ",".join(str(v) for v in seq.end.svals)
     lines = []
     reason = _exactness_failure(seq.tau_f, seq.middle, seq.end, seq.theta,

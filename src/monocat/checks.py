@@ -71,167 +71,137 @@ def _tally(name: str, iters: int, trial) -> SuiteResult:
     return SuiteResult(name, passed, iters, first)
 
 
-def suite_sigma(seed=0, iters=100, max_size=3, max_t=3, primes=(2, 3),
-                allow_poly=True) -> SuiteResult:
+SUITES = {}  # name on the command line -> suite, in definition order
+
+
+def _suite(name: str, iters: int = 100, max_size: int = 3):
+    """Make ``law(ctx, rng, max_size, i) -> bool`` the suite ``name``,
+    registered in SUITES as ``name.lower()``.  The suite owns the preamble:
+    seed -> ``random.Random`` -> a ring context drawn per trial before the
+    law draws -> tally.  ``iters`` and ``max_size`` are its defaults."""
+    def wrap(law):
+        def suite(seed=0, iters=iters, max_size=max_size, max_t=3,
+                  primes=(2, 3), allow_poly=True) -> SuiteResult:
+            rng = random.Random(seed)
+
+            def trial(i):
+                ctx = _draw_context(rng, max_t, primes, allow_poly)
+                return law(ctx, rng, max_size, i)
+
+            return _tally(name, iters, trial)
+
+        suite.__name__ = suite.__qualname__ = law.__name__
+        suite.__doc__ = law.__doc__
+        SUITES[name.lower()] = suite
+        return suite
+    return wrap
+
+
+@_suite("SIGMA")
+def suite_sigma(ctx, rng, max_size, i):
     """Partner laws: f f_S = omega I = f_S f and the flip is involutive."""
-    rng = random.Random(seed)
-
-    def trial(i):
-        ctx = _draw_context(rng, max_t, primes, allow_poly)
-        f = random_object(ctx, rng, max_size)
-        scaled = identity(ctx, f.n).scale(ctx.omega())
-        return (f.mat @ f.partner_mat == scaled
-                and f.partner_mat @ f.mat == scaled
-                and f.partner().partner_mat == f.mat)
-
-    return _tally("SIGMA", iters, trial)
+    f = random_object(ctx, rng, max_size)
+    scaled = identity(ctx, f.n).scale(ctx.omega())
+    return (f.mat @ f.partner_mat == scaled
+            and f.partner_mat @ f.mat == scaled
+            and f.partner().partner_mat == f.mat)
 
 
-def suite_tr1(seed=0, iters=100, max_size=3, max_t=3, primes=(2, 3),
-              allow_poly=True) -> SuiteResult:
+@_suite("TR1")
+def suite_tr1(ctx, rng, max_size, i):
     """The cone of an identity morphism is projective."""
-    rng = random.Random(seed)
-
-    def trial(i):
-        ctx = _draw_context(rng, max_t, primes, allow_poly)
-        f = random_object(ctx, rng, max_size)
-        return cone(identity_morphism(f)).is_projective()
-
-    return _tally("TR1", iters, trial)
+    f = random_object(ctx, rng, max_size)
+    return cone(identity_morphism(f)).is_projective()
 
 
-def suite_nullity(seed=0, iters=100, max_size=3, max_t=3, primes=(2, 3),
-                  allow_poly=True) -> SuiteResult:
+@_suite("NULLITY")
+def suite_nullity(ctx, rng, max_size, i):
     """Consecutive composites in a standard triangle are null-homotopic."""
-    rng = random.Random(seed)
-
-    def trial(i):
-        ctx = _draw_context(rng, max_t, primes, allow_poly)
-        src = random_object(ctx, rng, max_size)
-        dst = random_object(ctx, rng, max_size)
-        psi = random_morphism(src, dst, rng)
-        tri = standard_triangle(psi)
-        return triangle_composite_witnesses(tri) is not None
-
-    return _tally("NULLITY", iters, trial)
+    src = random_object(ctx, rng, max_size)
+    dst = random_object(ctx, rng, max_size)
+    psi = random_morphism(src, dst, rng)
+    tri = standard_triangle(psi)
+    return triangle_composite_witnesses(tri) is not None
 
 
-def suite_tr2(seed=0, iters=100, max_size=3, max_t=3, primes=(2, 3),
-              allow_poly=True) -> SuiteResult:
+@_suite("TR2")
+def suite_tr2(ctx, rng, max_size, i):
     """cone(inclusion) decomposes as shift(src) plus a projective."""
-    rng = random.Random(seed)
-
-    def trial(i):
-        ctx = _draw_context(rng, max_t, primes, allow_poly)
-        src = random_object(ctx, rng, max_size)
-        dst = random_object(ctx, rng, max_size)
-        psi = random_morphism(src, dst, rng)
-        _, inc, _ = cone_maps(psi)
-        flipped = [ctx.t - s for s in src.svals]
-        expected = tuple(sorted([0] * dst.n + [ctx.t] * dst.n + flipped))
-        return decompose(cone(inc)) == expected
-
-    return _tally("TR2", iters, trial)
+    src = random_object(ctx, rng, max_size)
+    dst = random_object(ctx, rng, max_size)
+    psi = random_morphism(src, dst, rng)
+    _, inc, _ = cone_maps(psi)
+    flipped = [ctx.t - s for s in src.svals]
+    expected = tuple(sorted([0] * dst.n + [ctx.t] * dst.n + flipped))
+    return decompose(cone(inc)) == expected
 
 
-def suite_tr3(seed=0, iters=100, max_size=3, max_t=3, primes=(2, 3),
-              allow_poly=True) -> SuiteResult:
+@_suite("TR3")
+def suite_tr3(ctx, rng, max_size, i):
     """Homotopy-commuting squares complete to strict cone morphisms."""
-    rng = random.Random(seed)
-
-    def trial(i):
-        ctx = _draw_context(rng, max_t, primes, allow_poly)
-        a = random_object(ctx, rng, max_size)
-        mid = random_object(ctx, rng, max_size)
-        b2 = random_object(ctx, rng, max_size)
-        noise, _ = random_null_homotopic(a, b2, rng)
-        if i % 2 == 0:
-            top = random_morphism(a, mid, rng)
-            right = random_morphism(mid, b2, rng)
-            left = identity_morphism(a)
-            bottom = compose(right, top) + noise
-        else:
-            left = random_morphism(a, mid, rng)
-            bottom = random_morphism(mid, b2, rng)
-            top = identity_morphism(a)
-            right = compose(bottom, left) + noise
-        _, _, eta = complete_square(top, bottom, left, right)
-        _, inc1, prj1 = cone_maps(top)
-        _, inc2, prj2 = cone_maps(bottom)
-        return (compose(eta, inc1) == compose(inc2, right)
-                and compose(prj2, eta) == compose(suspend_morphism(left),
-                                                  prj1))
-
-    return _tally("TR3", iters, trial)
+    a = random_object(ctx, rng, max_size)
+    mid = random_object(ctx, rng, max_size)
+    b2 = random_object(ctx, rng, max_size)
+    noise, _ = random_null_homotopic(a, b2, rng)
+    if i % 2 == 0:
+        top = random_morphism(a, mid, rng)
+        right = random_morphism(mid, b2, rng)
+        left = identity_morphism(a)
+        bottom = compose(right, top) + noise
+    else:
+        left = random_morphism(a, mid, rng)
+        bottom = random_morphism(mid, b2, rng)
+        top = identity_morphism(a)
+        right = compose(bottom, left) + noise
+    _, _, eta = complete_square(top, bottom, left, right)
+    _, inc1, prj1 = cone_maps(top)
+    _, inc2, prj2 = cone_maps(bottom)
+    return (compose(eta, inc1) == compose(inc2, right)
+            and compose(prj2, eta) == compose(suspend_morphism(left), prj1))
 
 
-def suite_tr4(seed=0, iters=50, max_size=2, max_t=3, primes=(2, 3),
-              allow_poly=True) -> SuiteResult:
+@_suite("TR4", iters=50, max_size=2)
+def suite_tr4(ctx, rng, max_size, i):
     """Octahedra assemble and their comparison map is invertible."""
-    rng = random.Random(seed)
-
-    def trial(i):
-        ctx = _draw_context(rng, max_t, primes, allow_poly)
-        x = random_object(ctx, rng, max_size)
-        y = random_object(ctx, rng, max_size)
-        z = random_object(ctx, rng, max_size)
-        u = random_morphism(x, y, rng)
-        v = random_morphism(y, z, rng)
-        data = octahedron(u, v)
-        return (is_iso_in_homotopy(data.comparison)
-                and triangle_composite_witnesses(data.bottom) is not None)
-
-    return _tally("TR4", iters, trial)
+    x = random_object(ctx, rng, max_size)
+    y = random_object(ctx, rng, max_size)
+    z = random_object(ctx, rng, max_size)
+    u = random_morphism(x, y, rng)
+    v = random_morphism(y, z, rng)
+    data = octahedron(u, v)
+    return (is_iso_in_homotopy(data.comparison)
+            and triangle_composite_witnesses(data.bottom) is not None)
 
 
-def suite_inv(seed=0, iters=100, max_size=3, max_t=3, primes=(2, 3),
-              allow_poly=True) -> SuiteResult:
+@_suite("INV")
+def suite_inv(ctx, rng, max_size, i):
     """Null-homotopy decisions agree for a morphism, its partner, and its
     suspension."""
-    rng = random.Random(seed)
-
-    def trial(i):
-        ctx = _draw_context(rng, max_t, primes, allow_poly)
-        src = random_object(ctx, rng, max_size)
-        dst = random_object(ctx, rng, max_size)
-        psi = random_morphism(src, dst, rng)
-        base = null_homotopy(psi) is not None
-        swapped = null_homotopy(partner_morphism(psi)) is not None
-        shifted = null_homotopy(suspend_morphism(psi)) is not None
-        return base == swapped and base == shifted
-
-    return _tally("INV", iters, trial)
+    src = random_object(ctx, rng, max_size)
+    dst = random_object(ctx, rng, max_size)
+    psi = random_morphism(src, dst, rng)
+    base = null_homotopy(psi) is not None
+    swapped = null_homotopy(partner_morphism(psi)) is not None
+    shifted = null_homotopy(suspend_morphism(psi)) is not None
+    return base == swapped and base == shifted
 
 
-def suite_factor(seed=0, iters=100, max_size=3, max_t=3, primes=(2, 3),
-                 allow_poly=True) -> SuiteResult:
+@_suite("FACTOR")
+def suite_factor(ctx, rng, max_size, i):
     """Null-homotopic morphisms factor exactly through a projective."""
-    rng = random.Random(seed)
-
-    def trial(i):
-        ctx = _draw_context(rng, max_t, primes, allow_poly)
-        src = random_object(ctx, rng, max_size)
-        dst = random_object(ctx, rng, max_size)
-        psi, witness = random_null_homotopic(src, dst, rng)
-        alpha, beta = factor_through_projective(psi, witness)
-        return (alpha.dst.is_projective() and alpha.dst == beta.src
-                and compose(beta, alpha) == psi)
-
-    return _tally("FACTOR", iters, trial)
+    src = random_object(ctx, rng, max_size)
+    dst = random_object(ctx, rng, max_size)
+    psi, witness = random_null_homotopic(src, dst, rng)
+    alpha, beta = factor_through_projective(psi, witness)
+    return (alpha.dst.is_projective() and alpha.dst == beta.src
+            and compose(beta, alpha) == psi)
 
 
-def suite_periodic(seed=0, iters=50, max_size=2, max_t=3, primes=(2, 3),
-                   allow_poly=True) -> SuiteResult:
+@_suite("PERIODIC", iters=50, max_size=2)
+def suite_periodic(ctx, rng, max_size, i):
     """The emitted 2-periodic complex over R is exact, by enumeration."""
-    rng = random.Random(seed)
-
-    def trial(i):
-        ctx = _draw_context(rng, max_t, primes, allow_poly)
-        f = random_object(ctx, rng, max_size)
-        res = two_periodic_resolution(f)
-        return resolution_is_exact(res, ctx)
-
-    return _tally("PERIODIC", iters, trial)
+    f = random_object(ctx, rng, max_size)
+    return resolution_is_exact(two_periodic_resolution(f), ctx)
 
 
 def suite_tau(seed=0, iters=0, max_size=0, max_t=4, primes=(2, 3),
@@ -255,18 +225,7 @@ def suite_tau(seed=0, iters=0, max_size=0, max_t=4, primes=(2, 3),
     return _tally("TAU", len(combos), trial)
 
 
-SUITES = {
-    "sigma": suite_sigma,
-    "tr1": suite_tr1,
-    "nullity": suite_nullity,
-    "tr2": suite_tr2,
-    "tr3": suite_tr3,
-    "tr4": suite_tr4,
-    "inv": suite_inv,
-    "factor": suite_factor,
-    "periodic": suite_periodic,
-    "tau": suite_tau,
-}
+SUITES["tau"] = suite_tau
 
 
 def run_suite(name: str, **kwargs) -> SuiteResult:

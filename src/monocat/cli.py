@@ -5,6 +5,11 @@ strings, so every value round-trips exactly.  One subcommand exists per
 library construction, plus a deterministic property-suite runner.  Exit
 status: 0 for success or a positive decision, 1 for a property violation
 or a negative decision, 2 for malformed input.
+
+Every subcommand is one row of ``COMMANDS``, and its function returns its
+stdout text and exit code without writing anything.  ``main`` is the only
+writer: it writes stdout, or the ``-o`` file, once, after the whole result
+is formatted, so a command that fails leaves both untouched.
 """
 
 from __future__ import annotations
@@ -38,34 +43,26 @@ def _ring_json(ctx: RingCtx) -> str:
     return '{"kind": "poly-local"}'
 
 
-def _matrix_json(ctx: RingCtx, m: MatS) -> str:
+def _matrix_json(m, fmt) -> str:
+    """Rows of ``m`` as a JSON array of scalar strings, each entry formatted
+    by ``fmt`` (``format_scalar`` over S, ``format_residue`` over R)."""
     rows = []
     for i in range(m.rows):
-        cells = ",".join(json.dumps(ctx.format_scalar(m.at(i, j)))
-                         for j in range(m.cols))
-        rows.append("[" + cells + "]")
-    return "[" + ",".join(rows) + "]"
-
-
-def _residue_matrix_json(ctx: RingCtx, m) -> str:
-    rows = []
-    for i in range(m.rows):
-        cells = ",".join(json.dumps(ctx.format_residue(m.at(i, j)))
-                         for j in range(m.cols))
+        cells = ",".join(json.dumps(fmt(m.at(i, j))) for j in range(m.cols))
         rows.append("[" + cells + "]")
     return "[" + ",".join(rows) + "]"
 
 
 def dumps_object(obj: MonObject) -> str:
     return (f'{{"ring": {_ring_json(obj.ctx)}, "t": {obj.ctx.t}, '
-            f'"matrix": {_matrix_json(obj.ctx, obj.mat)}}}')
+            f'"matrix": {_matrix_json(obj.mat, obj.ctx.format_scalar)}}}')
 
 
 def dumps_morphism(psi: MonMorphism) -> str:
     return (f'{{"source": {dumps_object(psi.src)}, '
             f'"target": {dumps_object(psi.dst)}, '
-            f'"psi1": {_matrix_json(psi.ctx, psi.psi1)}, '
-            f'"psi0": {_matrix_json(psi.ctx, psi.psi0)}}}')
+            f'"psi1": {_matrix_json(psi.psi1, psi.ctx.format_scalar)}, '
+            f'"psi0": {_matrix_json(psi.psi0, psi.ctx.format_scalar)}}}')
 
 
 def dumps_triangle(tri) -> str:
@@ -76,22 +73,21 @@ def dumps_triangle(tri) -> str:
 
 # -- parsing ------------------------------------------------------------------
 
+def _integer(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{name} must be an integer")
+    return value
+
+
 def _context_from(payload: dict) -> RingCtx:
     ring = payload["ring"]
-    t = payload["t"]
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise ParseError("t must be an integer")
+    t = _integer(payload["t"], "t")
     kind = ring["kind"]
     if kind == "int-local":
-        p = ring["p"]
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ParseError("p must be an integer")
-        return RingCtx.int_local(p, t)
+        return RingCtx.int_local(_integer(ring["p"], "p"), t)
     if kind == "poly-local":
         q = ring.get("q")
-        if q is not None and (not isinstance(q, int) or isinstance(q, bool)):
-            raise ParseError("q must be an integer")
-        return RingCtx.poly_local(t, q=q)
+        return RingCtx.poly_local(t, q=None if q is None else _integer(q, "q"))
     raise ParseError(f"unknown ring kind {kind!r}")
 
 
@@ -133,10 +129,8 @@ def _resolve_object(ref, base: Path) -> MonObject:
     if isinstance(ref, dict):
         return object_from_payload(ref)
     if isinstance(ref, str):
-        path = Path(ref)
-        if not path.is_absolute():
-            path = base / path
-        return object_from_payload(_load_payload(path))
+        # an absolute ref replaces base
+        return object_from_payload(_load_payload(base / ref))
     raise ParseError("object reference must be a path or an inline object")
 
 
@@ -151,249 +145,170 @@ def load_morphism_file(path_str: str) -> MonMorphism:
     return MonMorphism(src, dst, psi1, psi0)
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-
-
 # -- subcommands ---------------------------------------------------------------
+# Each takes its loaded positionals and the parsed arguments and returns
+# (stdout text, exit code); `check` adds its stderr notes as a third item.
 
-def cmd_validate(args) -> int:
-    obj = load_object_file(args.object)
-    print(f"OK n={obj.n} svals={format_lengths(obj.svals)}")
-    return 0
-
-
-def cmd_sigma(args) -> int:
-    obj = load_object_file(args.object)
-    _emit(args, dumps_object(obj.partner()))
-    return 0
+def _flag(name: str, flag: bool) -> tuple:
+    return f"{name}: {'true' if flag else 'false'}", 0 if flag else 1
 
 
-def cmd_suspend(args) -> int:
-    obj = load_object_file(args.object)
-    _emit(args, dumps_object(suspend(obj)))
-    return 0
+def _lines(lines: list, ok: bool) -> tuple:
+    return "\n".join(lines), 0 if ok else 1
 
 
-def cmd_cone(args) -> int:
-    psi = load_morphism_file(args.morphism)
-    _emit(args, dumps_object(cone(psi)))
-    return 0
-
-
-def cmd_triangle(args) -> int:
-    psi = load_morphism_file(args.morphism)
-    _emit(args, dumps_triangle(standard_triangle(psi)))
-    return 0
-
-
-def cmd_rotate(args) -> int:
-    psi = load_morphism_file(args.morphism)
-    rotated, comparison = rotate(standard_triangle(psi))
-    _emit(args, f'{{"rotated": {dumps_triangle(rotated)}, '
-                f'"comparison": {dumps_morphism(comparison)}}}')
-    return 0
-
-
-def cmd_decompose(args) -> int:
-    obj = load_object_file(args.object)
-    print(f"svals: {format_lengths(decompose(obj))}")
-    return 0
-
-
-def cmd_coker(args) -> int:
-    obj = load_object_file(args.object)
-    print(f"exps: {format_lengths(cokernel(obj).exps)}")
-    return 0
-
-
-def cmd_is_projective(args) -> int:
-    obj = load_object_file(args.object)
-    flag = obj.is_projective()
-    print(f"projective: {'true' if flag else 'false'}")
-    return 0 if flag else 1
-
-
-def cmd_nullhomotopic(args) -> int:
-    psi = load_morphism_file(args.morphism)
+def _nullhomotopic(psi, _) -> tuple:
     witness = null_homotopy(psi)
     if witness is None:
-        print("nullhomotopic: false")
-        return 1
-    print("nullhomotopic: true")
-    print(f"s0: {_matrix_json(psi.ctx, witness.s0)}")
-    print(f"s1: {_matrix_json(psi.ctx, witness.s1)}")
-    return 0
+        return "nullhomotopic: false", 1
+    fmt = psi.ctx.format_scalar
+    return ("nullhomotopic: true\n"
+            f"s0: {_matrix_json(witness.s0, fmt)}\n"
+            f"s1: {_matrix_json(witness.s1, fmt)}"), 0
 
 
-def cmd_stable_hom(args) -> int:
-    src = load_object_file(args.source)
-    dst = load_object_file(args.target)
+def _stable_hom(src, dst, _) -> tuple:
     if src.ctx != dst.ctx:
         raise ParseError("source and target live over different rings")
-    print(f"lengths: {format_lengths(stable_hom(src, dst).lengths)}")
-    return 0
+    return f"lengths: {format_lengths(stable_hom(src, dst).lengths)}", 0
 
 
-def cmd_iso_test(args) -> int:
-    psi = load_morphism_file(args.morphism)
-    flag = is_iso_in_homotopy(psi)
-    print(f"iso: {'true' if flag else 'false'}")
-    return 0 if flag else 1
-
-
-def cmd_resolve(args) -> int:
-    obj = load_object_file(args.object)
+def _resolve(obj, _) -> tuple:
     res = two_periodic_resolution(obj)
-    print(f"d0: {_residue_matrix_json(obj.ctx, res.f_bar)}")
-    print(f"d1: {_residue_matrix_json(obj.ctx, res.fsig_bar)}")
-    return 0
+    fmt = obj.ctx.format_residue
+    return (f"d0: {_matrix_json(res.f_bar, fmt)}\n"
+            f"d1: {_matrix_json(res.fsig_bar, fmt)}"), 0
 
 
-def cmd_tau(args) -> int:
-    obj = load_object_file(args.object)
-    _emit(args, dumps_object(tau(obj, args.dim)))
-    return 0
+def _rotate(psi, _) -> tuple:
+    rotated, comparison = rotate(standard_triangle(psi))
+    return (f'{{"rotated": {dumps_triangle(rotated)}, '
+            f'"comparison": {dumps_morphism(comparison)}}}'), 0
 
 
-def cmd_tau_gp(args) -> int:
-    obj = load_object_file(args.object)
-    shifted = tau_gp(cokernel(obj), args.dim)
-    print(f"exps: {format_lengths(shifted.exps)}")
-    return 0
+def _ar_seq(obj, _) -> tuple:
+    seq = ar_sequence(obj)
+    return (f'{{"tau_f": {dumps_object(seq.tau_f)}, '
+            f'"middle": {dumps_object(seq.middle)}, '
+            f'"end": {dumps_object(seq.end)}, '
+            f'"theta": {dumps_morphism(seq.theta)}, '
+            f'"g": {dumps_morphism(seq.g)}}}'), 0
 
 
-def cmd_ar_seq(args) -> int:
-    seq = ar_sequence(load_object_file(args.object))
-    _emit(args, f'{{"tau_f": {dumps_object(seq.tau_f)}, '
-                f'"middle": {dumps_object(seq.middle)}, '
-                f'"end": {dumps_object(seq.end)}, '
-                f'"theta": {dumps_morphism(seq.theta)}, '
-                f'"g": {dumps_morphism(seq.g)}}}')
-    return 0
-
-
-def cmd_ar_verify(args) -> int:
-    seq = ar_sequence(load_object_file(args.object))
-    lines, ok = verify_right_almost_split(seq)
-    print("\n".join(lines))
-    return 0 if ok else 1
-
-
-def cmd_check(args) -> int:
+def _check(args) -> tuple:
     names = [args.suite] if args.suite else list(SUITES)
-    all_ok = True
-    for name in names:
-        res = run_suite(name, seed=args.seed, iters=args.iters,
-                        max_size=args.max_size, max_t=args.max_t)
-        print(res.summary())
-        if res.first_failure is not None:
-            index, reason = res.first_failure
-            print(f"{res.name} first failure: trial {index}: {reason}",
-                  file=sys.stderr)
-        all_ok = all_ok and res.ok
-    return 0 if all_ok else 1
+    results = [run_suite(name, seed=args.seed, iters=args.iters,
+                         max_size=args.max_size, max_t=args.max_t)
+               for name in names]
+    notes = "".join(f"{r.name} first failure: trial {r.first_failure[0]}: "
+                    f"{r.first_failure[1]}\n"
+                    for r in results if r.first_failure is not None)
+    out, code = _lines([r.summary() for r in results],
+                       all(r.ok for r in results))
+    return out, code, notes
 
 
-def cmd_faithful(args) -> int:
-    all_ok = True
+def _faithful(args) -> tuple:
+    lines, all_ok = [], True
     for t in range(2, args.max_t + 1):
-        lines, ok = check_fully_faithful(RingCtx.int_local(args.p, t), t)
-        print("\n".join(lines))
+        more, ok = check_fully_faithful(RingCtx.int_local(args.p, t), t)
+        lines += more
         all_ok = all_ok and ok
-    return 0 if all_ok else 1
+    return _lines(lines, all_ok)
 
 
 # -- wiring ---------------------------------------------------------------------
+
+POSITIONAL_HELP = {"object": "object file", "morphism": "morphism file",
+                   "source": "source object file",
+                   "target": "target object file"}
+OBJ, MOR = ("object",), ("morphism",)
+OUT = (("-o",), {"dest": "out", "metavar": "PATH",
+                 "help": "write the result here instead of stdout"})
+DIM = (("--dim",), {"type": int, "default": 0,
+                    "help": "declared ambient dimension (default 0)"})
+
+# (name, positionals, accepts -o, help, further options, function)
+COMMANDS = (
+    ("validate", OBJ, False,
+     "check an object file against the category invariants", (),
+     lambda f, _: (f"OK n={f.n} svals={format_lengths(f.svals)}", 0)),
+    ("sigma", OBJ, True, "emit the partner object", (),
+     lambda f, _: (dumps_object(f.partner()), 0)),
+    ("suspend", OBJ, True, "emit the shifted object", (),
+     lambda f, _: (dumps_object(suspend(f)), 0)),
+    ("cone", MOR, True, "emit the mapping cone", (),
+     lambda psi, _: (dumps_object(cone(psi)), 0)),
+    ("triangle", MOR, True, "emit the standard triangle of a morphism", (),
+     lambda psi, _: (dumps_triangle(standard_triangle(psi)), 0)),
+    ("rotate", MOR, True,
+     "rotate the standard triangle and emit the comparison", (), _rotate),
+    ("decompose", OBJ, False,
+     "print the diagonal exponents of the Smith form", (),
+     lambda f, _: (f"svals: {format_lengths(decompose(f))}", 0)),
+    ("coker", OBJ, False, "print the invariant exponents of the cokernel", (),
+     lambda f, _: (f"exps: {format_lengths(cokernel(f).exps)}", 0)),
+    ("is-projective", OBJ, False,
+     "decide projectivity (exit 1 when not projective)", (),
+     lambda f, _: _flag("projective", f.is_projective())),
+    ("nullhomotopic", MOR, False,
+     "decide null-homotopy and print a witness when one exists", (),
+     _nullhomotopic),
+    ("stable-hom", ("source", "target"), False,
+     "invariant factors of Hom modulo homotopy", (), _stable_hom),
+    ("iso-test", MOR, False, "decide invertibility up to homotopy", (),
+     lambda psi, _: _flag("iso", is_iso_in_homotopy(psi))),
+    ("resolve", OBJ, False,
+     "print the two alternating differentials of the periodic resolution "
+     "over the quotient ring", (), _resolve),
+    ("tau", OBJ, True, "emit the Auslander-Reiten translate", (DIM,),
+     lambda f, args: (dumps_object(tau(f, args.dim)), 0)),
+    ("tau-gp", OBJ, False, "print the translate of the cokernel module",
+     (DIM,),
+     lambda f, args: (
+         f"exps: {format_lengths(tau_gp(cokernel(f), args.dim).exps)}", 0)),
+    ("ar-seq", OBJ, True,
+     "emit the almost split sequence ending at the object", (), _ar_seq),
+    ("ar-verify", OBJ, False,
+     "verify the right-almost-split property by enumeration", (),
+     lambda f, _: _lines(*verify_right_almost_split(ar_sequence(f)))),
+    ("check", (), False, "run seeded property suites",
+     ((("--suite",), {"choices": SUITES,
+                      "help": "run one suite (default: all)"}),
+      (("--seed",), {"type": int, "default": 0}),
+      (("--iters",), {"type": int, "default": 100}),
+      (("--max-size",), {"type": int, "default": 3}),
+      (("--max-t",), {"type": int, "default": 3})),
+     _check),
+    ("faithful", (), False,
+     "compare stable Hom lengths against the brute-force oracle for all "
+     "indecomposable pairs",
+     ((("--p",), {"type": int, "default": 2, "help": "prime (default 2)"}),
+      (("--max-t",), {"type": int, "default": 3,
+                      "help": "largest exponent t to test (default 3)"})),
+     _faithful),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mon",
         description="exact monomorphism-category calculator")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def with_object(name, func, help_text, out=False):
+    for name, positionals, out, help_text, options, func in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("object", help="object file")
-        if out:
-            p.add_argument("-o", dest="out", metavar="PATH",
-                           help="write the result here instead of stdout")
-        p.set_defaults(func=func)
-        return p
-
-    def with_morphism(name, func, help_text, out=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("morphism", help="morphism file")
-        if out:
-            p.add_argument("-o", dest="out", metavar="PATH",
-                           help="write the result here instead of stdout")
-        p.set_defaults(func=func)
-        return p
-
-    with_object("validate", cmd_validate,
-                "check an object file against the category invariants")
-    with_object("sigma", cmd_sigma, "emit the partner object", out=True)
-    with_object("suspend", cmd_suspend, "emit the shifted object", out=True)
-    with_morphism("cone", cmd_cone, "emit the mapping cone", out=True)
-    with_morphism("triangle", cmd_triangle,
-                  "emit the standard triangle of a morphism", out=True)
-    with_morphism("rotate", cmd_rotate,
-                  "rotate the standard triangle and emit the comparison",
-                  out=True)
-    with_object("decompose", cmd_decompose,
-                "print the diagonal exponents of the Smith form")
-    with_object("coker", cmd_coker,
-                "print the invariant exponents of the cokernel")
-    with_object("is-projective", cmd_is_projective,
-                "decide projectivity (exit 1 when not projective)")
-    with_morphism("nullhomotopic", cmd_nullhomotopic,
-                  "decide null-homotopy and print a witness when one exists")
-    hom = sub.add_parser("stable-hom",
-                         help="invariant factors of Hom modulo homotopy")
-    hom.add_argument("source", help="source object file")
-    hom.add_argument("target", help="target object file")
-    hom.set_defaults(func=cmd_stable_hom)
-    with_morphism("iso-test", cmd_iso_test,
-                  "decide invertibility up to homotopy")
-    with_object("resolve", cmd_resolve,
-                "print the two alternating differentials of the periodic "
-                "resolution over the quotient ring")
-    tau_p = with_object("tau", cmd_tau,
-                        "emit the Auslander-Reiten translate", out=True)
-    tau_p.add_argument("--dim", type=int, default=0,
-                       help="declared ambient dimension (default 0)")
-    gp = with_object("tau-gp", cmd_tau_gp,
-                     "print the translate of the cokernel module")
-    gp.add_argument("--dim", type=int, default=0,
-                    help="declared ambient dimension (default 0)")
-    with_object("ar-seq", cmd_ar_seq,
-                "emit the almost split sequence ending at the object",
-                out=True)
-    with_object("ar-verify", cmd_ar_verify,
-                "verify the right-almost-split property by enumeration")
-
-    chk = sub.add_parser("check", help="run seeded property suites")
-    chk.add_argument("--suite", choices=list(SUITES),
-                     help="run one suite (default: all)")
-    chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--iters", type=int, default=100)
-    chk.add_argument("--max-size", type=int, default=3)
-    chk.add_argument("--max-t", type=int, default=3)
-    chk.set_defaults(func=cmd_check)
-
-    ff = sub.add_parser("faithful",
-                        help="compare stable Hom lengths against the "
-                             "brute-force oracle for all indecomposable "
-                             "pairs")
-    ff.add_argument("--p", type=int, default=2, help="prime (default 2)")
-    ff.add_argument("--max-t", type=int, default=3,
-                    help="largest exponent t to test (default 3)")
-    ff.set_defaults(func=cmd_faithful)
-
+        for arg in positionals:
+            p.add_argument(arg, help=POSITIONAL_HELP[arg])
+        for flags, kwargs in ((OUT,) if out else ()) + options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func, positionals=positionals)
     return ap
+
+
+def _load(name: str, path: str):
+    if name == "morphism":
+        return load_morphism_file(path)
+    return load_object_file(path)
 
 
 def main(argv=None) -> int:
@@ -403,11 +318,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
+        loaded = [_load(name, getattr(args, name)) for name in args.positionals]
+        out, code, *notes = args.func(*loaded, args)
+        text = out + "\n" if out else ""
+        if getattr(args, "out", None):
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        sys.stderr.write("".join(notes))
+        return code
+    except (ParseError, OSError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

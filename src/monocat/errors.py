@@ -72,12 +72,14 @@ class InfiniteResidueField(MonocatError):
 # class costs a linear solve over S, a vector of R^n one residue
 # matrix-vector product, some sixty times cheaper; so vectors get the larger
 # budget.  2^16 admits the 27^3 vectors `mon check` draws at its default
-# sizes and refuses 27^4.
+# sizes and refuses 27^4.  Brute-force stable Hom enumerates |R|^(k*g) maps
+# into R^k under the same budget: 31^3 passes, 101^3 is refused.
 CLASS_BUDGET = 4096    # morphism classes per test object or endomorphism ring
-VECTOR_BUDGET = 2 ** 16  # vectors of R^n per resolution check
+VECTOR_BUDGET = 2 ** 16  # vectors of R^n, or maps into R^k, per enumeration
 
 
 class ParametersTooLarge(MonocatError):
     """Guardrail: requested enumeration exceeds CLASS_BUDGET or
-    VECTOR_BUDGET, raised before anything is enumerated; or a result
-    holds an integer too long to print (``rings.MAX_INT_DIGITS``)."""
+    VECTOR_BUDGET (resolution checks and the brute-force stable Hom),
+    raised before anything is enumerated; or a result holds an integer too
+    long to print (``rings.MAX_INT_DIGITS``)."""

@@ -218,35 +218,6 @@ def kron(a: MatS, b: MatS) -> MatS:
     return MatS(a.ctx, a.rows * b.rows, a.cols * b.cols, tuple(entries))
 
 
-def det(a: MatS) -> Scalar:
-    """Exact determinant by elimination; a test reference, no library caller."""
-    if not a.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    ctx = a.ctx
-    if n == 0:
-        return ctx.one()
-    work = a.to_rows()
-    sign_flip = False
-    result = ctx.one()
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not ctx.is_zero(work[i][k])), None)
-        if pivot_row is None:
-            return ctx.zero()
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign_flip = not sign_flip
-        piv = work[k][k]
-        result = result * piv
-        for i in range(k + 1, n):
-            if ctx.is_zero(work[i][k]):
-                continue
-            factor = work[i][k] / piv
-            for j in range(k, n):
-                work[i][j] = work[i][j] - factor * work[k][j]
-    return -result if sign_flip else result
-
-
 def inverse_frac(a: MatS) -> MatS:
     """Exact inverse over the fraction field (Gauss-Jordan).
 
@@ -278,14 +249,6 @@ def inverse_frac(a: MatS) -> MatS:
                 work[i][j] = work[i][j] - factor * work[k][j]
                 aug[i][j] = aug[i][j] - factor * aug[k][j]
     return MatS(ctx, n, n, tuple(v for row in aug for v in row))
-
-
-def adjugate(a: MatS) -> MatS:
-    """det(a) * a^{-1}; a test reference, no library code calls it."""
-    d = det(a)
-    if a.ctx.is_zero(d):
-        raise SingularMatrix("adjugate via inverse needs a nonzero determinant")
-    return inverse_frac(a).scale(d)
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,8 @@ def _projective_factoring_coordinates(ctx: RingCtx, m: RModuleObj,
     k = len(n.exps)
     t = ctx.t
     gens = len(m.exps)
+    if ctx.residue_field_size ** (t * k * gens) > VECTOR_BUDGET:
+        raise ParametersTooLarge("too many maps to enumerate into R^k")
     pools = []
     for _ in range(k):
         for ei in m.exps:

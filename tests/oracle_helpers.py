@@ -14,9 +14,10 @@ from typing import NamedTuple
 from monocat.almost_split import _exactness_failure, factor_strictly, is_split_epi
 from monocat.category import (MonMorphism, MonObject, compose, identity_morphism,
                               rank_one)
+from monocat.errors import SingularMatrix
 from monocat.homotopy import homotopic
-from monocat.linalg import INFINITY, MatS, identity
-from monocat.rings import Poly, PolyFrac
+from monocat.linalg import INFINITY, MatS, identity, inverse_frac
+from monocat.rings import Poly, PolyFrac, Scalar
 from monocat.sampling import all_morphism_params, morphism_from_params
 
 
@@ -168,6 +169,43 @@ def eager_snf(a: MatS) -> EagerSnf:
                              for rows in (work, u, v, u_inv, v_inv))
     return EagerSnf(MatS(ctx, m, m, u), MatS(ctx, m, n, d), MatS(ctx, n, n, v),
                     tuple(svals), MatS(ctx, m, m, u_inv), MatS(ctx, n, n, v_inv))
+
+
+def det(a: MatS) -> Scalar:
+    """Exact determinant by elimination."""
+    if not a.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    ctx = a.ctx
+    if n == 0:
+        return ctx.one()
+    work = a.to_rows()
+    sign_flip = False
+    result = ctx.one()
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if not ctx.is_zero(work[i][k])), None)
+        if pivot_row is None:
+            return ctx.zero()
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            sign_flip = not sign_flip
+        piv = work[k][k]
+        result = result * piv
+        for i in range(k + 1, n):
+            if ctx.is_zero(work[i][k]):
+                continue
+            factor = work[i][k] / piv
+            for j in range(k, n):
+                work[i][j] = work[i][j] - factor * work[k][j]
+    return -result if sign_flip else result
+
+
+def adjugate(a: MatS) -> MatS:
+    """det(a) * a^{-1}."""
+    d = det(a)
+    if a.ctx.is_zero(d):
+        raise SingularMatrix("adjugate via inverse needs a nonzero determinant")
+    return inverse_frac(a).scale(d)
 
 
 def trial_division_is_prime(n: int) -> bool:

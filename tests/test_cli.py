@@ -325,9 +325,35 @@ def test_output_caps_the_digits_of_an_integer(tmp_path, capsys):
         assert err.startswith("violation: ParametersTooLarge")
         assert f"MAX_INT_DIGITS = {MAX_INT_DIGITS}" in err
         assert "set_int_max_str_digits" not in err
-    # residues modulo 2^15000 reach 4,516 digits
+    # a failing command creates no -o file
+    target = tmp_path / "partner.json"
+    code, out, _ = run(capsys, "sigma", path, "-o", str(target))
+    assert code == 1 and out == "" and not target.exists()
+    # residues modulo 2^15000 reach 4,516 digits: d0 formats, d1 does not,
+    # and stdout stays empty
     path = put(tmp_path, "long_t.json",
                '{"ring": {"kind": "int-local", "p": 2}, "t": 15000, '
                '"matrix": [["3","0"],["0","2"]]}')
-    code, _, err = run(capsys, "resolve", path)
-    assert code == 1 and err.startswith("violation: ParametersTooLarge")
+    code, out, err = run(capsys, "resolve", path)
+    assert code == 1 and out == ""
+    assert err.startswith("violation: ParametersTooLarge")
+
+
+def test_output_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    path = rank_one_file(tmp_path)
+    code, out, err = run(capsys, "sigma", path, "-o",
+                         str(tmp_path / "nowhere" / "out.json"))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_faithful_without_pairs_prints_nothing(capsys):
+    assert run(capsys, "faithful", "--max-t", "1") == (0, "", "")
+
+
+def test_faithful_refuses_an_oversized_enumeration(capsys):
+    # t = 2 passes (101^2 maps); t = 3 would enumerate 101^3 per cell
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "faithful", "--p", "101", "--max-t", "3")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("violation: ParametersTooLarge")

@@ -127,6 +127,22 @@ def test_resolution_enumeration_is_budgeted():
                             rational)
 
 
+def test_bruteforce_hom_is_budgeted():
+    # one generator into R^1 at t = 3: Z_(31) gives 31^3 maps, enumerated;
+    # Z_(101) gives 101^3, over VECTOR_BUDGET, refused before enumerating
+    # by the Hom oracle and the stable-zero test alike
+    z31 = RingCtx.int_local(31, 3)
+    small = RModuleObj(z31, (1,))
+    assert stable_hom_R_bruteforce(small, small).lengths == (1,)
+    z101 = RingCtx.int_local(101, 3)
+    big = RModuleObj(z101, (1,))
+    with pytest.raises(ParametersTooLarge):
+        stable_hom_R_bruteforce(big, big)
+    ident = coker_functor(identity_morphism(rank_one(z101, 1)))
+    with pytest.raises(ParametersTooLarge):
+        stable_class_is_zero(ident)
+
+
 def test_bruteforce_hom_frozen_values():
     assert stable_hom_R_bruteforce(
         RModuleObj(Z2, (1,)), RModuleObj(Z2, (1,))).lengths == (1,)
