@@ -27,7 +27,7 @@ from .homotopy import (cone, is_iso_in_homotopy, null_homotopy, rotate,
                        stable_hom, standard_triangle, suspend)
 from .linalg import MatS
 from .rings import RingCtx
-from .stable import (check_fully_faithful, format_lengths,
+from .stable import (check_fully_faithful, check_map_budget, format_lengths,
                      two_periodic_resolution)
 
 
@@ -210,6 +210,8 @@ def _check(args) -> tuple:
 
 def _faithful(args) -> tuple:
     lines, all_ok = [], True
+    if args.max_t >= 2:  # the largest t has the most maps: refuse it first
+        check_map_budget(RingCtx.int_local(args.p, args.max_t), 1)
     for t in range(2, args.max_t + 1):
         more, ok = check_fully_faithful(RingCtx.int_local(args.p, t), t)
         lines += more

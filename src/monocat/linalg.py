@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import ContextMismatch, SingularMatrix
-from .rings import INFINITY, Poly, PolyFrac, Residue, RingCtx, Scalar
+from .rings import INFINITY, Residue, RingCtx, Scalar
 
 
 @dataclass(frozen=True)
@@ -87,23 +87,18 @@ class MatS:
 def _dot(pairs, ctx: RingCtx) -> Scalar:
     """Sum of a * b over the pairs, normalized once: the terms accumulate
     as an unreduced numerator over a common denominator."""
-    if ctx.kind == "int-local":
-        terms = ((a.numerator * b.numerator, a.denominator * b.denominator)
-                 for a, b in pairs if a and b)
-        normalize = Fraction
-    else:
-        terms = ((a.num * b.num, a.den * b.den)
-                 for a, b in pairs if a.num.coeffs and b.num.coeffs)
-        normalize = PolyFrac.make
     num = den = None
-    for tn, td in terms:
+    for a, b in pairs:
+        if not (a and b):
+            continue
+        tn, td = a.numerator * b.numerator, a.denominator * b.denominator
         if num is None:
             num, den = tn, td
         elif td == den:
             num = num + tn
         else:
             num, den = num * td + tn * den, den * td
-    return ctx.zero() if num is None else normalize(num, den)
+    return ctx.zero() if num is None else ctx._normalize(num, den)
 
 
 def coerce_scalar(ctx: RingCtx, value) -> Scalar:
@@ -111,13 +106,12 @@ def coerce_scalar(ctx: RingCtx, value) -> Scalar:
         return ctx.parse_scalar(value)
     if isinstance(value, int):
         return ctx.from_int(value)
-    if isinstance(value, Fraction) and ctx.kind == "int-local":
+    zero = ctx.zero()
+    if isinstance(value, type(zero)):
         return value
-    if isinstance(value, PolyFrac) and ctx.kind == "poly-local":
-        return value
-    if isinstance(value, Poly) and ctx.kind == "poly-local":
-        return PolyFrac.from_poly(value)
-    raise TypeError(f"cannot coerce {value!r} into a scalar for {ctx.kind}")
+    if isinstance(value, type(zero.numerator)):  # a Poly over k[x]_(x)
+        return ctx.lift(value)
+    raise TypeError(f"cannot coerce {value!r} into a scalar of {ctx!r}")
 
 
 def mat(ctx: RingCtx, rows: Sequence[Sequence]) -> MatS:
@@ -460,24 +454,11 @@ def random_unimodular(n: int, seed: int, ctx: RingCtx) -> MatS:
     if n == 0:
         return identity(ctx, 0)
 
-    def unit() -> Scalar:
-        if ctx.kind == "int-local":
-            while True:
-                k = rng.choice([-3, -2, -1, 1, 2, 3])
-                if k % ctx.p != 0:
-                    return ctx.from_int(k)
-        c = rng.choice([1, 2, -1]) if ctx.coeff_q != 2 else 1
-        d = rng.choice([-1, 0, 0, 1])
-        return PolyFrac.from_poly(Poly.make([c, d], ctx.coeff_q))
-
-    def small() -> Scalar:
-        return unit() * ctx.pi_pow(rng.choice([0, 0, 1, 2]))
-
     for _ in range(2 * n + 4):
         op = rng.randrange(3)
         if op == 0 and n > 1:
             i, j = rng.sample(range(n), 2)
-            c = small()
+            c = ctx._random_unit(rng) * ctx.pi_pow(rng.choice([0, 0, 1, 2]))
             for col in range(n):
                 m[i][col] = m[i][col] + c * m[j][col]
         elif op == 1 and n > 1:
@@ -485,7 +466,7 @@ def random_unimodular(n: int, seed: int, ctx: RingCtx) -> MatS:
             m[i], m[j] = m[j], m[i]
         else:
             i = rng.randrange(n)
-            c = unit()
+            c = ctx._random_unit(rng)
             for col in range(n):
                 m[i][col] = m[i][col] * c
     return MatS(ctx, n, n, tuple(x for row in m for x in row))
@@ -518,26 +499,23 @@ class MatR:
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in residue matrix product")
-        ctx = self.ctx
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = ctx.residue_zero()
-                for k in range(self.cols):
-                    acc = ctx.residue_add(acc, ctx.residue_mul(self.at(i, k), other.at(k, j)))
-                out.append(acc)
-        return MatR(self.ctx, self.rows, other.cols, tuple(out))
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
+        return MatR(self.ctx, self.rows, other.cols,
+                    tuple(_row_times(self.ctx, row, col)
+                          for row in self._rows() for col in cols))
 
     def apply(self, vec: tuple) -> tuple:
         """Image of a residue column vector."""
-        ctx = self.ctx
-        out = []
-        for i in range(self.rows):
-            acc = ctx.residue_zero()
-            for k in range(self.cols):
-                acc = ctx.residue_add(acc, ctx.residue_mul(self.at(i, k), vec[k]))
-            out.append(acc)
-        return tuple(out)
+        return tuple(_row_times(self.ctx, row, vec) for row in self._rows())
+
+    def _rows(self):
+        return (self.entries[i * self.cols:(i + 1) * self.cols]
+                for i in range(self.rows))
+
+
+def _row_times(ctx: RingCtx, row, col) -> Residue:
+    """Sum of the products row[k] * col[k], reduced modulo omega once."""
+    return ctx.residue_truncate(sum(map(mul, row, col), ctx.residue_zero()), ctx.t)
 
 
 def reduce_mat(a: MatS) -> MatR:

@@ -1,18 +1,27 @@
 """Exact arithmetic in a discrete valuation ring S and its quotient R = S/(pi^t).
 
-Two flavours of S are supported, both with a chosen uniformizer pi:
+A :class:`RingCtx` fixes S with a uniformizer pi, the exponent t >= 1 and
+hence omega = pi^t and the residue chain ring R = S/(omega).  Each S is a
+subclass:
 
-* ``int-local``   -- the integers localized at a prime p.  Elements are
-  fractions a/b with b coprime to p; pi = p.
-* ``poly-local``  -- k[x] localized at (x), where k is the rationals or a
-  prime field F_q.  Elements are rational functions whose denominator has
-  nonzero constant term; pi = x.
+* :class:`IntLocal`  -- the integers localized at a prime p; pi = p.
+  Scalars are :class:`fractions.Fraction` values, residues ints in [0, p^t).
+* :class:`PolyLocal` -- k[x] localized at (x), k the rationals or a prime
+  field F_q; pi = x.  Scalars are :class:`PolyFrac` values whose
+  denominator has nonzero constant term, residues :class:`Poly` values of
+  degree < t.
 
-A :class:`RingCtx` fixes the ring, the exponent t >= 1 and hence the
-element omega = pi^t and the residue chain ring R = S/(omega).  Scalars are
-plain :class:`fractions.Fraction` values in the int-local case and
-:class:`PolyFrac` values in the poly-local case; residues are canonical
-integers in [0, p^t) respectively polynomials of degree < t.
+Shared protocol: a scalar has a ``numerator`` and a ``denominator``, both
+ints or both Polys; a residue is an int or a Poly, and lifts to itself over
+1; scalars and residues add, subtract, multiply and are falsy exactly at
+zero.  So RingCtx writes every method whose body both rings share once.  A
+subclass supplies ``lift``, ``from_int``, ``residue_elements`` and
+``format_residue``, and private primitives on an int or a Poly:
+``_valuation``, ``_mod`` (reduction modulo pi^e), ``_inverse_den`` (of a
+unit denominator, modulo omega), ``_pi_pow``, ``_normalize`` (lowest
+terms), ``_scalar_text`` and ``_term`` (the text form), and the seeded
+draws ``_random_unit`` and ``_random_scalar``.  It overrides no method of
+RingCtx, so a wrapper on a RingCtx method sees every call of it.
 
 Normalization policy.  Coefficients inside a :class:`Poly` are always
 canonical, and the polynomial operations keep them so inline (``% q`` over
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Union
+from typing import ClassVar, Iterator, Union
 
 from .errors import (
     ContextMismatch,
@@ -72,17 +81,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _int_valuation(n: int, p: int):
-    """p-adic valuation of an integer, INFINITY for zero."""
-    if n == 0:
-        return INFINITY
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 # ---------------------------------------------------------------------------
 # polynomials over Q or F_q
 
@@ -112,19 +110,12 @@ class Poly:
     def x_power(k: int, q: int | None = None) -> "Poly":
         return Poly.make([0] * k + [1], q)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def valuation(self):
-        """x-adic valuation: index of the lowest nonzero coefficient."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return INFINITY
 
     def constant_term(self):
         return self.coeffs[0] if self.coeffs else _coeff_canon(0, self.q)
@@ -172,14 +163,14 @@ class Poly:
         return _canon(list(self.coeffs[:k]), self.q)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self:
             return self
         inv = _coeff_inv(self.leading(), self.q)
         return self.scale(inv)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         q, b = self.q, other.coeffs
         rem = list(self.coeffs)
@@ -198,7 +189,7 @@ class Poly:
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor (Euclid)."""
         a, b = self, other
-        while not b.is_zero():
+        while b:
             a, b = b, a.divmod(b)[1]
         return a.monic()
 
@@ -244,18 +235,18 @@ class PolyFrac:
     Elements of the local ring k[x]_(x) have a denominator with nonzero
     constant term; general fraction-field elements (needed transiently by
     matrix inversion) do not.  Normalization makes structural equality
-    mathematical equality.
+    mathematical equality.  The field names are those of Fraction.
     """
 
-    num: Poly
-    den: Poly
+    numerator: Poly
+    denominator: Poly
 
     @staticmethod
     def make(num: Poly, den: Poly) -> "PolyFrac":
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("polynomial fraction with zero denominator")
         num._check(den)
-        if num.is_zero():
+        if not num:
             return PolyFrac(num, Poly.const(1, num.q))
         if den.degree == 0:
             if den.coeffs[0] == 1:
@@ -269,39 +260,29 @@ class PolyFrac:
         lead_inv = _coeff_inv(den.leading(), num.q)
         return PolyFrac(num.scale(lead_inv), den.scale(lead_inv))
 
-    @staticmethod
-    def from_poly(p: Poly) -> "PolyFrac":
-        return PolyFrac.make(p, Poly.const(1, p.q))
-
-    @property
-    def q(self) -> int | None:
-        return self.num.q
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def valuation(self):
-        if self.is_zero():
-            return INFINITY
-        return self.num.valuation() - self.den.valuation()
+    def __bool__(self) -> bool:
+        return bool(self.numerator.coeffs)
 
     def __add__(self, other: "PolyFrac") -> "PolyFrac":
-        return PolyFrac.make(self.num * other.den + other.num * self.den,
-                             self.den * other.den)
+        return PolyFrac.make(self.numerator * other.denominator
+                             + other.numerator * self.denominator,
+                             self.denominator * other.denominator)
 
     def __sub__(self, other: "PolyFrac") -> "PolyFrac":
         return self + (-other)
 
     def __neg__(self) -> "PolyFrac":
-        return PolyFrac(-self.num, self.den)
+        return PolyFrac(-self.numerator, self.denominator)
 
     def __mul__(self, other: "PolyFrac") -> "PolyFrac":
-        return PolyFrac.make(self.num * other.num, self.den * other.den)
+        return PolyFrac.make(self.numerator * other.numerator,
+                             self.denominator * other.denominator)
 
     def __truediv__(self, other: "PolyFrac") -> "PolyFrac":
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero polynomial fraction")
-        return PolyFrac.make(self.num * other.den, self.den * other.num)
+        return PolyFrac.make(self.numerator * other.denominator,
+                             self.denominator * other.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -315,63 +296,46 @@ class RingCtx:
     Everything downstream (matrices, objects, morphisms) carries one of
     these; mixing contexts raises ContextMismatch.  Instances are immutable
     value objects: two contexts are interchangeable iff they compare equal.
+    Build one with :meth:`int_local` or :meth:`poly_local`.
     """
 
-    kind: str  # "int-local" | "poly-local"
     t: int
-    p: int | None = None        # prime for int-local
-    coeff_q: int | None = None  # prime field modulus for poly-local, None = rationals
+    kind: ClassVar[str]  # the ring's name in object files
+    _q: ClassVar[property]  # |S/(pi)|: a prime, or None for the rationals
 
     def __post_init__(self):
-        if self.kind not in ("int-local", "poly-local"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.t < 1:
             raise ValueError("t must be at least 1")
-        if self.kind == "int-local":
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError("int-local ring needs a prime p")
-            if self.coeff_q is not None:
-                raise ValueError("coeff_q is a poly-local parameter")
-        else:
-            if self.p is not None:
-                raise ValueError("p is an int-local parameter")
-            if self.coeff_q is not None and not _is_prime(self.coeff_q):
-                raise ValueError("coefficient field modulus must be prime")
+        if self._q is not None and not _is_prime(self._q):
+            raise ValueError(f"the residue field size {self._q} is not a prime")
 
     @staticmethod
-    def int_local(p: int, t: int) -> "RingCtx":
-        return RingCtx(kind="int-local", t=t, p=p)
+    def int_local(p: int, t: int) -> "IntLocal":
+        return IntLocal(t, p)
 
     @staticmethod
-    def poly_local(t: int, q: int | None = None) -> "RingCtx":
-        return RingCtx(kind="poly-local", t=t, coeff_q=q)
+    def poly_local(t: int, q: int | None = None) -> "PolyLocal":
+        return PolyLocal(t, q)
 
     # -- scalar construction ------------------------------------------------
 
+    @cached_property
+    def _zero(self) -> Scalar:
+        return self.from_int(0)
+
     def zero(self) -> Scalar:
-        if self.kind == "int-local":
-            return Fraction(0)
-        return PolyFrac.from_poly(Poly((), self.coeff_q))
+        return self._zero
 
     def one(self) -> Scalar:
         return self.from_int(1)
 
-    def from_int(self, n: int) -> Scalar:
-        if self.kind == "int-local":
-            return Fraction(n)
-        return PolyFrac.from_poly(Poly.const(n, self.coeff_q))
-
     def pi(self) -> Scalar:
-        if self.kind == "int-local":
-            return Fraction(self.p)
-        return PolyFrac.from_poly(Poly.x_power(1, self.coeff_q))
+        return self._pi_pow(1)
 
     def pi_pow(self, k: int) -> Scalar:
         if k < 0:
             raise ValueError("pi_pow takes a nonnegative exponent")
-        if self.kind == "int-local":
-            return Fraction(self.p ** k)
-        return PolyFrac.from_poly(Poly.x_power(k, self.coeff_q))
+        return self._pi_pow(k)
 
     @cached_property
     def _omega(self) -> Scalar:
@@ -383,31 +347,25 @@ class RingCtx:
     # -- scalar predicates and arithmetic ------------------------------------
 
     def is_zero(self, a: Scalar) -> bool:
-        if self.kind == "int-local":
-            return a == 0
-        return a.is_zero()
+        return not a
 
     def valuation(self, a: Scalar):
         """pi-adic valuation; INFINITY for zero.  Defined on all of Frac(S),
         so the result can be negative for elements outside S."""
-        if self.kind == "int-local":
-            if a == 0:
-                return INFINITY
-            return _int_valuation(a.numerator, self.p) - _int_valuation(a.denominator, self.p)
-        return a.valuation()
+        if not a:
+            return INFINITY
+        return self._valuation(a.numerator) - self._valuation(a.denominator)
 
     def in_ring(self, a: Scalar) -> bool:
         """Membership in S inside its fraction field."""
-        if self.kind == "int-local":
-            return a.denominator % self.p != 0
-        return a.den.valuation() == 0
+        return self._valuation(a.denominator) == 0
 
     def is_unit(self, a: Scalar) -> bool:
         return self.valuation(a) == 0 and self.in_ring(a)
 
     def div_exact(self, a: Scalar, b: Scalar) -> Scalar:
         """Quotient a/b checked to lie in S; raises DivisionLeavesRing."""
-        if self.is_zero(b):
+        if not b:
             raise ZeroDivisionError("exact division by zero")
         q = a / b
         if not self.in_ring(q):
@@ -427,99 +385,46 @@ class RingCtx:
     @property
     def residue_modulus(self) -> int | None:
         """|R| when finite (p^t or q^t), else None."""
-        if self.kind == "int-local":
-            return self.p ** self.t
-        if self.coeff_q is not None:
-            return self.coeff_q ** self.t
-        return None
-
-    @property
-    def has_finite_residue_field(self) -> bool:
-        return self.kind == "int-local" or self.coeff_q is not None
+        return None if self._q is None else self._q ** self.t
 
     @property
     def residue_field_size(self) -> int:
-        if self.kind == "int-local":
-            return self.p
-        if self.coeff_q is None:
+        if self._q is None:
             raise InfiniteResidueField("residue field is the rationals")
-        return self.coeff_q
+        return self._q
 
     def reduce_mod_omega(self, a: Scalar) -> Residue:
         """Canonical representative of a in R; a must lie in S."""
         if not self.in_ring(a):
             raise DivisionLeavesRing(
                 f"{self.format_scalar(a)} is not in the local ring")
-        if self.kind == "int-local":
-            m = self.p ** self.t
-            return (a.numerator * pow(a.denominator, -1, m)) % m
-        if a.is_zero():
-            return Poly((), self.coeff_q)
-        inv = _series_inverse(a.den, self.t)
-        return (a.num * inv).truncate(self.t)
-
-    def lift(self, r: Residue) -> Scalar:
-        """The canonical representative of r as an element of S."""
-        if self.kind == "int-local":
-            return Fraction(r)
-        return PolyFrac.from_poly(r)
+        return self._mod(a.numerator * self._inverse_den(a.denominator), self.t)
 
     def residue_zero(self) -> Residue:
-        return 0 if self.kind == "int-local" else Poly((), self.coeff_q)
+        return self._zero.numerator
 
     def residue_one(self) -> Residue:
-        return self.residue_from_int(1)
-
-    def residue_from_int(self, n: int) -> Residue:
-        if self.kind == "int-local":
-            return n % (self.p ** self.t)
-        return Poly.const(n, self.coeff_q).truncate(self.t)
+        return self.one().numerator
 
     def residue_add(self, r1: Residue, r2: Residue) -> Residue:
-        if self.kind == "int-local":
-            return (r1 + r2) % (self.p ** self.t)
-        return (r1 + r2).truncate(self.t)
+        return self._mod(r1 + r2, self.t)
 
     def residue_neg(self, r: Residue) -> Residue:
-        if self.kind == "int-local":
-            return (-r) % (self.p ** self.t)
-        return (-r).truncate(self.t)
+        return self._mod(-r, self.t)
 
     def residue_mul(self, r1: Residue, r2: Residue) -> Residue:
-        if self.kind == "int-local":
-            return (r1 * r2) % (self.p ** self.t)
-        return (r1 * r2).truncate(self.t)
+        return self._mod(r1 * r2, self.t)
 
     def residue_is_zero(self, r: Residue) -> bool:
-        return r == 0 if self.kind == "int-local" else r.is_zero()
+        return not r
 
     def residue_truncate(self, r: Residue, e: int) -> Residue:
         """Canonical representative modulo pi^e (0 <= e <= t)."""
-        if self.kind == "int-local":
-            return r % (self.p ** e)
-        return r.truncate(e)
+        return self._mod(r, e)
 
     def residue_valuation(self, r: Residue):
         """Valuation of the canonical lift; INFINITY for the zero residue."""
-        if self.kind == "int-local":
-            return _int_valuation(r, self.p)
-        return r.valuation()
-
-    def residue_elements(self) -> Iterator[Residue]:
-        """All of R in a fixed order; requires a finite residue field."""
-        if self.kind == "int-local":
-            yield from range(self.p ** self.t)
-            return
-        if self.coeff_q is None:
-            raise InfiniteResidueField(
-                "cannot enumerate R over rational coefficients")
-        for coeffs in product(range(self.coeff_q), repeat=self.t):
-            yield Poly.make(coeffs, self.coeff_q)
-
-    def format_residue(self, r: Residue) -> str:
-        if self.kind == "int-local":
-            return _number_text(r)
-        return _format_poly(r)
+        return self._valuation(r)
 
     # -- text form ------------------------------------------------------------
 
@@ -537,30 +442,159 @@ class RingCtx:
         return value
 
     def format_scalar(self, a: Scalar) -> str:
-        if self.kind == "int-local":
-            return _number_text(a)
-        num = _format_poly(a.num)
-        if a.den.degree == 0 and a.den.constant_term() == 1:
+        return self._scalar_text(a)
+
+
+@dataclass(frozen=True)
+class IntLocal(RingCtx):
+    """Z_(p): fractions a/b with b prime to p, pi = p."""
+
+    p: int
+    kind = "int-local"
+    _q = property(lambda self: self.p)
+
+    def __post_init__(self):
+        if self.p is None:  # None would read as the rationals' residue field
+            raise ValueError("int-local ring needs a prime p")
+        super().__post_init__()
+
+    def _valuation(self, n: int):
+        if n == 0:
+            return INFINITY
+        v = 0
+        while n % self.p == 0:
+            n //= self.p
+            v += 1
+        return v
+
+    def _mod(self, n: int, e: int) -> int:
+        return n % self.p ** e
+
+    def _inverse_den(self, d: int) -> int:
+        return pow(d, -1, self.p ** self.t)
+
+    def lift(self, n: int) -> Fraction:
+        """The canonical representative of a residue as an element of S."""
+        return Fraction(n)
+
+    from_int = lift  # an integer is its own lift
+    _normalize = staticmethod(Fraction)
+
+    def _pi_pow(self, k: int) -> Fraction:
+        return Fraction(self.p ** k)
+
+    def residue_elements(self) -> Iterator[int]:
+        """All of R in a fixed order."""
+        return iter(range(self.p ** self.t))
+
+    def format_residue(self, c) -> str:
+        return _number_text(c)
+
+    _scalar_text = format_residue  # a Fraction prints as n or n/d
+
+    def _term(self, coeff: Fraction, k: int) -> Fraction:
+        if k > 0:
+            raise ParseError("polynomial syntax is not valid for int-local rings")
+        return coeff
+
+    def _random_unit(self, rng) -> Fraction:
+        while True:
+            k = rng.choice([-3, -2, -1, 1, 2, 3])
+            if k % self.p != 0:
+                return Fraction(k)
+
+    def _random_scalar(self, rng) -> Fraction:
+        return Fraction(rng.randrange(self.p ** self.t))
+
+
+@dataclass(frozen=True)
+class PolyLocal(RingCtx):
+    """k[x]_(x): rational functions whose denominator has a nonzero
+    constant term, pi = x; k is F_coeff_q, or Q when coeff_q is None."""
+
+    coeff_q: int | None = None
+    kind = "poly-local"
+    _q = property(lambda self: self.coeff_q)
+
+    def _valuation(self, f: Poly):
+        """x-adic valuation: index of the lowest nonzero coefficient."""
+        for i, c in enumerate(f.coeffs):
+            if c != 0:
+                return i
+        return INFINITY
+
+    def _mod(self, f: Poly, e: int) -> Poly:
+        return f.truncate(e)
+
+    def _inverse_den(self, den: Poly) -> Poly:
+        """The power series inverse of den modulo x^t."""
+        c0 = den.constant_term()
+        if c0 == 0:
+            raise DivisionLeavesRing("denominator has zero constant term")
+        c0inv = _coeff_inv(c0, den.q)
+        out = [c0inv]
+        coeffs = den.coeffs
+        for n in range(1, self.t):
+            acc = 0
+            for i in range(1, min(n, len(coeffs) - 1) + 1):
+                acc += coeffs[i] * out[n - i]
+            out.append(_coeff_canon(-acc * c0inv, den.q))
+        return Poly.make(out, den.q)
+
+    @cached_property
+    def _one_poly(self) -> Poly:
+        return Poly.const(1, self.coeff_q)
+
+    def lift(self, f: Poly) -> PolyFrac:
+        """The canonical representative of a residue as an element of S."""
+        return PolyFrac(f, self._one_poly)
+
+    def from_int(self, n: int) -> PolyFrac:
+        return PolyFrac(Poly.const(n, self.coeff_q), self._one_poly)
+
+    def _pi_pow(self, k: int) -> PolyFrac:
+        return PolyFrac(Poly.x_power(k, self.coeff_q), self._one_poly)
+
+    @staticmethod
+    def _normalize(num: Poly, den: Poly) -> PolyFrac:
+        return PolyFrac.make(num, den)  # looked up per call, as tracers wrap it
+
+    def residue_elements(self) -> Iterator[Poly]:
+        """All of R in a fixed order; requires a finite residue field."""
+        q = self.coeff_q
+        if q is None:
+            raise InfiniteResidueField(
+                "cannot enumerate R over rational coefficients")
+        return (Poly.make(c, q) for c in product(range(q), repeat=self.t))
+
+    def format_residue(self, f: Poly) -> str:
+        return _format_poly(f)
+
+    def _scalar_text(self, a: PolyFrac) -> str:
+        num, den = a.numerator, a.denominator
+        if den.degree == 0 and den.constant_term() == 1:
             # "1/2 + x" would read back as 1/(2 + x)
-            c0 = a.num.constant_term()
-            return f"({num})" if c0.denominator != 1 and a.num.degree > 0 else num
-        return f"({num})/({_format_poly(a.den)})"
+            c0 = num.constant_term()
+            text = _format_poly(num)
+            return f"({text})" if c0.denominator != 1 and num.degree > 0 else text
+        return f"({_format_poly(num)})/({_format_poly(den)})"
 
+    def _term(self, coeff: Fraction, k: int) -> PolyFrac:
+        try:
+            c = _coeff_canon(coeff, self.coeff_q)
+        except ZeroDivisionError as exc:
+            raise ParseError(str(exc)) from exc
+        return self.lift(Poly.make([0] * k + [c], self.coeff_q))
 
-def _series_inverse(den: Poly, t: int) -> Poly:
-    """Inverse of den modulo x^t; constant term must be invertible."""
-    c0 = den.constant_term()
-    if c0 == 0:
-        raise DivisionLeavesRing("denominator has zero constant term")
-    c0inv = _coeff_inv(c0, den.q)
-    out = [c0inv]
-    coeffs = den.coeffs
-    for n in range(1, t):
-        acc = 0
-        for i in range(1, min(n, len(coeffs) - 1) + 1):
-            acc += coeffs[i] * out[n - i]
-        out.append(_coeff_canon(-acc * c0inv, den.q))
-    return Poly.make(out, den.q)
+    def _random_unit(self, rng) -> PolyFrac:
+        c = rng.choice([1, 2, -1]) if self.coeff_q != 2 else 1
+        d = rng.choice([-1, 0, 0, 1])
+        return self.lift(Poly.make([c, d], self.coeff_q))
+
+    def _random_scalar(self, rng) -> PolyFrac:
+        q = self.coeff_q
+        lo, hi = (-3, 4) if q is None else (0, q)
+        return self.lift(Poly.make([rng.randrange(lo, hi) for _ in range(self.t)], q))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +667,7 @@ class _ScalarParser:
         if self.peek()[0] == "/":
             self.take()
             rhs = self.sum_()
-            if self.ctx.is_zero(rhs):
+            if not rhs:
                 raise ParseError(f"zero denominator in {self.text!r}")
             value = value / rhs
         if self.pos != len(self.toks):
@@ -676,16 +710,13 @@ class _ScalarParser:
                 if den == 0:
                     raise ParseError(f"zero denominator in {self.text!r}")
                 coeff /= den
-            if self.peek()[0] == "*":
+            star = self.peek()[0] == "*"
+            if star:
                 self.take()
-                k = self.xpart()
-                return self.coeff_times_xpow(coeff, k)
-            if self.peek()[0] == "x":
-                k = self.xpart()
-                return self.coeff_times_xpow(coeff, k)
-            return self.coeff_times_xpow(coeff, 0)
+            k = self.xpart() if star or self.peek()[0] == "x" else 0
+            return self.ctx._term(coeff, k)
         if kind == "x":
-            return self.coeff_times_xpow(Fraction(1), self.xpart())
+            return self.ctx._term(Fraction(1), self.xpart())
         raise ParseError(f"unexpected token in scalar {self.text!r}")
 
     def xpart(self) -> int:
@@ -700,18 +731,6 @@ class _ScalarParser:
             return k
         return 1
 
-    def coeff_times_xpow(self, coeff: Fraction, k: int) -> Scalar:
-        if self.ctx.kind == "int-local":
-            if k > 0:
-                raise ParseError("polynomial syntax is not valid for int-local rings")
-            return coeff
-        q = self.ctx.coeff_q
-        try:
-            c = _coeff_canon(coeff, q)
-        except ZeroDivisionError as exc:
-            raise ParseError(str(exc)) from exc
-        return PolyFrac.from_poly(Poly.make([0] * k + [c], q))
-
 
 def _number_text(c) -> str:
     """str of an int or Fraction, refusing to print an integer of more than
@@ -725,7 +744,7 @@ def _number_text(c) -> str:
 
 
 def _format_poly(p: Poly) -> str:
-    if p.is_zero():
+    if not p:
         return "0"
     parts = []
     for k, c in enumerate(p.coeffs):

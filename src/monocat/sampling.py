@@ -15,19 +15,12 @@ import random
 from .category import MonMorphism, MonObject
 from .homotopy import HomotopyWitness, null_morphism_from_data
 from .linalg import MatS, diag_pi, random_unimodular
-from .rings import Poly, PolyFrac, RingCtx, Scalar
+from .rings import RingCtx, Scalar
 
 
 def random_scalar(ctx: RingCtx, rng: random.Random) -> Scalar:
     """A ring element covering every residue class modulo omega."""
-    if ctx.kind == "int-local":
-        return ctx.from_int(rng.randrange(ctx.p ** ctx.t))
-    q = ctx.coeff_q
-    if q is None:
-        coeffs = [rng.randrange(-3, 4) for _ in range(ctx.t)]
-    else:
-        coeffs = [rng.randrange(q) for _ in range(ctx.t)]
-    return PolyFrac.from_poly(Poly.make(coeffs, q))
+    return ctx._random_scalar(rng)
 
 
 def random_object(ctx: RingCtx, rng: random.Random, max_size: int) -> MonObject:

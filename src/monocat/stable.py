@@ -163,6 +163,12 @@ def _map_coordinates(ctx: RingCtx, m: RModuleObj, n: RModuleObj,
     return tuple(coords)
 
 
+def check_map_budget(ctx: RingCtx, cells: int):
+    """Refuse more than VECTOR_BUDGET maps m -> R^k, k * gens(m) = cells."""
+    if ctx.residue_field_size ** (ctx.t * cells) > VECTOR_BUDGET:
+        raise ParametersTooLarge("too many maps to enumerate into R^k")
+
+
 def _projective_factoring_coordinates(ctx: RingCtx, m: RModuleObj,
                                       n: RModuleObj) -> set:
     """Coordinate tuples of every map factoring through a projective.
@@ -175,8 +181,7 @@ def _projective_factoring_coordinates(ctx: RingCtx, m: RModuleObj,
     k = len(n.exps)
     t = ctx.t
     gens = len(m.exps)
-    if ctx.residue_field_size ** (t * k * gens) > VECTOR_BUDGET:
-        raise ParametersTooLarge("too many maps to enumerate into R^k")
+    check_map_budget(ctx, k * gens)
     pools = []
     for _ in range(k):
         for ei in m.exps:
@@ -206,7 +211,7 @@ def stable_hom_R_bruteforce(m: RModuleObj, n: RModuleObj) -> StableHomModule:
     ctx = m.ctx
     if ctx != n.ctx:
         raise ContextMismatch("stable Hom across ring contexts")
-    if not ctx.has_finite_residue_field:
+    if ctx.residue_modulus is None:
         raise InfiniteResidueField("brute-force Hom needs a finite quotient")
     if not m.exps or not n.exps:
         return StableHomModule(())

@@ -16,7 +16,7 @@ from monocat.category import (MonMorphism, MonObject, compose, identity_morphism
                               rank_one)
 from monocat.errors import SingularMatrix
 from monocat.homotopy import homotopic
-from monocat.linalg import INFINITY, MatS, identity, inverse_frac
+from monocat.linalg import INFINITY, MatR, MatS, identity, inverse_frac
 from monocat.rings import Poly, PolyFrac, Scalar
 from monocat.sampling import all_morphism_params, morphism_from_params
 
@@ -232,6 +232,20 @@ def naive_matmul(a: MatS, b: MatS) -> MatS:
     return MatS(ctx, a.rows, b.cols, tuple(out))
 
 
+def per_term_residue_matmul(a: MatR, b: MatR) -> MatR:
+    """Residue matrix product reducing modulo omega after every multiply
+    and every add."""
+    ctx = a.ctx
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = ctx.residue_zero()
+            for k in range(a.cols):
+                acc = ctx.residue_add(acc, ctx.residue_mul(a.at(i, k), b.at(k, j)))
+            out.append(acc)
+    return MatR(ctx, a.rows, b.cols, tuple(out))
+
+
 # Polynomial arithmetic rebuilt through Poly.make, which canonicalizes every
 # coefficient and trims, and fractions through the full gcd path.
 
@@ -260,7 +274,7 @@ def poly_mul_ref(f: Poly, g: Poly) -> Poly:
 
 def poly_divmod_ref(f: Poly, g: Poly) -> tuple:
     quo, rem = Poly.make([], f.q), f
-    while not rem.is_zero() and rem.degree >= g.degree:
+    while rem and rem.degree >= g.degree:
         c = rem.coeffs[-1] * _inv(g.coeffs[-1], f.q)
         term = Poly.make([0] * (rem.degree - g.degree) + [c], f.q)
         quo = poly_add_ref(quo, term)
@@ -269,21 +283,21 @@ def poly_divmod_ref(f: Poly, g: Poly) -> tuple:
 
 
 def poly_monic_ref(f: Poly) -> Poly:
-    if f.is_zero():
+    if not f:
         return f
     inv = _inv(f.coeffs[-1], f.q)
     return Poly.make([c * inv for c in f.coeffs], f.q)
 
 
 def poly_gcd_ref(f: Poly, g: Poly) -> Poly:
-    while not g.is_zero():
+    while g:
         f, g = g, poly_divmod_ref(f, g)[1]
     return poly_monic_ref(f)
 
 
 def polyfrac_ref(num: Poly, den: Poly) -> PolyFrac:
     """num/den in lowest terms with monic denominator, always through gcd."""
-    if num.is_zero():
+    if not num:
         return PolyFrac(num, Poly.make([1], num.q))
     g = poly_gcd_ref(num, den)
     num, den = poly_divmod_ref(num, g)[0], poly_divmod_ref(den, g)[0]

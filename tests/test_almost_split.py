@@ -288,7 +288,7 @@ def verifier_cases(ctx):
 
 
 @pytest.mark.parametrize("ctx", VERIFIER_RINGS,
-                         ids=lambda c: f"{c.kind}-{c.p or c.coeff_q}-t{c.t}")
+                         ids=lambda c: f"{c.kind}-{c.residue_field_size}-t{c.t}")
 def test_verifier_matches_per_class_reference(ctx):
     verdicts = []
     for seq in verifier_cases(ctx):

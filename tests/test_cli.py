@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 
+from monocat import stable
 from monocat.cli import dumps_object, load_object_file, main
 from monocat.rings import MAX_INT_DIGITS, MAX_X_DEGREE
 
@@ -357,3 +358,14 @@ def test_faithful_refuses_an_oversized_enumeration(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
     assert err.startswith("violation: ParametersTooLarge")
+
+
+def test_faithful_refuses_before_enumerating_any_pair(capsys, monkeypatch):
+    # the largest t is checked first, so no smaller t is enumerated in vain
+    calls = []
+    monkeypatch.setattr(stable, "stable_hom_R_bruteforce",
+                        lambda m, n: calls.append((m, n)))
+    code, out, err = run(capsys, "faithful", "--p", "101", "--max-t", "3")
+    assert (code, out, calls) == (1, "", [])
+    assert err == ("violation: ParametersTooLarge: "
+                   "too many maps to enumerate into R^k\n")

@@ -45,7 +45,7 @@ def polys(q, max_size=4):
 
 
 def nonzero_polys(q, max_size=4):
-    return polys(q, max_size).filter(lambda f: not f.is_zero())
+    return polys(q, max_size).filter(bool)
 
 
 def scalars(ctx):

@@ -12,12 +12,12 @@ from fractions import Fraction
 import pytest
 
 from monocat.errors import SingularMatrix
-from monocat.linalg import (INFINITY, MatS, block, diag_pi, hstack, identity,
+from monocat.linalg import (INFINITY, MatR, MatS, block, diag_pi, hstack, identity,
                             inverse_frac, mat, random_unimodular, reduce_mat,
                             snf, solve_linear, solve_sandwich_congruence,
                             vstack, zeros)
 from monocat.rings import Poly, RingCtx
-from oracle_helpers import adjugate, det
+from oracle_helpers import adjugate, det, per_term_residue_matmul
 
 Z2 = RingCtx.int_local(2, 2)
 Z2_3 = RingCtx.int_local(2, 3)
@@ -269,3 +269,28 @@ def test_reduce_mat():
     a = mat(Z2, [[5, -1], [4, Fraction(1, 3)]])
     r = reduce_mat(a)
     assert r.entries == (1, 3, 0, 3)
+
+
+RESIDUE_RINGS = [RingCtx.int_local(p, t) for p in (2, 3) for t in (1, 2, 3)] + \
+    [RingCtx.poly_local(t, q=q) for q in (2, 3) for t in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("ctx", RESIDUE_RINGS,
+                         ids=lambda c: f"{c.kind}-{c.residue_field_size}-t{c.t}")
+def test_residue_products_match_per_term_reduction(ctx):
+    """MatR products reduce once per entry; the reference reduces after
+    every term.  Every vector of R^n is a row of the left factor, a column
+    of the right factor and an argument of apply."""
+    rng = random.Random(f"{ctx!r}")
+    pool = list(ctx.residue_elements())
+    for n in (1, 2):
+        vectors = list(itertools.product(pool, repeat=n))
+        rows = MatR(ctx, len(vectors), n, tuple(x for v in vectors for x in v))
+        cols = MatR(ctx, n, len(vectors), tuple(v[i] for i in range(n) for v in vectors))
+        for _ in range(3):
+            m = MatR(ctx, n, n, tuple(rng.choice(pool) for _ in range(n * n)))
+            assert rows @ m == per_term_residue_matmul(rows, m)
+            assert m @ cols == per_term_residue_matmul(m, cols)
+            for v in vectors:
+                col = MatR(ctx, n, 1, v)
+                assert m.apply(v) == per_term_residue_matmul(m, col).entries

@@ -1,14 +1,17 @@
 """Scalar arithmetic and the text grammar for both ring flavours."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import monocat
 from monocat.errors import (DivisionLeavesRing, InfiniteResidueField,
                             ParametersTooLarge, ParseError)
-from monocat.rings import (INFINITY, MAX_INT_DIGITS, Poly, PolyFrac, RingCtx,
-                           _is_prime)
+from monocat.rings import (INFINITY, MAX_INT_DIGITS, IntLocal, Poly, PolyFrac,
+                           PolyLocal, RingCtx, _is_prime)
 from oracle_helpers import trial_division_is_prime
 
 Z2 = RingCtx.int_local(2, 2)
@@ -24,6 +27,8 @@ def test_context_validation():
         RingCtx.int_local(2, 0)
     with pytest.raises(ValueError):
         RingCtx.poly_local(2, q=6)
+    with pytest.raises(ValueError):
+        RingCtx.int_local(None, 2)
 
 
 def test_int_valuation_basics():
@@ -102,14 +107,14 @@ def test_parse_int_local():
 def test_parse_poly_local():
     a = KX.parse_scalar("3/4*x^2 - x + 1")
     assert isinstance(a, PolyFrac)
-    assert a.num == Poly.make([1, -1, Fraction(3, 4)], None)
+    assert a.numerator == Poly.make([1, -1, Fraction(3, 4)], None)
     b = KX.parse_scalar("(1+x)/(1 - x)")
     assert b == PolyFrac.make(Poly.make([1, 1], None), Poly.make([1, -1], None))
-    assert b.den.leading() == 1  # denominators are kept monic
+    assert b.denominator.leading() == 1  # denominators are kept monic
     with pytest.raises(ParseError):
         KX.parse_scalar("(1+x)/x")  # denominator in the maximal ideal
     c = F2X.parse_scalar("x^2 + x + 1")
-    assert c.num == Poly.make([1, 1, 1], 2)
+    assert c.numerator == Poly.make([1, 1, 1], 2)
 
 
 def test_is_prime_agrees_with_trial_division():
@@ -136,7 +141,7 @@ def test_format_parse_round_trip_poly():
         a = KX.parse_scalar(text)
         assert KX.parse_scalar(KX.format_scalar(a)) == a
     # "1/2 + x" is the quotient 1/(2 + x); the polynomial prints in parentheses
-    half_plus_x = PolyFrac.from_poly(Poly.make([Fraction(1, 2), 1]))
+    half_plus_x = KX.lift(Poly.make([Fraction(1, 2), 1]))
     assert KX.parse_scalar("1/2 + x") != half_plus_x
     assert KX.format_scalar(half_plus_x) == "(1/2 + x)"
     assert KX.parse_scalar("(1/2 + x)") == half_plus_x
@@ -189,11 +194,11 @@ def test_poly_divmod():
 
 def test_polyfrac_normalization():
     a = PolyFrac.make(Poly.make([0, 2], None), Poly.make([2], None))
-    assert a.den == Poly.const(1, None)
-    assert a.num == Poly.make([0, 1], None)
+    assert a.denominator == Poly.const(1, None)
+    assert a.numerator == Poly.make([0, 1], None)
     z = PolyFrac.make(Poly.make([], None), Poly.make([1, 5], None))
-    assert z.is_zero()
-    assert z.den == Poly.const(1, None)
+    assert not z
+    assert z.denominator == Poly.const(1, None)
 
 
 def test_unit_part():
@@ -207,12 +212,75 @@ def test_format_refuses_integers_longer_than_the_parser_reads():
     assert Z2.parse_scalar(Z2.format_scalar(Fraction(edge, 3))) == Fraction(edge, 3)
     coeff = Fraction(1, edge)
     for c in (coeff, -coeff):
-        text = KX.format_scalar(PolyFrac.from_poly(Poly.make([0, c], None)))
+        text = KX.format_scalar(KX.lift(Poly.make([0, c], None)))
         assert len(text) > MAX_INT_DIGITS
     for c in (Fraction(edge + 1), Fraction(1, edge + 1)):
         with pytest.raises(ParametersTooLarge):
             Z2.format_scalar(c)
         with pytest.raises(ParametersTooLarge):
-            KX.format_scalar(PolyFrac.from_poly(Poly.make([c, 1], None)))
+            KX.format_scalar(KX.lift(Poly.make([c, 1], None)))
         with pytest.raises(ParametersTooLarge):
-            KX.format_scalar(PolyFrac.from_poly(Poly.make([0, -c], None)))
+            KX.format_scalar(KX.lift(Poly.make([0, -c], None)))
+
+
+# one of each: Z_(2), Z_(3), F_2[x]_(x), F_3[x]_(x), Q[x]_(x)
+SPLIT_RINGS = [RingCtx.int_local(2, 3), RingCtx.int_local(3, 2),
+               RingCtx.poly_local(3, q=2), RingCtx.poly_local(2, q=3),
+               RingCtx.poly_local(2)]
+
+
+def ring_id(ctx):
+    field = ctx.residue_field_size if ctx.residue_modulus else "Q"
+    return f"{ctx.kind}-{field}-t{ctx.t}"
+
+
+@pytest.mark.parametrize("ctx", SPLIT_RINGS, ids=ring_id)
+def test_reduce_inverts_lift_and_pi_powers_have_their_valuation(ctx):
+    assert isinstance(ctx, IntLocal if ctx.kind == "int-local" else PolyLocal)
+    if ctx.residue_modulus is not None:
+        residues = list(ctx.residue_elements())
+        assert len(residues) == ctx.residue_modulus
+        for r in residues:
+            assert ctx.reduce_mod_omega(ctx.lift(r)) == r
+    for k in range(8):
+        assert ctx.valuation(ctx.pi_pow(k)) == k
+
+
+@pytest.mark.parametrize("ctx", SPLIT_RINGS, ids=ring_id)
+def test_in_ring_and_is_unit_follow_the_denominator(ctx):
+    parts = [ctx.one(), ctx.pi(), ctx.pi_pow(2), ctx.one() + ctx.pi(),
+             ctx.from_int(5) + ctx.pi_pow(2), ctx.from_int(-7)]
+    for num in [ctx.zero()] + parts:
+        for den in parts:
+            a = num / den
+            v_num = ctx.valuation(ctx.lift(a.numerator))
+            v_den = ctx.valuation(ctx.lift(a.denominator))
+            assert ctx.in_ring(a) == (v_den == 0)
+            assert ctx.is_unit(a) == (v_num == 0 and v_den == 0)
+
+
+# the methods whose spans the benchmark reports
+TRACED = ("valuation", "div_exact", "residue_add", "residue_mul",
+          "residue_truncate", "reduce_mod_omega", "parse_scalar",
+          "format_scalar")
+
+
+def test_ring_subclasses_override_no_public_method():
+    # a benchmark tracer wraps the methods in vars(RingCtx); an override
+    # would leave its span at 0 calls without any error
+    assert set(TRACED) <= set(vars(RingCtx))
+    public = {name for name in vars(RingCtx) if not name.startswith("_")}
+    assert set(RingCtx.__subclasses__()) == {IntLocal, PolyLocal}
+    for cls in (IntLocal, PolyLocal):
+        assert public.isdisjoint(vars(cls)), cls
+
+
+def test_ring_kind_is_read_only_by_the_json_reader_and_writer():
+    src = Path(monocat.__file__).resolve().parent
+    reads = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "kind"
+                   for node in ast.walk(top)):
+                reads.add((path.name, getattr(top, "name", None)))
+    assert reads <= {("cli.py", "_ring_json"), ("cli.py", "_context_from")}
