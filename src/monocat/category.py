@@ -159,7 +159,7 @@ def check_morphism(src: MonObject, dst: MonObject, psi1: MatS, psi0: MatS):
         raise NonSquare(f"psi0 must be {dst.n}x{src.n}, got {psi0.rows}x{psi0.cols}")
     if not psi1.in_ring() or not psi0.in_ring():
         raise NotMono("morphism entries must lie in the local ring")
-    if not (psi0 @ src.mat - dst.mat @ psi1).is_zero():
+    if psi0 @ src.mat != dst.mat @ psi1:
         raise SquareNotCommuting("psi0 . f differs from f' . psi1")
 
 

@@ -196,6 +196,9 @@ def _ar_seq(obj, _) -> tuple:
 
 
 def _check(args) -> tuple:
+    for option, low in (("iters", 0), ("max-size", 1), ("max-t", 1)):
+        if getattr(args, option.replace("-", "_")) < low:
+            raise ValueError(f"--{option} must be at least {low}")
     names = [args.suite] if args.suite else list(SUITES)
     results = [run_suite(name, seed=args.seed, iters=args.iters,
                          max_size=args.max_size, max_t=args.max_t)

@@ -35,9 +35,8 @@ def witness_holds(psi: MonMorphism, w: HomotopyWitness) -> bool:
     for s in (w.s0, w.s1):
         if (s.rows, s.cols) != expect_shapes or not s.in_ring():
             return False
-    eq0 = psi.psi0 - (g.mat @ w.s0 + w.s1 @ f.partner_mat)
-    eq1 = psi.psi1 - (w.s0 @ f.mat + g.partner_mat @ w.s1)
-    return eq0.is_zero() and eq1.is_zero()
+    return (psi.psi0 == g.mat @ w.s0 + w.s1 @ f.partner_mat
+            and psi.psi1 == w.s0 @ f.mat + g.partner_mat @ w.s1)
 
 
 def require_witness(psi: MonMorphism, w: HomotopyWitness):
@@ -94,7 +93,7 @@ def factor_through_projective(psi: MonMorphism, w: HomotopyWitness
                         vstack([w.s1, psi.psi1]),
                         vstack([w.s0, psi.psi0]))
     got = compose(beta, alpha)
-    if not (got.psi1 - psi.psi1).is_zero() or not (got.psi0 - psi.psi0).is_zero():
+    if (got.psi1, got.psi0) != (psi.psi1, psi.psi0):
         raise AssertionError("projective factorization failed to compose back")
     return alpha, beta
 
@@ -325,8 +324,7 @@ def octahedron(first: MonMorphism, second: MonMorphism) -> Octahedron:
 
     # projection after the comparison equals the connecting map strictly
     after = compose(prj_phi, comparison)
-    if not (after.psi1 - connecting.psi1).is_zero() \
-            or not (after.psi0 - connecting.psi0).is_zero():
+    if (after.psi1, after.psi0) != (connecting.psi1, connecting.psi0):
         raise NotExactTriangle("projection side of the octahedron fails")
     # comparison after the middle map differs from the standard inclusion
     # by a null-homotopic morphism with a closed-form witness

@@ -34,7 +34,7 @@ class MatS:
         return [[self.at(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return all(self.ctx.is_zero(e) for e in self.entries)
+        return not any(self.entries)
 
     def in_ring(self) -> bool:
         return all(self.ctx.in_ring(e) for e in self.entries)
@@ -225,7 +225,7 @@ def inverse_frac(a: MatS) -> MatS:
     work = a.to_rows()
     aug = identity(ctx, n).to_rows()
     for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not ctx.is_zero(work[i][k])), None)
+        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
         if pivot_row is None:
             raise SingularMatrix("matrix has zero determinant")
         if pivot_row != k:
@@ -236,7 +236,7 @@ def inverse_frac(a: MatS) -> MatS:
             work[k][j] = work[k][j] / piv
             aug[k][j] = aug[k][j] / piv
         for i in range(n):
-            if i == k or ctx.is_zero(work[i][k]):
+            if i == k or not work[i][k]:
                 continue
             factor = work[i][k]
             for j in range(n):
@@ -350,7 +350,7 @@ def snf(a: MatS) -> SnfResult:
         piv = work[k][k]
         # clear the pivot column: row_i -= q * row_k
         for i in range(k + 1, m):
-            if ctx.is_zero(work[i][k]):
+            if not work[i][k]:
                 continue
             q = ctx.div_exact(work[i][k], piv)
             for j in range(k, n):
@@ -358,7 +358,7 @@ def snf(a: MatS) -> SnfResult:
             row_ops.append(("add", i, k, q))
         # clear the pivot row: col_j -= q * col_k
         for j in range(k + 1, n):
-            if ctx.is_zero(work[k][j]):
+            if not work[k][j]:
                 continue
             q = ctx.div_exact(work[k][j], piv)
             for r in range(m):
@@ -367,9 +367,9 @@ def snf(a: MatS) -> SnfResult:
         # normalize the pivot to a plain pi power
         sval = int(ctx.valuation(piv))
         unit = ctx.div_exact(piv, ctx.pi_pow(sval))
-        if not ctx.is_unit(unit) and not ctx.is_zero(unit - ctx.one()):
+        if not ctx.is_unit(unit):
             raise AssertionError("pivot unit part is not a unit")
-        if not ctx.is_zero(unit - ctx.one()):
+        if unit != ctx.one():
             inv = ctx.one() / unit
             for j in range(k, n):
                 work[k][j] = work[k][j] * inv
@@ -432,12 +432,12 @@ def solve_with_snf(s: SnfResult, rhs: MatS) -> MatS | None:
         for j in range(ncols):
             target = c.at(i, j)
             if sval is INFINITY or i >= cols:
-                if not ctx.is_zero(target):
+                if target:
                     return None
                 continue
             if ctx.valuation(target) < sval:
                 return None
-            if not ctx.is_zero(target):
+            if target:
                 y[i][j] = ctx.div_exact(target, ctx.pi_pow(int(sval)))
     y_mat = MatS(ctx, cols, ncols, tuple(v for row in y for v in row))
     return s.v_inv @ y_mat
@@ -489,7 +489,7 @@ class MatR:
         return self.entries[i * self.cols + j]
 
     def is_zero(self) -> bool:
-        return all(self.ctx.residue_is_zero(e) for e in self.entries)
+        return not any(self.entries)
 
     def _check(self, other: "MatR"):
         if self.ctx != other.ctx:

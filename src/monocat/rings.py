@@ -13,18 +13,20 @@ subclass:
 
 Shared protocol: a scalar has a ``numerator`` and a ``denominator``, both
 ints or both Polys; a residue is an int or a Poly, and lifts to itself over
-1; scalars and residues add, subtract, multiply and are falsy exactly at
-zero.  So RingCtx writes every method whose body both rings share once.  A
-subclass supplies ``lift``, ``from_int``, ``residue_elements`` and
-``format_residue``, and private primitives on an int or a Poly:
-``_valuation``, ``_mod`` (reduction modulo pi^e), ``_inverse_den`` (of a
-unit denominator, modulo omega), ``_pi_pow``, ``_normalize`` (lowest
-terms), ``_scalar_text`` and ``_term`` (the text form), and the seeded
-draws ``_random_unit`` and ``_random_scalar``.  It overrides no method of
-RingCtx, so a wrapper on a RingCtx method sees every call of it.
+1; scalars and residues add, subtract and multiply.  So RingCtx writes
+every method whose body both rings share once.  A subclass supplies
+``lift``, ``from_int``, ``residue_elements`` and ``format_residue``, and
+private primitives on an int or a Poly: ``_valuation``, ``_mod``
+(reduction modulo pi^e), ``_inverse_den`` (of a unit denominator, modulo
+omega), ``_pi_pow``, ``_normalize`` (lowest terms), ``_scalar_text`` and
+``_term`` (the text form), and the seeded draws ``_random_unit`` and
+``_random_scalar``.  It overrides no method of RingCtx, so a wrapper on a
+RingCtx method sees every call of it.
 
-Normalization policy.  Coefficients inside a :class:`Poly` are always
-canonical, and the polynomial operations keep them so inline (``% q`` over
+Normalization policy.  Every scalar, residue and Poly is stored in
+canonical form, so field equality is value equality: exact values compare
+with ``==``, and a value is falsy exactly at zero.  Coefficients inside a
+:class:`Poly` are kept canonical inline by its operations (``% q`` over
 F_q; over Q a Fraction operation already yields a Fraction) instead of
 re-normalizing each coefficient.  A :class:`PolyFrac` or Fraction is brought
 to lowest terms once per result: a matrix product accumulates each entry as
@@ -91,8 +93,7 @@ class Poly:
 
     ``q is None`` means rational coefficients (Fractions); otherwise the
     coefficients are canonical integers in [0, q) for the prime field F_q.
-    The zero polynomial is the empty tuple.  Instances are normalized, so
-    structural equality is mathematical equality.
+    The zero polynomial is the empty tuple.
     """
 
     coeffs: tuple
@@ -234,8 +235,7 @@ class PolyFrac:
 
     Elements of the local ring k[x]_(x) have a denominator with nonzero
     constant term; general fraction-field elements (needed transiently by
-    matrix inversion) do not.  Normalization makes structural equality
-    mathematical equality.  The field names are those of Fraction.
+    matrix inversion) do not.  The field names are those of Fraction.
     """
 
     numerator: Poly
@@ -326,8 +326,12 @@ class RingCtx:
     def zero(self) -> Scalar:
         return self._zero
 
-    def one(self) -> Scalar:
+    @cached_property
+    def _one(self) -> Scalar:
         return self.from_int(1)
+
+    def one(self) -> Scalar:
+        return self._one
 
     def pi(self) -> Scalar:
         return self._pi_pow(1)
@@ -345,9 +349,6 @@ class RingCtx:
         return self._omega
 
     # -- scalar predicates and arithmetic ------------------------------------
-
-    def is_zero(self, a: Scalar) -> bool:
-        return not a
 
     def valuation(self, a: Scalar):
         """pi-adic valuation; INFINITY for zero.  Defined on all of Frac(S),
@@ -403,20 +404,11 @@ class RingCtx:
     def residue_zero(self) -> Residue:
         return self._zero.numerator
 
-    def residue_one(self) -> Residue:
-        return self.one().numerator
-
     def residue_add(self, r1: Residue, r2: Residue) -> Residue:
         return self._mod(r1 + r2, self.t)
 
-    def residue_neg(self, r: Residue) -> Residue:
-        return self._mod(-r, self.t)
-
     def residue_mul(self, r1: Residue, r2: Residue) -> Residue:
         return self._mod(r1 * r2, self.t)
-
-    def residue_is_zero(self, r: Residue) -> bool:
-        return not r
 
     def residue_truncate(self, r: Residue, e: int) -> Residue:
         """Canonical representative modulo pi^e (0 <= e <= t)."""

@@ -48,7 +48,7 @@ class RModuleMap:
         return self.entries[j * len(self.src.exps) + i]
 
     def is_zero(self) -> bool:
-        return all(self.src.ctx.residue_is_zero(e) for e in self.entries)
+        return not any(self.entries)
 
 
 def coker_functor(psi: MonMorphism) -> RModuleMap:
@@ -154,7 +154,7 @@ def _map_coordinates(ctx: RingCtx, m: RModuleObj, n: RModuleObj,
             idx += 1
             shift = max(ej - ei, 0)
             lifted = ctx.lift(r)
-            if ctx.residue_is_zero(r):
+            if not r:
                 coords.append(ctx.residue_zero())
             else:
                 q = ctx.div_exact(lifted, ctx.pi_pow(shift))

@@ -130,7 +130,7 @@ def eager_snf(a: MatS) -> EagerSnf:
         piv = work[k][k]
         # clear the pivot column: row_i -= q * row_k, U col k += q * U col i
         for i in range(k + 1, m):
-            if ctx.is_zero(work[i][k]):
+            if not work[i][k]:
                 continue
             q = ctx.div_exact(work[i][k], piv)
             for j in range(k, n):
@@ -141,7 +141,7 @@ def eager_snf(a: MatS) -> EagerSnf:
                     row[k] = row[k] + q * row[i]
         # clear the pivot row: col_j -= q * col_k, V row k += q * V row j
         for j in range(k + 1, n):
-            if ctx.is_zero(work[k][j]):
+            if not work[k][j]:
                 continue
             q = ctx.div_exact(work[k][j], piv)
             for r in range(m):
@@ -153,9 +153,9 @@ def eager_snf(a: MatS) -> EagerSnf:
         # normalize the pivot to a plain pi power
         sval = int(ctx.valuation(piv))
         unit = ctx.div_exact(piv, ctx.pi_pow(sval))
-        if not ctx.is_unit(unit) and not ctx.is_zero(unit - ctx.one()):
+        if not ctx.is_unit(unit):
             raise AssertionError("pivot unit part is not a unit")
-        if not ctx.is_zero(unit - ctx.one()):
+        if unit != ctx.one():
             inv = ctx.one() / unit
             for j in range(k, n):
                 work[k][j] = work[k][j] * inv
@@ -183,7 +183,7 @@ def det(a: MatS) -> Scalar:
     sign_flip = False
     result = ctx.one()
     for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not ctx.is_zero(work[i][k])), None)
+        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
         if pivot_row is None:
             return ctx.zero()
         if pivot_row != k:
@@ -192,7 +192,7 @@ def det(a: MatS) -> Scalar:
         piv = work[k][k]
         result = result * piv
         for i in range(k + 1, n):
-            if ctx.is_zero(work[i][k]):
+            if not work[i][k]:
                 continue
             factor = work[i][k] / piv
             for j in range(k, n):
@@ -203,7 +203,7 @@ def det(a: MatS) -> Scalar:
 def adjugate(a: MatS) -> MatS:
     """det(a) * a^{-1}."""
     d = det(a)
-    if a.ctx.is_zero(d):
+    if not d:
         raise SingularMatrix("adjugate via inverse needs a nonzero determinant")
     return inverse_frac(a).scale(d)
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
+
 from monocat import stable
 from monocat.cli import dumps_object, load_object_file, main
 from monocat.rings import MAX_INT_DIGITS, MAX_X_DEGREE
@@ -308,6 +310,16 @@ def test_check_refuses_an_oversized_enumeration(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
     assert err.startswith("violation: ParametersTooLarge")
+
+
+@pytest.mark.parametrize("option, value", [("--iters", "-1"),
+                                           ("--max-size", "0"),
+                                           ("--max-t", "0")])
+def test_check_refuses_out_of_range_bounds(capsys, option, value):
+    # malformed input: exit 2 before any suite runs, not a FAIL line
+    code, out, err = run(capsys, "check", "--suite", "sigma", option, value)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} must be at least")
 
 
 def test_output_caps_the_digits_of_an_integer(tmp_path, capsys):

@@ -1,15 +1,18 @@
 """Scalar arithmetic and the text grammar for both ring flavours."""
 
 import ast
+import operator
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import monocat
 from monocat.errors import (DivisionLeavesRing, InfiniteResidueField,
                             ParametersTooLarge, ParseError)
+from monocat.linalg import MatS
 from monocat.rings import (INFINITY, MAX_INT_DIGITS, IntLocal, Poly, PolyFrac,
                            PolyLocal, RingCtx, _is_prime)
 from oracle_helpers import trial_division_is_prime
@@ -90,8 +93,8 @@ def test_residue_counts():
 def test_residue_ring_axioms_small():
     elems = list(F2X.residue_elements())
     for a in elems:
-        assert F2X.residue_add(a, F2X.residue_neg(a)) == F2X.residue_zero()
-        assert F2X.residue_mul(a, F2X.residue_one()) == a
+        assert F2X.residue_add(a, -a) == F2X.residue_zero()
+        assert F2X.residue_mul(a, F2X.reduce_mod_omega(F2X.one())) == a
 
 
 def test_parse_int_local():
@@ -284,3 +287,108 @@ def test_ring_kind_is_read_only_by_the_json_reader_and_writer():
                    for node in ast.walk(top)):
                 reads.add((path.name, getattr(top, "name", None)))
     assert reads <= {("cli.py", "_ring_json"), ("cli.py", "_context_from")}
+
+
+@pytest.mark.parametrize("ctx", SPLIT_RINGS, ids=ring_id)
+def test_one_is_built_once(ctx):
+    assert ctx.one() is ctx.one()
+    assert ctx.one() == ctx.from_int(1)
+
+
+# elements of S in every ring of SPLIT_RINGS; the second list only over k[x]
+TEXTS = ["0", "1", "-1", "6", "-4/5", "2/7"]
+POLY_TEXTS = ["x", "x^2 + 1", "(1 + x)/(1 - x)", "(2 + x)/(1 + x^2)",
+              "(x - x^2)/(1 + 2*x)"]
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+@st.composite
+def built_values(draw):
+    """A ring and scalars built by every route that makes one."""
+    ctx = draw(st.sampled_from(SPLIT_RINGS))
+    texts = TEXTS + (POLY_TEXTS if isinstance(ctx, PolyLocal) else [])
+    pool = [ctx.parse_scalar(draw(st.sampled_from(texts))),
+            ctx.from_int(draw(st.integers(-9, 9))),
+            ctx.pi_pow(draw(st.integers(0, 3)))]
+    pool.append(ctx.lift(ctx.reduce_mod_omega(pool[0])))
+    for step in draw(st.lists(st.sampled_from("+-*/nm"), max_size=4)):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if step == "/":
+            unit = ctx.one() + ctx.pi() * b  # a unit for every b in S
+            pool += [a / unit, a / unit * unit]
+        elif step == "n":
+            pool.append(-a)
+        elif step == "m":  # entries of a product go through _dot
+            pool += (MatS(ctx, 1, 2, (a, b))
+                     @ MatS(ctx, 2, 2, (b, a, a, ctx.one()))).entries
+        else:
+            pool.append(OPS[step](a, b))
+    return ctx, pool
+
+
+@settings(deadline=None)
+@given(built_values())
+def test_field_equality_is_value_equality(built):
+    # the contract every == on scalars, residues and matrices relies on
+    ctx, pool = built
+    for a in pool:
+        if isinstance(a, PolyFrac):
+            num, den = a.numerator, a.denominator
+            one = Poly.const(1, num.q)
+            assert den.leading() == 1 and num.gcd(den) == one
+            assert num or den == one
+    residues = [ctx.reduce_mod_omega(a) for a in pool]
+    for a, b in product(pool, repeat=2):
+        assert (a == b) == (not (a - b))
+        assert a != b or hash(a) == hash(b)
+    for r, s in product(residues, repeat=2):
+        assert (r == s) == (not ctx.residue_add(r, -s))
+        assert r != s or hash(r) == hash(s)
+
+
+FORWARDERS = {"is_zero", "residue_is_zero", "residue_one", "residue_neg"}
+
+
+def zero_tests_of_differences(tree) -> set:
+    """Lines of each ``.is_zero()`` whose receiver is a subtraction, or a
+    name its function assigns a subtraction."""
+    def is_sub(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        diffs = {target.id for node in ast.walk(fn)
+                 if isinstance(node, ast.Assign) and is_sub(node.value)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "is_zero"):
+                recv = node.func.value
+                if is_sub(recv) or isinstance(recv, ast.Name) and recv.id in diffs:
+                    lines.add(node.lineno)
+    return lines
+
+
+def test_zero_test_scan_sees_both_shapes():
+    tree = ast.parse("def f(a, b):\n"
+                     "    d = a - b\n"
+                     "    x = d.is_zero()\n"
+                     "    y = (a - b).is_zero()\n"
+                     "    return a.is_zero()\n")
+    assert zero_tests_of_differences(tree) == {3, 4}
+
+
+def test_exact_values_compare_with_operators():
+    # == decides equality and truthiness decides zero: no subtract-then-test
+    # and no RingCtx forwarder for either
+    src = Path(monocat.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.name, line) for line in sorted(zero_tests_of_differences(tree))]
+        found += [(path.name, node.name) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "RingCtx"
+                  for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name in FORWARDERS]
+    assert found == []
