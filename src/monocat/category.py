@@ -67,6 +67,11 @@ class MonObject:
                                        for i in range(n) for j in range(n)))
         return scaled @ self.smith.u_inv
 
+    @cached_property
+    def shift(self) -> "MonObject":
+        """The shifted object -f_sigma, built once and shared by every caller."""
+        return MonObject(self.ctx, -self.partner_mat)
+
     def partner(self) -> "MonObject":
         """The dual object with exponents t - s_i (reversed order)."""
         return MonObject(self.ctx, self.partner_mat)

@@ -153,11 +153,9 @@ def suite_tr3(ctx, rng, max_size, i):
         bottom = random_morphism(mid, b2, rng)
         top = identity_morphism(a)
         right = compose(bottom, left) + noise
-    _, _, eta = complete_square(top, bottom, left, right)
-    _, inc1, prj1 = cone_maps(top)
-    _, inc2, prj2 = cone_maps(bottom)
-    return (compose(eta, inc1) == compose(inc2, right)
-            and compose(prj2, eta) == compose(suspend_morphism(left), prj1))
+    tri, tri2, eta = complete_square(top, bottom, left, right)
+    return (compose(eta, tri.v) == compose(tri2.v, right)
+            and compose(tri2.w, eta) == compose(suspend_morphism(left), tri.w))
 
 
 @_suite("TR4", iters=50, max_size=2)

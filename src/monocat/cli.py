@@ -195,10 +195,15 @@ def _ar_seq(obj, _) -> tuple:
             f'"g": {dumps_morphism(seq.g)}}}'), 0
 
 
-def _check(args) -> tuple:
-    for option, low in (("iters", 0), ("max-size", 1), ("max-t", 1)):
+def _require_at_least(args, bounds) -> None:
+    """Refuse (exit 2) any option below its lower bound."""
+    for option, low in bounds:
         if getattr(args, option.replace("-", "_")) < low:
             raise ValueError(f"--{option} must be at least {low}")
+
+
+def _check(args) -> tuple:
+    _require_at_least(args, (("iters", 0), ("max-size", 1), ("max-t", 1)))
     names = [args.suite] if args.suite else list(SUITES)
     results = [run_suite(name, seed=args.seed, iters=args.iters,
                          max_size=args.max_size, max_t=args.max_t)
@@ -212,9 +217,10 @@ def _check(args) -> tuple:
 
 
 def _faithful(args) -> tuple:
+    _require_at_least(args, (("max-t", 2),))
     lines, all_ok = [], True
-    if args.max_t >= 2:  # the largest t has the most maps: refuse it first
-        check_map_budget(RingCtx.int_local(args.p, args.max_t), 1)
+    # the largest t has the most maps: refuse it first
+    check_map_budget(RingCtx.int_local(args.p, args.max_t), 1)
     for t in range(2, args.max_t + 1):
         more, ok = check_fully_faithful(RingCtx.int_local(args.p, t), t)
         lines += more

@@ -137,7 +137,7 @@ def suspend(obj: MonObject) -> MonObject:
 
     The sign makes the square of the shift the identity on the nose.
     """
-    return MonObject(obj.ctx, -obj.partner_mat)
+    return obj.shift
 
 
 def suspend_morphism(psi: MonMorphism) -> MonMorphism:
@@ -217,11 +217,10 @@ def rotate(tri: Triangle) -> tuple[Triangle, MonMorphism]:
     witnesses = triangle_composite_witnesses(tri)
     if witnesses is None:
         raise NotExactTriangle("a composite in the triangle is not null-homotopic")
-    cv, _, _ = cone_maps(tri.v)
-    iso = MonMorphism(cv, suspend(tri.a),
+    iso = MonMorphism(cone(tri.v), tri.w.dst,
                       hstack([tri.w.psi1, witnesses[1].s0]),
                       hstack([tri.w.psi0, witnesses[1].s1]))
-    rotated = Triangle(tri.b, tri.c, suspend(tri.a),
+    rotated = Triangle(tri.b, tri.c, tri.w.dst,
                        tri.v, tri.w, -suspend_morphism(tri.u))
     return rotated, iso
 
@@ -306,11 +305,9 @@ def octahedron(first: MonMorphism, second: MonMorphism) -> Octahedron:
         composite, second, first, identity_morphism(second.dst))
     cu = tri_first.c
     cv = tri_second.c
-    _, inc_u, _ = cone_maps(first)
-    _, _, prj_v = cone_maps(second)
     # connecting map: project cone(second) to shift(y), then include into
     # shift(cone first)
-    connecting = compose(suspend_morphism(inc_u), prj_v)
+    connecting = compose(suspend_morphism(tri_first.v), tri_second.w)
     bottom = Triangle(cu, tri_composite.c, cv,
                       to_composite, to_second, connecting)
 

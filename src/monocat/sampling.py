@@ -13,6 +13,7 @@ import itertools
 import random
 
 from .category import MonMorphism, MonObject
+from .errors import CLASS_BUDGET, ParametersTooLarge
 from .homotopy import HomotopyWitness, null_morphism_from_data
 from .linalg import MatS, diag_pi, random_unimodular
 from .rings import RingCtx, Scalar
@@ -56,23 +57,20 @@ def morphism_from_params(src: MonObject, dst: MonObject, params) -> MonMorphism:
     return MonMorphism(src, dst, psi1, psi0)
 
 
-def param_count(src: MonObject, dst: MonObject) -> int:
-    return src.n * dst.n
-
-
 def all_morphism_params(src: MonObject, dst: MonObject):
-    """Iterate parameter tuples covering every homotopy class once lifted."""
+    """Parameter tuples covering every homotopy class once lifted; refused
+    over Q and beyond CLASS_BUDGET classes before any tuple exists."""
     ctx = src.ctx
-    cells = param_count(src, dst)
+    cells = src.n * dst.n
+    if ctx.residue_field_size ** (ctx.t * cells) > CLASS_BUDGET:
+        raise ParametersTooLarge(f"more than {CLASS_BUDGET} morphism classes")
     pool = [ctx.lift(r) for r in ctx.residue_elements()]
-    for combo in itertools.product(pool, repeat=cells):
-        yield combo
+    return itertools.product(pool, repeat=cells)
 
 
 def random_morphism(src: MonObject, dst: MonObject,
                     rng: random.Random) -> MonMorphism:
-    params = [random_scalar(src.ctx, rng)
-              for _ in range(param_count(src, dst))]
+    params = [random_scalar(src.ctx, rng) for _ in range(src.n * dst.n)]
     return morphism_from_params(src, dst, params)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .category import MonMorphism, MonObject, RModuleObj, cokernel
+from .category import MonMorphism, MonObject, RModuleObj, cokernel, rank_one
 from .errors import (VECTOR_BUDGET, ContextMismatch, InfiniteResidueField,
                      ParametersTooLarge)
 from .homotopy import StableHomModule, stable_hom, suspend
@@ -250,13 +250,11 @@ def format_lengths(lengths: tuple) -> str:
 def check_fully_faithful(ctx: RingCtx, max_s: int) -> tuple[list, bool]:
     """Compare the homotopy-side closed form with the brute-force oracle on
     every pair of indecomposables; returns (report lines, all passed)."""
-    from .category import rank_one
+    objs = [rank_one(ctx, s) for s in range(0, max_s + 1)]
     lines = []
     ok = True
-    for s in range(0, max_s + 1):
-        for s2 in range(0, max_s + 1):
-            a = rank_one(ctx, s)
-            b = rank_one(ctx, s2)
+    for s, a in enumerate(objs):
+        for s2, b in enumerate(objs):
             mon = stable_hom(a, b).lengths
             oracle = stable_hom_R_bruteforce(cokernel(a), cokernel(b)).lengths
             good = mon == oracle

@@ -21,6 +21,7 @@ from monocat.errors import (InfiniteResidueField, NotComposable,
                             ProjectiveObject)
 from monocat.linalg import MatS, mat
 from monocat.rings import RingCtx
+from monocat.sampling import all_morphism_params
 from monocat.stable import RModuleObj
 from oracle_helpers import per_class_verify
 
@@ -220,6 +221,37 @@ def test_verify_guards():
     rational = RingCtx.poly_local(2)
     with pytest.raises(InfiniteResidueField):
         verify_right_almost_split(ar_sequence(rank_one(rational, 1)))
+
+
+def test_verify_refuses_before_the_test_loop_eliminates(monkeypatch):
+    # only the split-epi check on g builds a factorizer before the refusal
+    sources = []
+
+    def spy(through, src):
+        sources.append(src)
+        return StrictFactorizer(through, src)
+
+    monkeypatch.setattr("monocat.almost_split.StrictFactorizer", spy)
+    for ctx, refusal in [(RingCtx.int_local(3, 8), ParametersTooLarge),
+                         (RingCtx.poly_local(2), InfiniteResidueField)]:
+        seq = ar_sequence(rank_one(ctx, 1))
+        sources.clear()
+        with pytest.raises(refusal):
+            verify_right_almost_split(seq)
+        assert sources == [seq.end]
+
+
+def test_enumerator_refuses_before_any_tuple():
+    # the budget is checked at the call, not on the first iteration
+    big = rank_one(RingCtx.int_local(3, 8), 1)  # 3^8 = 6,561 classes
+    with pytest.raises(ParametersTooLarge):
+        all_morphism_params(big, big)
+    rational = rank_one(RingCtx.poly_local(2), 1)
+    with pytest.raises(InfiniteResidueField):
+        all_morphism_params(rational, rational)
+    # 8^4 = 4,096 classes sit exactly at the budget and are enumerated
+    pair = make_object(Z23, [[1, 0], [0, 2]])
+    assert sum(1 for _ in all_morphism_params(pair, pair)) == 4096
 
 
 def test_end_ring_locality():

@@ -359,8 +359,11 @@ def test_output_into_a_missing_directory_is_an_error(tmp_path, capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_faithful_without_pairs_prints_nothing(capsys):
-    assert run(capsys, "faithful", "--max-t", "1") == (0, "", "")
+def test_faithful_refuses_max_t_below_two(capsys):
+    # no t below 2 has a pair to compare, so an empty report is refused
+    for value in ("1", "-5"):
+        assert run(capsys, "faithful", "--max-t", value) == (
+            2, "", "error: --max-t must be at least 2\n")
 
 
 def test_faithful_refuses_an_oversized_enumeration(capsys):

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from monocat.category import (MonMorphism, compose, decompose, direct_sum,
-                              identity_morphism, make_object, rank_one,
-                              zero_morphism)
+from monocat.category import (MonMorphism, MonObject, compose, decompose,
+                              direct_sum, identity_morphism, make_object,
+                              rank_one, zero_morphism)
 from monocat.errors import (InvalidWitness, NotExactTriangle,
                             SquaresNotHomotopyCommuting)
 from monocat.homotopy import (HomotopyWitness, Triangle, complete_square, cone,
@@ -20,11 +20,31 @@ from monocat.linalg import mat, zeros
 from monocat.rings import RingCtx
 from monocat.sampling import (random_morphism, random_null_homotopic,
                               random_object)
+from monocat.stable import check_fully_faithful
 from oracle_helpers import exhaustive_iso_search, exhaustive_null_homotopy
 
 Z2 = RingCtx.int_local(2, 2)
 Z2_1 = RingCtx.int_local(2, 1)
 Z2_3 = RingCtx.int_local(2, 3)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(ctx, mat) of every object validated while the test runs, in order."""
+    seen = []
+    validate = MonObject.__post_init__
+
+    def record(obj):
+        seen.append((obj.ctx, obj.mat))
+        validate(obj)
+
+    monkeypatch.setattr(MonObject, "__post_init__", record)
+    return seen
+
+
+def rebuilt(seen) -> int:
+    """How many of the recorded builds repeat an earlier one."""
+    return len(seen) - len(set(seen))
 
 
 def test_identity_of_nonprojective_is_not_null():
@@ -102,6 +122,7 @@ def test_suspension_laws():
         ctx = RingCtx.int_local(rng.choice([2, 3]), rng.choice([1, 2, 3]))
         obj = random_object(ctx, rng, 3)
         s = suspend(obj)
+        assert s is suspend(obj)
         assert suspend(s).mat.entries == obj.mat.entries
         assert s.svals == tuple(sorted(ctx.t - e for e in obj.svals))
     assert suspend(rank_one(Z2, 1)).mat.entries == mat(Z2, [[-2]]).entries
@@ -178,15 +199,20 @@ def test_tr2_cone_of_inclusion_decomposition():
         assert sorted(decompose(c_of_inc)) == want
 
 
-def test_rotate_standard_triangle():
+def test_rotate_standard_triangle(builds):
     rng = random.Random(31)
     for trial in range(15):
         ctx = RingCtx.int_local(2, rng.choice([2, 3]))
         src = random_object(ctx, rng, 2)
         dst = random_object(ctx, rng, 2)
-        tri = standard_triangle(random_morphism(src, dst, rng))
+        psi = random_morphism(src, dst, rng)
+        builds.clear()
+        tri = standard_triangle(psi)
         rot, iso = rotate(tri)
-        assert rot.a == tri.b and rot.c == suspend(tri.a)
+        # the cone and shifted start are built once and shared
+        assert rebuilt(builds) == 0
+        assert rot.a == tri.b and rot.c is tri.w.dst
+        assert rot.c == suspend(tri.a)
         assert is_iso_in_homotopy(iso)
         assert triangle_composite_witnesses(rot) is not None
 
@@ -238,6 +264,8 @@ def test_complete_square_strict_and_homotopy_cases():
         # both connecting squares must commute strictly
         _, inc1, prj1 = cone_maps(ident)
         _, inc2, prj2 = cone_maps(bottom)
+        # the returned triangles carry the standard inclusions and projections
+        assert (tri.v, tri.w, tri2.v, tri2.w) == (inc1, prj1, inc2, prj2)
         lhs = compose(eta, inc1)
         rhs = compose(inc2, right)
         assert (lhs.psi1 - rhs.psi1).is_zero()
@@ -257,7 +285,7 @@ def test_complete_square_rejects_non_commuting():
         complete_square(ident, ident, ident, zero_morphism(a, a))
 
 
-def test_octahedron_random_pairs():
+def test_octahedron_random_pairs(builds):
     rng = random.Random(67)
     for trial in range(12):
         ctx = RingCtx.int_local(2, rng.choice([2, 3]))
@@ -266,7 +294,11 @@ def test_octahedron_random_pairs():
         z = random_object(ctx, rng, 2)
         u = random_morphism(x, y, rng)
         v = random_morphism(y, z, rng)
+        builds.clear()
         data = octahedron(u, v)
+        # only the composite's cone is built a second time
+        assert rebuilt(builds) <= 1
+        assert data.connecting.src is data.tri_second.c
         assert is_iso_in_homotopy(data.comparison)
         assert triangle_composite_witnesses(data.bottom) is not None
 
@@ -276,6 +308,12 @@ def test_octahedron_identity_pair():
     data = octahedron(identity_morphism(f), identity_morphism(f))
     assert data.bottom.a.is_projective()
     assert data.bottom.b.is_projective()
+
+
+def test_fully_faithful_builds_each_rank_one_object_once(builds):
+    lines, ok = check_fully_faithful(Z2_3, 3)
+    assert ok and len(lines) == 16
+    assert len(builds) == 4 and rebuilt(builds) == 0
 
 
 def test_is_iso_matches_witness_search():
