@@ -9,7 +9,11 @@ morphism class from every indecomposable test object and decides strict
 factorization with exact linear algebra over the base ring.  The linear
 system of a strict factorization through g depends on g and on the test
 object only, so the verifier takes one Smith form per (g, test object) and
-solves each class by back-substitution against it.
+solves each class by back-substitution against it.  Split verdicts come
+from Hom generators: the end Z has rank one, so End(Z) is S, a local ring,
+and h: X -> Z splits exactly when h o sigma is a unit for one of the
+S-generators sigma of Hom(Z, X).  Those generators take one Smith form per
+test object, and each class costs one composition per generator.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 from .category import MonMorphism, MonObject, compose, identity_morphism, rank_one
 from .errors import NotComposable, NotIndecomposable, ProjectiveObject
 from .homotopy import is_iso_in_homotopy
-from .linalg import (MatS, hstack, identity, kron, mat, snf, solve_with_snf,
-                     vstack, zeros)
+from .linalg import (INFINITY, MatS, hstack, identity, kron, mat, snf,
+                     solve_with_snf, vstack, zeros)
 from .sampling import all_morphism_params, morphism_from_params
 from .stable import RModuleObj, syzygy
 
@@ -64,6 +68,58 @@ class ArSequence:
     g: MonMorphism
 
 
+def _commuting_system(src: MonObject, dst: MonObject) -> list:
+    """The blocks [A1, A0] with A1 @ vec(chi1) + A0 @ vec(chi0) == 0 exactly
+    when dst.mat @ chi1 == chi0 @ src.mat, for chi: src -> dst and row-major
+    vec."""
+    ctx = src.ctx
+    return [-kron(dst.mat, identity(ctx, src.n)),
+            kron(identity(ctx, dst.n), src.mat.transpose())]
+
+
+def _hom_generators(src: MonObject, dst: MonObject) -> list:
+    """S-generators of Hom(src, dst), from one Smith form.
+
+    With A = U @ D @ V the commuting system, A @ x == 0 exactly when V @ x
+    vanishes in the first rank slots, so the columns of V^-1 from the rank
+    on span the solutions over S.
+    """
+    ctx = src.ctx
+    p, q = dst.n, src.n
+    m = p * q
+    smith = snf(hstack(_commuting_system(src, dst)))
+    rank = sum(1 for s in smith.svals if s is not INFINITY)
+    v_inv = smith.v_inv
+    gens = []
+    for j in range(rank, 2 * m):
+        col = tuple(v_inv.at(i, j) for i in range(2 * m))
+        gens.append(MonMorphism(src, dst, MatS(ctx, p, q, col[:m]),
+                                MatS(ctx, p, q, col[m:])))
+    return gens
+
+
+def _splits(h: MonMorphism, generators: list) -> bool:
+    """Whether h onto a rank-one end is a split epimorphism, given the
+    S-generators of Hom(h.dst, h.src).
+
+    End(h.dst) is S, acting by the same scalar on both components, so the
+    compositions h o sigma span an ideal of a local ring, which holds 1
+    exactly when some generator gives a unit.  That generator, scaled by
+    the inverse unit, is checked to be a section.
+    """
+    ctx = h.ctx
+    for sigma in generators:
+        u = (h.psi1 @ sigma.psi1).at(0, 0)
+        if ctx.is_unit(u):
+            inv = ctx.one() / u
+            section = MonMorphism(sigma.src, sigma.dst, sigma.psi1.scale(inv),
+                                  sigma.psi0.scale(inv))
+            if compose(h, section) != identity_morphism(h.dst):
+                raise AssertionError("split section does not compose back")
+            return True
+    return False
+
+
 class StrictFactorizer:
     """Strict factorizations through one morphism from one source object.
 
@@ -79,9 +135,7 @@ class StrictFactorizer:
         ctx = through.ctx
         p, q, r = through.src.n, src.n, through.dst.n
         iq = identity(ctx, q)
-        # unknown vector: row-major vec(chi1) then row-major vec(chi0)
-        commute = [(-kron(through.src.mat, iq)),
-                   kron(identity(ctx, p), src.mat.transpose())]
+        commute = _commuting_system(src, through.src)
         comp1 = [kron(through.psi1, iq), zeros(ctx, r * q, p * q)]
         comp0 = [zeros(ctx, r * q, p * q), kron(through.psi0, iq)]
         self.through = through
@@ -180,10 +234,15 @@ def verify_right_almost_split(seq: ArSequence):
     omega; factorization and split-epi decisions are both invariant under
     that reduction, so the classes cover everything.  A class must factor
     strictly through seq.g exactly when it is not a split epimorphism.
+    Split verdicts come from the generators of Hom(seq.end, test), so
+    seq.end must have rank one; any other end raises NotIndecomposable
+    before a class is enumerated.
 
     Returns (lines, ok): one TEST line per exponent and a final ARSS
     summary line.
     """
+    if seq.end.n != 1:
+        raise NotIndecomposable("the verifier needs an end of rank one")
     ctx = seq.end.ctx
     label = ",".join(str(v) for v in seq.end.svals)
     lines = []
@@ -200,13 +259,14 @@ def verify_right_almost_split(seq: ArSequence):
         test = rank_one(ctx, sp)
         classes_iter = all_morphism_params(test, seq.end)
         through_g = StrictFactorizer(seq.g, test)
+        generators = _hom_generators(seq.end, test)
         classes = 0
         factored = 0
         good = True
         for params in classes_iter:
             h = morphism_from_params(test, seq.end, params)
             classes += 1
-            split = is_split_epi(h)
+            split = _splits(h, generators)
             chi = through_g.solve(h)
             if chi is not None:
                 factored += 1

@@ -72,9 +72,14 @@ class MonObject:
         """The shifted object -f_sigma, built once and shared by every caller."""
         return MonObject(self.ctx, -self.partner_mat)
 
-    def partner(self) -> "MonObject":
-        """The dual object with exponents t - s_i (reversed order)."""
+    @cached_property
+    def _partner(self) -> "MonObject":
         return MonObject(self.ctx, self.partner_mat)
+
+    def partner(self) -> "MonObject":
+        """The dual object with exponents t - s_i (reversed order), built
+        once and shared by every caller."""
+        return self._partner
 
     def is_projective(self) -> bool:
         """Projective-injective objects are exactly those with every

@@ -39,7 +39,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import ClassVar, Iterator, Union
 
@@ -198,6 +198,12 @@ class Poly:
 _ZERO_Q = Fraction(0)
 
 
+@cache
+def _unit_poly(q: int | None) -> Poly:
+    """The constant polynomial 1 over Q or F_q, built once per q."""
+    return Poly.const(1, q)
+
+
 def _canon(cs: list, q: int | None) -> Poly:
     """The Poly of a coefficient list: Fractions over Q, any integers over
     F_q (reduced here); trailing zeros are dropped."""
@@ -247,7 +253,7 @@ class PolyFrac:
             raise ZeroDivisionError("polynomial fraction with zero denominator")
         num._check(den)
         if not num:
-            return PolyFrac(num, Poly.const(1, num.q))
+            return PolyFrac(num, _unit_poly(num.q))
         if den.degree == 0:
             if den.coeffs[0] == 1:
                 return PolyFrac(num, den)
@@ -535,7 +541,7 @@ class PolyLocal(RingCtx):
 
     @cached_property
     def _one_poly(self) -> Poly:
-        return Poly.const(1, self.coeff_q)
+        return _unit_poly(self.coeff_q)
 
     def lift(self, f: Poly) -> PolyFrac:
         """The canonical representative of a residue as an element of S."""

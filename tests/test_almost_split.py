@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from monocat.almost_split import (ArSequence, StrictFactorizer, ar_sequence,
+from monocat.almost_split import (ArSequence, StrictFactorizer,
+                                  _hom_generators, _splits, ar_sequence,
                                   end_ring_is_local, factor_strictly,
                                   is_split_epi, tau, tau_gp,
                                   verify_right_almost_split)
@@ -19,9 +20,9 @@ from monocat.category import (MonMorphism, MonObject, cokernel, compose,
 from monocat.errors import (InfiniteResidueField, NotComposable,
                             NotIndecomposable, ParametersTooLarge,
                             ProjectiveObject)
-from monocat.linalg import MatS, mat
+from monocat.linalg import MatS, mat, snf
 from monocat.rings import RingCtx
-from monocat.sampling import all_morphism_params
+from monocat.sampling import all_morphism_params, morphism_from_params
 from monocat.stable import RModuleObj
 from oracle_helpers import per_class_verify
 
@@ -241,6 +242,66 @@ def test_verify_refuses_before_the_test_loop_eliminates(monkeypatch):
         assert sources == [seq.end]
 
 
+# Z_(2) and F_2 with t <= 3, Z_(3) and F_3 with t <= 2
+SPLIT_RINGS = ([RingCtx.int_local(2, t) for t in (1, 2, 3)]
+               + [RingCtx.poly_local(t, q=2) for t in (1, 2, 3)]
+               + [RingCtx.int_local(3, t) for t in (1, 2)]
+               + [RingCtx.poly_local(t, q=3) for t in (1, 2)])
+
+
+@pytest.mark.parametrize("ctx", SPLIT_RINGS,
+                         ids=lambda c: f"{c.kind}-{c.residue_field_size}-t{c.t}")
+def test_generator_split_test_matches_is_split_epi(ctx):
+    # every end u * pi^s (projective ends included), units 1, 1 + pi, -1
+    for s in range(ctx.t + 1):
+        for unit in (ctx.one(), ctx.one() + ctx.pi(), -ctx.one()):
+            end = MonObject(ctx, mat(ctx, [[unit * ctx.pi_pow(s)]]))
+            for sp in range(ctx.t + 1):
+                test = rank_one(ctx, sp)
+                generators = _hom_generators(end, test)
+                for params in all_morphism_params(test, end):
+                    h = morphism_from_params(test, end, params)
+                    assert _splits(h, generators) == is_split_epi(h)
+
+
+def test_verifier_smith_forms_do_not_grow_with_classes(monkeypatch):
+    ctx = RingCtx.int_local(2, 4)
+    seq = ar_sequence(rank_one(ctx, 2))
+    calls = []
+
+    def counting_snf(a):
+        calls.append(a)
+        return snf(a)
+
+    monkeypatch.setattr("monocat.almost_split.snf", counting_snf)
+    lines, ok = verify_right_almost_split(seq)
+    assert ok
+    classes = sum(int(line.split()[2].split("=")[1]) for line in lines[:-1])
+    # four for exactness and one for the split check on g, then the
+    # factorizer through g and the Hom generators per test object
+    assert len(calls) <= 5 + 2 * (ctx.t + 1) < classes
+
+
+def test_verify_refuses_rank_two_end_before_enumerating(monkeypatch):
+    enumerated = []
+
+    def spy(src, dst):
+        enumerated.append((src, dst))
+        return all_morphism_params(src, dst)
+
+    monkeypatch.setattr("monocat.almost_split.all_morphism_params", spy)
+    a = rank_one(Z22, 1)
+    end = direct_sum(a, a)
+    middle = direct_sum(a, end)
+    col = mat(Z22, [[1], [0], [0]])
+    rows = mat(Z22, [[0, 1, 0], [0, 0, 1]])
+    seq = ArSequence(a, middle, end, MonMorphism(a, middle, col, col),
+                     MonMorphism(middle, end, rows, rows))
+    with pytest.raises(NotIndecomposable):
+        verify_right_almost_split(seq)
+    assert enumerated == []
+
+
 def test_enumerator_refuses_before_any_tuple():
     # the budget is checked at the call, not on the first iteration
     big = rank_one(RingCtx.int_local(3, 8), 1)  # 3^8 = 6,561 classes
@@ -356,13 +417,22 @@ try:
     a.factor_strictly(identity_morphism(f), identity_morphism(f))
 except AssertionError as exc:
     print("factor:", exc)
-# the verifier's own factorizer, with split epimorphisms never detected
+# the verifier's own factorizer; classes are split-tested from Hom
+# generators, so this patch reaches only the split checks on g
 a.is_split_epi = lambda h: False
 try:
     a.verify_right_almost_split(a.ar_sequence(f))
 except AssertionError as exc:
     print("verify:", exc)
 a.compose = real_compose
+# a split class whose scaled generator is compared to a zero identity
+real_identity = a.identity_morphism
+a.identity_morphism = lambda obj: zero_morphism(obj, obj)
+try:
+    a.verify_right_almost_split(a.ar_sequence(f))
+except AssertionError as exc:
+    print("section:", exc)
+a.identity_morphism = real_identity
 a._exactness_failure = lambda *args: "broken"
 try:
     a.ar_sequence(f)
@@ -380,4 +450,5 @@ def test_postconditions_run_under_optimize():
     assert out.stdout.splitlines() == [
         "factor: strict factorization does not compose back",
         "verify: strict factorization does not compose back",
+        "section: split section does not compose back",
         "ar: almost split sequence is not exact"]

@@ -6,7 +6,7 @@ import pytest
 
 from monocat.category import (MonMorphism, MonObject, compose, decompose,
                               direct_sum, identity_morphism, make_object,
-                              rank_one, zero_morphism)
+                              partner_morphism, rank_one, zero_morphism)
 from monocat.errors import (InvalidWitness, NotExactTriangle,
                             SquaresNotHomotopyCommuting)
 from monocat.homotopy import (HomotopyWitness, Triangle, complete_square, cone,
@@ -314,6 +314,21 @@ def test_fully_faithful_builds_each_rank_one_object_once(builds):
     lines, ok = check_fully_faithful(Z2_3, 3)
     assert ok and len(lines) == 16
     assert len(builds) == 4 and rebuilt(builds) == 0
+
+
+def test_partner_is_built_once(builds):
+    rng = random.Random(73)
+    for trial in range(6):
+        ctx = RingCtx.int_local(2, rng.choice([2, 3]))
+        src = random_object(ctx, rng, 2)
+        dst = random_object(ctx, rng, 2)
+        psi = random_morphism(src, dst, rng)
+        assert src.partner() is src.partner()
+        dst.partner()
+        builds.clear()
+        dual = partner_morphism(psi)
+        assert builds == []
+        assert dual.src is src.partner() and dual.dst is dst.partner()
 
 
 def test_is_iso_matches_witness_search():
