@@ -24,7 +24,7 @@ from .category import MonMorphism, MonObject, compose, identity_morphism, rank_o
 from .errors import NotComposable, NotIndecomposable, ProjectiveObject
 from .homotopy import is_iso_in_homotopy
 from .linalg import (INFINITY, MatS, hstack, identity, kron, mat, snf,
-                     solve_with_snf, vstack, zeros)
+                     solve_with_snf, truncated_svals, vstack, zeros)
 from .sampling import all_morphism_params, morphism_from_params
 from .stable import RModuleObj, syzygy
 
@@ -220,8 +220,8 @@ def _exactness_failure(start, middle, end, theta, g):
                                  ("theta0", theta.psi0, start.n),
                                  ("g1", g.psi1, end.n),
                                  ("g0", g.psi0, end.n)):
-        vals = snf(comp_mat).svals
-        if len(vals) != want or any(v != 0 for v in vals):
+        vals = truncated_svals(comp_mat, 1)
+        if len(vals) != want or any(vals):
             return f"{name} not split"
     return None
 

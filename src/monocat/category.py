@@ -5,17 +5,24 @@ over the local ring, recorded as a square matrix f with nonzero determinant
 whose cokernel is killed by omega (every elementary-divisor exponent is at
 most t).  A morphism f -> f' is a pair of matrices (psi1, psi0) making the
 evident square commute: psi0 @ f == f' @ psi1.
+
+An object validates through its Smith exponents over S/(pi^(t+1)): every
+exponent of a valid object is at most t, so one elimination of the matrix
+modulo pi^(t+1) reads them all off.  Only a matrix that fails falls back to
+the exact Smith form over S, which tells a zero determinant from an
+exponent above t.  The exact form with its transforms U, V is built on the
+first read of ``smith``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (CokernelNotOmegaTorsion, ContextMismatch, NotComposable,
                      NonSquare, NotMono, SquareNotCommuting)
 from .linalg import (INFINITY, MatS, SnfResult, block, identity, mat,
-                     snf, zeros)
+                     snf, truncated_svals, zeros)
 from .rings import RingCtx
 
 
@@ -25,6 +32,8 @@ class MonObject:
 
     ctx: RingCtx
     mat: MatS
+    # elementary-divisor exponents, weakly increasing
+    svals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mat.ctx != self.ctx:
@@ -34,12 +43,15 @@ class MonObject:
                 f"object matrix is {self.mat.rows}x{self.mat.cols}")
         if not self.mat.in_ring():
             raise NotMono("object matrix has entries outside the local ring")
-        svals = self.smith.svals
-        if any(s is INFINITY for s in svals):
-            raise NotMono("object matrix has zero determinant")
-        if any(s > self.ctx.t for s in svals):
+        e = self.ctx.t + 1
+        svals = truncated_svals(self.mat, e)
+        if e in svals:
+            svals = self.smith.svals
+            if any(s is INFINITY for s in svals):
+                raise NotMono("object matrix has zero determinant")
             raise CokernelNotOmegaTorsion(
                 f"elementary divisor exponent {max(svals)} exceeds t={self.ctx.t}")
+        object.__setattr__(self, "svals", svals)
 
     @property
     def n(self) -> int:
@@ -47,13 +59,10 @@ class MonObject:
 
     @cached_property
     def smith(self) -> SnfResult:
-        """mat = U @ diag(pi^s) @ V: the source of svals, inverses, partner."""
+        """mat = U @ diag(pi^s) @ V: the source of the inverses and the
+        partner.  Validation does not need it, so it is built on the first
+        read, by the readers of U, V and their inverses."""
         return snf(self.mat)
-
-    @property
-    def svals(self) -> tuple:
-        """Elementary-divisor exponents, weakly increasing."""
-        return self.smith.svals
 
     @cached_property
     def partner_mat(self) -> MatS:

@@ -244,6 +244,15 @@ def complete_square(top: MonMorphism, bottom: MonMorphism,
     and bottom together with eta: cone(top) -> cone(bottom) making both
     connecting squares commute strictly.
     """
+    return _complete_square(standard_triangle(top), standard_triangle(bottom),
+                            left, right)
+
+
+def _complete_square(tri: Triangle, tri2: Triangle, left: MonMorphism,
+                     right: MonMorphism) -> tuple[Triangle, Triangle, MonMorphism]:
+    """``complete_square`` on the standard triangles of top and bottom,
+    already built."""
+    top, bottom = tri.u, tri2.u
     if left.src != top.src or left.dst != bottom.src:
         raise NotComposable("left comparison map has wrong endpoints")
     if right.src != top.dst or right.dst != bottom.dst:
@@ -254,8 +263,6 @@ def complete_square(top: MonMorphism, bottom: MonMorphism,
         raise SquaresNotHomotopyCommuting(
             "the square does not commute up to homotopy")
     ctx = top.ctx
-    tri = standard_triangle(top)
-    tri2 = standard_triangle(bottom)
     eta1 = block(ctx, [[right.psi1, w.s0], [None, left.psi0]])
     eta0 = block(ctx, [[right.psi0, w.s1], [None, left.psi1]])
     eta = MonMorphism(tri.c, tri2.c, eta1, eta0)
@@ -301,8 +308,9 @@ def octahedron(first: MonMorphism, second: MonMorphism) -> Octahedron:
     composite = compose(second, first)
     tri_first, tri_composite, to_composite = complete_square(
         first, composite, identity_morphism(first.src), second)
-    _, tri_second, to_second = complete_square(
-        composite, second, first, identity_morphism(second.dst))
+    _, tri_second, to_second = _complete_square(
+        tri_composite, standard_triangle(second), first,
+        identity_morphism(second.dst))
     cu = tri_first.c
     cv = tri_second.c
     # connecting map: project cone(second) to shift(y), then include into

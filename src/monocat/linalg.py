@@ -381,6 +381,41 @@ def snf(a: MatS) -> SnfResult:
                      tuple(svals), tuple(row_ops), tuple(col_ops))
 
 
+def truncated_svals(a: MatS, e: int) -> tuple:
+    """The Smith exponents of a capped at e: min(s, e) for each of them,
+    weakly increasing, with e also standing for a zero diagonal entry.
+
+    The entries of a must lie in S.  Exponents below e depend only on a
+    modulo pi^e, so the elimination runs on residues in S/(pi^e): no
+    fraction-field scalars, no gcd, no record of steps.  The pivot has
+    least valuation v, so pivot = pi^v * u with u a unit; scaling its row
+    by u^-1 makes it pi^v, and every entry below is pi^v * c, cleared by
+    row_i -= c * row_pivot.  Clearing the pivot row would then touch only
+    that row, so the row and column are dropped instead.
+    """
+    ctx = a.ctx
+    mod, val = ctx._mod, ctx._valuation
+    quo, inv = ctx._pi_quotient, ctx._inverse_den
+    rows = [[ctx._reduce(x, e) for x in row] for row in a.to_rows()]
+    out = []
+    while rows and rows[0]:
+        best = min(((val(x), i, j) for i, row in enumerate(rows)
+                    for j, x in enumerate(row) if x), default=None)
+        if best is None:
+            break
+        v, bi, bj = best
+        prow = rows.pop(bi)
+        u_inv = inv(quo(prow.pop(bj), v), e)
+        prow = [mod(u_inv * y, e) for y in prow]
+        for i, row in enumerate(rows):
+            c = row.pop(bj)
+            if c:
+                c = -quo(c, v)
+                rows[i] = [mod(x + c * y, e) for x, y in zip(row, prow)]
+        out.append(v)
+    return tuple(out) + (e,) * (min(a.rows, a.cols) - len(out))
+
+
 def solve_sandwich_congruence(dl: Sequence, dr: Sequence, b: MatS,
                               ctx: RingCtx) -> MatS | None:
     """Solve diag(pi^dl) @ X @ diag(pi^dr) == B modulo omega for X over S.

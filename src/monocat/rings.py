@@ -17,9 +17,10 @@ ints or both Polys; a residue is an int or a Poly, and lifts to itself over
 every method whose body both rings share once.  A subclass supplies
 ``lift``, ``from_int``, ``residue_elements`` and ``format_residue``, and
 private primitives on an int or a Poly: ``_valuation``, ``_mod``
-(reduction modulo pi^e), ``_inverse_den`` (of a unit denominator, modulo
-omega), ``_pi_pow``, ``_normalize`` (lowest terms), ``_scalar_text`` and
-``_term`` (the text form), and the seeded draws ``_random_unit`` and
+(reduction modulo pi^e), ``_pi_quotient`` (exact division by pi^k),
+``_inverse_den`` (of a unit, such as a denominator, modulo pi^e),
+``_pi_pow``, ``_normalize`` (lowest terms), ``_scalar_text`` and ``_term``
+(the text form), and the seeded draws ``_random_unit`` and
 ``_random_scalar``.  It overrides no method of RingCtx, so a wrapper on a
 RingCtx method sees every call of it.
 
@@ -405,7 +406,11 @@ class RingCtx:
         if not self.in_ring(a):
             raise DivisionLeavesRing(
                 f"{self.format_scalar(a)} is not in the local ring")
-        return self._mod(a.numerator * self._inverse_den(a.denominator), self.t)
+        return self._reduce(a, self.t)
+
+    def _reduce(self, a: Scalar, e: int) -> Residue:
+        """Canonical representative of a in S/(pi^e), unchecked: a in S."""
+        return self._mod(a.numerator * self._inverse_den(a.denominator, e), e)
 
     def residue_zero(self) -> Residue:
         return self._zero.numerator
@@ -468,8 +473,11 @@ class IntLocal(RingCtx):
     def _mod(self, n: int, e: int) -> int:
         return n % self.p ** e
 
-    def _inverse_den(self, d: int) -> int:
-        return pow(d, -1, self.p ** self.t)
+    def _pi_quotient(self, n: int, k: int) -> int:
+        return n // self.p ** k
+
+    def _inverse_den(self, d: int, e: int) -> int:
+        return pow(d, -1, self.p ** e)
 
     def lift(self, n: int) -> Fraction:
         """The canonical representative of a residue as an element of S."""
@@ -524,15 +532,20 @@ class PolyLocal(RingCtx):
     def _mod(self, f: Poly, e: int) -> Poly:
         return f.truncate(e)
 
-    def _inverse_den(self, den: Poly) -> Poly:
-        """The power series inverse of den modulo x^t."""
+    def _pi_quotient(self, f: Poly, k: int) -> Poly:
+        return Poly(f.coeffs[k:], f.q)
+
+    def _inverse_den(self, den: Poly, e: int) -> Poly:
+        """The power series inverse of den modulo x^e."""
         c0 = den.constant_term()
         if c0 == 0:
             raise DivisionLeavesRing("denominator has zero constant term")
         c0inv = _coeff_inv(c0, den.q)
+        if den.degree == 0:
+            return Poly((c0inv,), den.q)
         out = [c0inv]
         coeffs = den.coeffs
-        for n in range(1, self.t):
+        for n in range(1, e):
             acc = 0
             for i in range(1, min(n, len(coeffs) - 1) + 1):
                 acc += coeffs[i] * out[n - i]

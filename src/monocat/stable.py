@@ -16,8 +16,8 @@ from .category import MonMorphism, MonObject, RModuleObj, cokernel, rank_one
 from .errors import (VECTOR_BUDGET, ContextMismatch, InfiniteResidueField,
                      ParametersTooLarge)
 from .homotopy import StableHomModule, stable_hom, suspend
-from .linalg import MatR, MatS, diag, hstack, reduce_mat, snf
-from .rings import INFINITY, RingCtx
+from .linalg import MatR, MatS, diag, hstack, reduce_mat, truncated_svals
+from .rings import RingCtx
 
 
 @dataclass(frozen=True)
@@ -219,15 +219,17 @@ def stable_hom_R_bruteforce(m: RModuleObj, n: RModuleObj) -> StableHomModule:
     factoring = _projective_factoring_coordinates(ctx, m, n)
     # quotient of the cyclic product by the factoring subgroup: present
     # over S by [diag(pi^{c_r}) | lifted generator columns] and read the
-    # invariant factors off the Smith form
+    # invariant factors off its Smith exponents; the diagonal block keeps
+    # each of them at most max(c_r) <= t
     cols = [diag(ctx, [ctx.pi_pow(c) for c in cells])]
     for coords in sorted(factoring, key=str):
         col = MatS(ctx, len(cells), 1, tuple(ctx.lift(r) for r in coords))
         cols.append(col)
-    stacked = hstack(cols)
-    lengths = [int(s) for s in snf(stacked).svals
-               if s is not INFINITY and s > 0]
-    return StableHomModule(tuple(sorted(lengths)))
+    e = ctx.t + 1
+    vals = truncated_svals(hstack(cols), e)
+    if e in vals:
+        raise AssertionError("stable Hom presentation has an exponent above t")
+    return StableHomModule(tuple(s for s in vals if s > 0))
 
 
 def stable_class_is_zero(h: RModuleMap) -> bool:

@@ -438,6 +438,17 @@ try:
     a.ar_sequence(f)
 except AssertionError as exc:
     print("ar:", exc)
+# object validation: a zero determinant, and an exponent above t
+from monocat.category import make_object
+from monocat.errors import CokernelNotOmegaTorsion, NotMono
+try:
+    make_object(RingCtx.int_local(2, 2), [[2, 2], [1, 1]])
+except NotMono as exc:
+    print("singular:", exc)
+try:
+    make_object(RingCtx.int_local(2, 2), [[1, 2], [0, 32]])
+except CokernelNotOmegaTorsion as exc:
+    print("torsion:", exc)
 """
 
 
@@ -451,4 +462,6 @@ def test_postconditions_run_under_optimize():
         "factor: strict factorization does not compose back",
         "verify: strict factorization does not compose back",
         "section: split section does not compose back",
-        "ar: almost split sequence is not exact"]
+        "ar: almost split sequence is not exact",
+        "singular: object matrix has zero determinant",
+        "torsion: elementary divisor exponent 5 exceeds t=2"]

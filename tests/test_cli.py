@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
@@ -384,3 +385,20 @@ def test_faithful_refuses_before_enumerating_any_pair(capsys, monkeypatch):
     assert (code, out, calls) == (1, "", [])
     assert err == ("violation: ParametersTooLarge: "
                    "too many maps to enumerate into R^k\n")
+
+
+def test_validate_a_twenty_by_twenty_rational_file(tmp_path, capsys):
+    # x*I + C @ D with C (20 x 12), D (12 x 20) random integers; D @ C is
+    # invertible for this seed, so C @ D is similar to diag(D @ C, 0) and
+    # the Smith exponents are twelve 0s and eight 1s
+    n, r = 20, 12
+    rng = random.Random(11)
+    c = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+    d = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+    rows = [[str(sum(c[i][k] * d[k][j] for k in range(r)))
+             + (" + x" if i == j else "") for j in range(n)] for i in range(n)]
+    path = put(tmp_path, "q20.json", json.dumps(
+        {"ring": {"kind": "poly-local"}, "t": 1, "matrix": rows}))
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 0
+    assert out == f"OK n=20 svals=[{','.join(['0'] * 12 + ['1'] * 8)}]\n"

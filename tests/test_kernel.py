@@ -6,6 +6,7 @@ operation at a time gives (``oracle_helpers``).  One Smith form reused for
 many right-hand sides must answer exactly as a fresh solve does.  The Smith
 transforms, replayed on first read, must equal those of the eager
 elimination, and callers that need only part of them must build no more.
+Exponents read modulo pi^e must be the exact ones capped at e.
 """
 
 import random
@@ -17,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 from monocat import almost_split, category, linalg, stable
 from monocat.almost_split import StrictFactorizer, _exactness_failure, ar_sequence
 from monocat.category import MonObject, identity_morphism, rank_one
+from monocat.errors import CokernelNotOmegaTorsion, NotMono
 from monocat.homotopy import is_iso_in_homotopy, null_homotopy
-from monocat.linalg import MatS, snf, solve_linear, solve_with_snf
+from monocat.linalg import (MatS, SnfResult, snf, solve_linear, solve_with_snf,
+                            truncated_svals)
 from monocat.rings import Poly, PolyFrac, RingCtx
 from monocat.sampling import (morphism_from_params, random_morphism,
                               random_null_homotopic, random_object)
@@ -124,10 +127,10 @@ def ring_elements(ctx):
 
 
 @st.composite
-def smith_inputs(draw):
+def smith_inputs(draw, rings=RINGS):
     """Square, rectangular and empty matrices over S, some with a zero row
     and some singular through a repeated row."""
-    ctx = draw(st.sampled_from(RINGS))
+    ctx = draw(st.sampled_from(rings))
     elem = ring_elements(ctx)
     rows = draw(st.integers(0, 4))
     cols = rows if draw(st.booleans()) else draw(st.integers(0, 4))
@@ -153,22 +156,65 @@ def test_replayed_transforms_equal_the_eager_elimination(a):
     assert lazy.u @ lazy.d @ lazy.v == a
 
 
+# Z_(2), Z_(3), F_2[x]_(x), F_3[x]_(x), Q[x]_(x)
+TRUNCATED_RINGS = [RingCtx.int_local(2, 3), RingCtx.int_local(3, 2),
+                   RingCtx.poly_local(2, 2), RingCtx.poly_local(3, 3),
+                   RingCtx.poly_local(2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(smith_inputs(TRUNCATED_RINGS), st.sampled_from(["1", "t", "t+1"]))
+def test_truncated_svals_cap_the_exact_exponents(a, cap):
+    t = a.ctx.t
+    e = {"1": 1, "t": t, "t+1": t + 1}[cap]
+    assert truncated_svals(a, e) == tuple(min(s, e) for s in snf(a).svals)
+
+
+@pytest.mark.parametrize("ctx", TRUNCATED_RINGS, ids=repr)
+def test_validation_refuses_as_the_exact_smith_form_does(ctx):
+    t, pi = ctx.t, ctx.pi()
+    one, zero = ctx.one(), ctx.zero()
+    singular = [MatS(ctx, 2, 2, (pi, pi, one, one)),
+                MatS(ctx, 2, 2, (zero, zero, zero, ctx.pi_pow(t + 5)))]
+    for m in singular:
+        with pytest.raises(NotMono, match="^object matrix has zero determinant$"):
+            MonObject(ctx, m)
+    # the message names the exact exponent, not its cap t + 1
+    for k in (t + 1, t + 3):
+        m = MatS(ctx, 2, 2, (one, pi, zero, ctx.pi_pow(k)))
+        with pytest.raises(CokernelNotOmegaTorsion) as info:
+            MonObject(ctx, m)
+        assert str(info.value) == f"elementary divisor exponent {k} exceeds t={t}"
+    m = MatS(ctx, 2, 2, (pi, one, zero, ctx.pi_pow(t - 1)))
+    assert MonObject(ctx, m).svals == (0, t)
+
+
 @pytest.fixture
 def smith_record(monkeypatch):
-    """Every SnfResult made while the test runs, wherever snf is called."""
+    """Every Smith form taken while the test runs, wherever snf or
+    truncated_svals is imported: an SnfResult, or a tuple of capped
+    exponents."""
     made = []
 
-    def recording(a):
+    def recording_snf(a):
         made.append(snf(a))
         return made[-1]
 
+    def recording_truncated(a, e):
+        made.append(truncated_svals(a, e))
+        return made[-1]
+
     for module in (linalg, category, almost_split, stable):
-        monkeypatch.setattr(module, "snf", recording)
+        for name, recording in (("snf", recording_snf),
+                                ("truncated_svals", recording_truncated)):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, recording)
     return made
 
 
 def built(results) -> set:
-    return {name for r in results for name in TRANSFORMS if name in r.__dict__}
+    return {name for r in results if isinstance(r, SnfResult)
+            for name in TRANSFORMS if name in r.__dict__}
 
 
 SAMPLE_RINGS = [RingCtx.int_local(2, 3), RingCtx.int_local(3, 2),
@@ -187,7 +233,11 @@ def test_svals_readers_build_no_transform(smith_record):
     for ctx in SAMPLE_RINGS:
         obj = random_object(ctx, rng, 3)
         obj.is_projective()
-        MonObject(ctx, obj.mat).svals
+        recorded = len(smith_record)
+        fresh = MonObject(ctx, obj.mat)
+        # validating an object takes one truncated elimination, no SnfResult
+        assert smith_record[recorded:] == [fresh.svals]
+    assert not any(isinstance(r, SnfResult) for r in smith_record)
     for psi in morphisms:
         is_iso_in_homotopy(psi)
     for seq in sequences:
