@@ -6,14 +6,16 @@ nonprojective object we build the almost split sequence ending at it by
 lifting the classical chain of cyclic length modules, and a brute-force
 verifier confirms the right-almost-split property: it enumerates every
 morphism class from every indecomposable test object and decides strict
-factorization with exact linear algebra over the base ring.  The linear
-system of a strict factorization through g depends on g and on the test
-object only, so the verifier takes one Smith form per (g, test object) and
-solves each class by back-substitution against it.  Split verdicts come
-from Hom generators: the end Z has rank one, so End(Z) is S, a local ring,
-and h: X -> Z splits exactly when h o sigma is a unit for one of the
-S-generators sigma of Hom(Z, X).  Those generators take one Smith form per
-test object, and each class costs one composition per generator.
+factorization with exact linear algebra over the base ring.  Hom(X, Y) is
+free over S, with one generator per free cell of
+``sampling.morphism_from_params``, and both decisions read that basis.  A
+strict factorization through g has one unknown per generator of
+Hom(test, middle), and its system depends on g and on the test object only,
+so the verifier takes one Smith form per (g, test object) and solves each
+class by back-substitution against it.  Split verdicts: the end Z has rank
+one, so End(Z) is S, a local ring, and h: X -> Z splits exactly when
+h o sigma is a unit for one of the generators sigma of Hom(Z, X); each
+class costs one product per generator.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import MonMorphism, MonObject, compose, identity_morphism, rank_one
-from .errors import NotComposable, NotIndecomposable, ProjectiveObject
+from .errors import (InternalInvariantError, NotComposable, NotIndecomposable,
+                     ProjectiveObject)
 from .homotopy import is_iso_in_homotopy
-from .linalg import (INFINITY, MatS, hstack, identity, kron, mat, snf,
-                     solve_with_snf, truncated_svals, vstack, zeros)
+from .linalg import MatS, mat, snf, solve_with_snf, truncated_svals
 from .sampling import all_morphism_params, morphism_from_params
 from .stable import RModuleObj, syzygy
 
@@ -68,34 +70,14 @@ class ArSequence:
     g: MonMorphism
 
 
-def _commuting_system(src: MonObject, dst: MonObject) -> list:
-    """The blocks [A1, A0] with A1 @ vec(chi1) + A0 @ vec(chi0) == 0 exactly
-    when dst.mat @ chi1 == chi0 @ src.mat, for chi: src -> dst and row-major
-    vec."""
-    ctx = src.ctx
-    return [-kron(dst.mat, identity(ctx, src.n)),
-            kron(identity(ctx, dst.n), src.mat.transpose())]
-
-
 def _hom_generators(src: MonObject, dst: MonObject) -> list:
-    """S-generators of Hom(src, dst), from one Smith form.
-
-    With A = U @ D @ V the commuting system, A @ x == 0 exactly when V @ x
-    vanishes in the first rank slots, so the columns of V^-1 from the rank
-    on span the solutions over S.
-    """
+    """The S-basis of Hom(src, dst): ``morphism_from_params`` at each unit
+    parameter vector, one free scalar per cell."""
     ctx = src.ctx
-    p, q = dst.n, src.n
-    m = p * q
-    smith = snf(hstack(_commuting_system(src, dst)))
-    rank = sum(1 for s in smith.svals if s is not INFINITY)
-    v_inv = smith.v_inv
-    gens = []
-    for j in range(rank, 2 * m):
-        col = tuple(v_inv.at(i, j) for i in range(2 * m))
-        gens.append(MonMorphism(src, dst, MatS(ctx, p, q, col[:m]),
-                                MatS(ctx, p, q, col[m:])))
-    return gens
+    cells = src.n * dst.n
+    return [morphism_from_params(src, dst, [ctx.one() if i == k else ctx.zero()
+                                            for i in range(cells)])
+            for k in range(cells)]
 
 
 def _splits(h: MonMorphism, generators: list) -> bool:
@@ -115,7 +97,8 @@ def _splits(h: MonMorphism, generators: list) -> bool:
             section = MonMorphism(sigma.src, sigma.dst, sigma.psi1.scale(inv),
                                   sigma.psi0.scale(inv))
             if compose(h, section) != identity_morphism(h.dst):
-                raise AssertionError("split section does not compose back")
+                raise InternalInvariantError(
+                    "split section does not compose back")
             return True
     return False
 
@@ -123,54 +106,44 @@ def _splits(h: MonMorphism, generators: list) -> bool:
 class StrictFactorizer:
     """Strict factorizations through one morphism from one source object.
 
-    The unknown entries of both components of chi, the commuting condition
-    that makes chi a morphism, and the two composition equations are stacked
-    into one linear system a @ vec(chi) = rhs over S.  The matrix a depends
-    only on ``through`` and on ``src``; a target enters through rhs alone.
-    So a and its Smith form are built once, and each target costs one
-    back-substitution.
+    Hom(src, through.src) is free over S on the generators sigma_k, so a
+    factorization is chi = sum x_k sigma_k with through o chi == target:
+    the linear system a @ x = (target.psi1, target.psi0) over S whose
+    column k holds both components of through o sigma_k.  The matrix a
+    depends only on ``through`` and on ``src``; a target enters through
+    the right-hand side alone.  So a and its Smith form are built once,
+    and each target costs one back-substitution.
     """
 
     def __init__(self, through: MonMorphism, src: MonObject):
-        ctx = through.ctx
-        p, q, r = through.src.n, src.n, through.dst.n
-        iq = identity(ctx, q)
-        commute = _commuting_system(src, through.src)
-        comp1 = [kron(through.psi1, iq), zeros(ctx, r * q, p * q)]
-        comp0 = [zeros(ctx, r * q, p * q), kron(through.psi0, iq)]
+        columns = [(through.psi1 @ sigma.psi1).entries
+                   + (through.psi0 @ sigma.psi0).entries
+                   for sigma in _hom_generators(src, through.src)]
         self.through = through
         self.src = src
-        self.smith = snf(vstack([hstack(commute), hstack(comp1),
-                                 hstack(comp0)]))
+        self.smith = snf(MatS(through.ctx, 2 * through.dst.n * src.n,
+                              len(columns), tuple(x for row in zip(*columns)
+                                                  for x in row)))
 
     def solve(self, target: MonMorphism):
         """A morphism chi with through o chi == target exactly, or None."""
         through = self.through
         if target.src != self.src or target.dst != through.dst:
             raise NotComposable("factorization endpoints disagree")
-        ctx = through.ctx
-        p, q = through.src.n, self.src.n
-        m = p * q
-        rhs = MatS(ctx, self.smith.d.rows, 1, (ctx.zero(),) * m
-                   + target.psi1.entries + target.psi0.entries)
-        sol = solve_with_snf(self.smith, rhs)
+        rhs = target.psi1.entries + target.psi0.entries
+        sol = solve_with_snf(self.smith, MatS(through.ctx, len(rhs), 1, rhs))
         if sol is None:
             return None
-        chi1 = MatS(ctx, p, q, tuple(sol.at(k, 0) for k in range(m)))
-        chi0 = MatS(ctx, p, q, tuple(sol.at(m + k, 0) for k in range(m)))
-        chi = MonMorphism(target.src, through.src, chi1, chi0)
+        chi = morphism_from_params(self.src, through.src, sol.entries)
         if compose(through, chi) != target:
-            raise AssertionError("strict factorization does not compose back")
+            raise InternalInvariantError(
+                "strict factorization does not compose back")
         return chi
 
 
 def factor_strictly(through: MonMorphism, target: MonMorphism):
     """A morphism chi with through o chi == target exactly, or None."""
     return StrictFactorizer(through, target.src).solve(target)
-
-
-def is_split_epi(h: MonMorphism) -> bool:
-    return factor_strictly(h, identity_morphism(h.dst)) is not None
 
 
 def ar_sequence(f: MonObject) -> ArSequence:
@@ -198,9 +171,9 @@ def ar_sequence(f: MonObject) -> ArSequence:
     theta = MonMorphism(start, middle, col, col)
     g = MonMorphism(middle, f, row, row)
     if _exactness_failure(start, middle, f, theta, g) is not None:
-        raise AssertionError("almost split sequence is not exact")
-    if is_split_epi(g):
-        raise AssertionError("almost split sequence splits")
+        raise InternalInvariantError("almost split sequence is not exact")
+    if _splits(g, _hom_generators(f, middle)):
+        raise InternalInvariantError("almost split sequence splits")
     return ArSequence(start, middle, f, theta, g)
 
 
@@ -248,7 +221,7 @@ def verify_right_almost_split(seq: ArSequence):
     lines = []
     reason = _exactness_failure(seq.tau_f, seq.middle, seq.end, seq.theta,
                                 seq.g)
-    if reason is None and is_split_epi(seq.g):
+    if reason is None and _splits(seq.g, _hom_generators(seq.end, seq.middle)):
         reason = "g is a split epimorphism"
     if reason is not None:
         lines.append(f"STRUCT {reason} FAIL")

@@ -4,7 +4,8 @@ Objects and morphisms travel as small JSON files whose scalar entries are
 strings, so every value round-trips exactly.  One subcommand exists per
 library construction, plus a deterministic property-suite runner.  Exit
 status: 0 for success or a positive decision, 1 for a property violation
-or a negative decision, 2 for malformed input.
+or a negative decision, 2 for malformed input, 3 for a failed internal
+invariant (a defect in monocat).
 
 Every subcommand is one row of ``COMMANDS``, and its function returns its
 stdout text and exit code without writing anything.  ``main`` is the only
@@ -22,7 +23,7 @@ from pathlib import Path
 from .almost_split import ar_sequence, tau, tau_gp, verify_right_almost_split
 from .category import MonMorphism, MonObject, cokernel, decompose
 from .checks import SUITES, run_suite
-from .errors import MonocatError, ParseError
+from .errors import InternalInvariantError, MonocatError, ParseError
 from .homotopy import (cone, is_iso_in_homotopy, null_homotopy, rotate,
                        stable_hom, standard_triangle, suspend)
 from .linalg import MatS
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
     except MonocatError as exc:
         print(f"violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -63,6 +63,12 @@ class ProjectiveObject(MonocatError):
     """Operation is undefined for projective objects."""
 
 
+class InternalInvariantError(AssertionError):
+    """A postcondition of the library's own constructions failed: a defect
+    in monocat, not in its input.  Raised explicitly, so it survives
+    ``python -O``."""
+
+
 class InfiniteResidueField(MonocatError):
     """Enumeration needs a finite residue field (int-local, or a
     polynomial ring over a prime field)."""

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 from .category import (MonMorphism, MonObject, compose, identity_morphism,
                        projective_envelope)
-from .errors import (ContextMismatch, InvalidWitness, NotComposable,
-                     NotExactTriangle, SquaresNotHomotopyCommuting)
+from .errors import (ContextMismatch, InternalInvariantError, InvalidWitness,
+                     NotComposable, NotExactTriangle,
+                     SquaresNotHomotopyCommuting)
 from .linalg import (MatS, block, hstack, identity, solve_sandwich_congruence,
                      vstack, zeros)
 
@@ -63,7 +64,7 @@ def null_homotopy(psi: MonMorphism) -> HomotopyWitness | None:
     omega_inv = ctx.one() / ctx.omega()
     s1 = num.scale(omega_inv)
     if not s1.in_ring():
-        raise AssertionError("forced homotopy component left the ring")
+        raise InternalInvariantError("forced homotopy component left the ring")
     w = HomotopyWitness(s0, s1)
     require_witness(psi, w)
     return w
@@ -94,7 +95,8 @@ def factor_through_projective(psi: MonMorphism, w: HomotopyWitness
                         vstack([w.s0, psi.psi0]))
     got = compose(beta, alpha)
     if (got.psi1, got.psi0) != (psi.psi1, psi.psi0):
-        raise AssertionError("projective factorization failed to compose back")
+        raise InternalInvariantError(
+            "projective factorization failed to compose back")
     return alpha, beta
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .errors import ContextMismatch, SingularMatrix
+from .errors import ContextMismatch, InternalInvariantError, SingularMatrix
 from .rings import INFINITY, Residue, RingCtx, Scalar
 
 
@@ -74,14 +74,6 @@ class MatS:
 
     def scale(self, c: Scalar) -> "MatS":
         return MatS(self.ctx, self.rows, self.cols, tuple(c * e for e in self.entries))
-
-    def transpose(self) -> "MatS":
-        return MatS(self.ctx, self.cols, self.rows,
-                    tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "MatS":
-        return MatS(self.ctx, len(row_idx), len(col_idx),
-                    tuple(self.at(i, j) for i in row_idx for j in col_idx))
 
 
 def _dot(pairs, ctx: RingCtx) -> Scalar:
@@ -196,20 +188,6 @@ def block(ctx: RingCtx, grid: Sequence[Sequence[MatS | None]]) -> MatS:
             filled.append(b)
         rows.append(hstack(filled))
     return vstack(rows)
-
-
-def kron(a: MatS, b: MatS) -> MatS:
-    """Kronecker product, consistent with row-major vectorization:
-    vec(A @ X @ B) == kron(A, transpose(B)) @ vec(X)."""
-    if a.ctx != b.ctx:
-        raise ContextMismatch("kronecker product across ring contexts")
-    entries = []
-    for i in range(a.rows):
-        for r in range(b.rows):
-            for j in range(a.cols):
-                for c in range(b.cols):
-                    entries.append(a.at(i, j) * b.at(r, c))
-    return MatS(a.ctx, a.rows * b.rows, a.cols * b.cols, tuple(entries))
 
 
 def inverse_frac(a: MatS) -> MatS:
@@ -368,7 +346,7 @@ def snf(a: MatS) -> SnfResult:
         sval = int(ctx.valuation(piv))
         unit = ctx.div_exact(piv, ctx.pi_pow(sval))
         if not ctx.is_unit(unit):
-            raise AssertionError("pivot unit part is not a unit")
+            raise InternalInvariantError("pivot unit part is not a unit")
         if unit != ctx.one():
             inv = ctx.one() / unit
             for j in range(k, n):

@@ -381,13 +381,6 @@ class RingCtx:
                 f"{self.format_scalar(a)} / {self.format_scalar(b)} leaves the ring")
         return q
 
-    def unit_part(self, a: Scalar) -> Scalar:
-        """a / pi^v(a) for nonzero a."""
-        v = self.valuation(a)
-        if v is INFINITY:
-            raise ZeroDivisionError("unit part of zero")
-        return a / self.pi_pow(int(v)) if v >= 0 else a * self.pi_pow(int(-v))
-
     # -- residues: R = S/(omega) ---------------------------------------------
 
     @property

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .category import MonMorphism, MonObject, RModuleObj, cokernel, rank_one
 from .errors import (VECTOR_BUDGET, ContextMismatch, InfiniteResidueField,
-                     ParametersTooLarge)
+                     InternalInvariantError, ParametersTooLarge)
 from .homotopy import StableHomModule, stable_hom, suspend
 from .linalg import MatR, MatS, diag, hstack, reduce_mat, truncated_svals
 from .rings import RingCtx
@@ -103,7 +103,8 @@ def two_periodic_resolution(f: MonObject, terms: int = 2) -> PeriodicResolution:
     f_bar = reduce_mat(f.mat)
     fsig_bar = reduce_mat(f.partner_mat)
     if not (f_bar @ fsig_bar).is_zero() or not (fsig_bar @ f_bar).is_zero():
-        raise AssertionError("periodic differentials do not compose to zero")
+        raise InternalInvariantError(
+            "periodic differentials do not compose to zero")
     return PeriodicResolution(f_bar, fsig_bar, terms)
 
 
@@ -228,7 +229,8 @@ def stable_hom_R_bruteforce(m: RModuleObj, n: RModuleObj) -> StableHomModule:
     e = ctx.t + 1
     vals = truncated_svals(hstack(cols), e)
     if e in vals:
-        raise AssertionError("stable Hom presentation has an exponent above t")
+        raise InternalInvariantError(
+            "stable Hom presentation has an exponent above t")
     return StableHomModule(tuple(s for s in vals if s > 0))
 
 

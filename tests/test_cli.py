@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from monocat import stable
+from monocat import almost_split, stable
 from monocat.cli import dumps_object, load_object_file, main
 from monocat.rings import MAX_INT_DIGITS, MAX_X_DEGREE
 
@@ -206,6 +206,15 @@ def test_ar_commands(tmp_path, capsys):
     code, out, _ = run(capsys, "ar-verify", path)
     assert code == 0
     assert out.splitlines()[-1] == "ARSS 1 2 PASS"
+
+
+def test_internal_invariant_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # a broken postcondition is the library's fault, not the input's
+    monkeypatch.setattr(almost_split, "_exactness_failure",
+                        lambda *args: "broken")
+    code, out, err = run(capsys, "ar-seq", rank_one_file(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == "internal error: almost split sequence is not exact\n"
 
 
 def test_faithful_report(capsys):

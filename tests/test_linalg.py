@@ -17,7 +17,7 @@ from monocat.linalg import (INFINITY, MatR, MatS, block, diag_pi, hstack, identi
                             snf, solve_linear, solve_sandwich_congruence,
                             vstack, zeros)
 from monocat.rings import Poly, RingCtx
-from oracle_helpers import adjugate, det, per_term_residue_matmul
+from oracle_helpers import adjugate, det, per_term_residue_matmul, submatrix
 
 Z2 = RingCtx.int_local(2, 2)
 Z2_3 = RingCtx.int_local(2, 3)
@@ -41,7 +41,7 @@ def minors_valuation_oracle(a: MatS) -> tuple:
         best = INFINITY
         for rset in itertools.combinations(range(a.rows), k):
             for cset in itertools.combinations(range(a.cols), k):
-                v = ctx.valuation(det(a.submatrix(rset, cset)))
+                v = ctx.valuation(det(submatrix(a, rset, cset)))
                 if v < best:
                     best = v
         if best is INFINITY:
@@ -66,7 +66,7 @@ def cofactor_det(a: MatS):
         if not entry:
             continue
         rows = [r for r in range(n) if r != i]
-        minor = cofactor_det(a.submatrix(rows, cols))
+        minor = cofactor_det(submatrix(a, rows, cols))
         term = entry * minor
         acc = acc + (term if i % 2 == 0 else -term)
     return acc

@@ -204,12 +204,6 @@ def test_polyfrac_normalization():
     assert z.denominator == Poly.const(1, None)
 
 
-def test_unit_part():
-    u = Z2.unit_part(Fraction(12))
-    assert Z2.is_unit(u)
-    assert u * Z2.pi_pow(2) == 12
-
-
 def test_format_refuses_integers_longer_than_the_parser_reads():
     edge = 10 ** MAX_INT_DIGITS - 1  # the longest integer the parser reads
     assert Z2.parse_scalar(Z2.format_scalar(Fraction(edge, 3))) == Fraction(edge, 3)
@@ -391,4 +385,19 @@ def test_exact_values_compare_with_operators():
                   if isinstance(cls, ast.ClassDef) and cls.name == "RingCtx"
                   for node in cls.body
                   if isinstance(node, ast.FunctionDef) and node.name in FORWARDERS]
+    assert found == []
+
+
+def test_library_invariants_raise_the_named_error():
+    # a failed postcondition is an InternalInvariantError, which the CLI
+    # reports as an internal error, never a bare AssertionError
+    src = Path(monocat.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append((path.name, node.lineno))
     assert found == []
