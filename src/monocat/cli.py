@@ -80,12 +80,20 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _field(payload: dict, name: str):
+    if name not in payload:
+        raise ParseError(f"missing field {name!r}")
+    return payload[name]
+
+
 def _context_from(payload: dict) -> RingCtx:
-    ring = payload["ring"]
-    t = _integer(payload["t"], "t")
-    kind = ring["kind"]
+    ring = _field(payload, "ring")
+    if not isinstance(ring, dict):
+        raise ParseError("ring must be a JSON object")
+    t = _integer(_field(payload, "t"), "t")
+    kind = _field(ring, "kind")
     if kind == "int-local":
-        return RingCtx.int_local(_integer(ring["p"], "p"), t)
+        return RingCtx.int_local(_integer(_field(ring, "p"), "p"), t)
     if kind == "poly-local":
         q = ring.get("q")
         return RingCtx.poly_local(t, q=None if q is None else _integer(q, "q"))
@@ -110,7 +118,7 @@ def _parse_matrix(ctx: RingCtx, rows) -> MatS:
 
 def object_from_payload(payload: dict) -> MonObject:
     ctx = _context_from(payload)
-    return MonObject(ctx, _parse_matrix(ctx, payload["matrix"]))
+    return MonObject(ctx, _parse_matrix(ctx, _field(payload, "matrix")))
 
 
 def _load_payload(path: Path) -> dict:
@@ -139,10 +147,10 @@ def load_morphism_file(path_str: str) -> MonMorphism:
     path = Path(path_str)
     payload = _load_payload(path)
     base = path.resolve().parent
-    src = _resolve_object(payload["source"], base)
-    dst = _resolve_object(payload["target"], base)
-    psi1 = _parse_matrix(src.ctx, payload["psi1"])
-    psi0 = _parse_matrix(src.ctx, payload["psi0"])
+    src = _resolve_object(_field(payload, "source"), base)
+    dst = _resolve_object(_field(payload, "target"), base)
+    psi1 = _parse_matrix(src.ctx, _field(payload, "psi1"))
+    psi0 = _parse_matrix(src.ctx, _field(payload, "psi0"))
     return MonMorphism(src, dst, psi1, psi0)
 
 

@@ -16,8 +16,8 @@ from .category import (MonMorphism, MonObject, compose, identity_morphism,
 from .errors import (ContextMismatch, InternalInvariantError, InvalidWitness,
                      NotComposable, NotExactTriangle,
                      SquaresNotHomotopyCommuting)
-from .linalg import (MatS, block, hstack, identity, solve_sandwich_congruence,
-                     vstack, zeros)
+from .linalg import (MatS, add_products, block, hstack, identity,
+                     solve_sandwich_congruence, vstack, zeros)
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ def witness_holds(psi: MonMorphism, w: HomotopyWitness) -> bool:
     for s in (w.s0, w.s1):
         if (s.rows, s.cols) != expect_shapes or not s.in_ring():
             return False
-    return (psi.psi0 == g.mat @ w.s0 + w.s1 @ f.partner_mat
-            and psi.psi1 == w.s0 @ f.mat + g.partner_mat @ w.s1)
+    return (psi.psi0 == add_products(g.mat, w.s0, w.s1, f.partner_mat)
+            and psi.psi1 == add_products(w.s0, f.mat, g.partner_mat, w.s1))
 
 
 def require_witness(psi: MonMorphism, w: HomotopyWitness):
@@ -73,8 +73,8 @@ def null_homotopy(psi: MonMorphism) -> HomotopyWitness | None:
 def null_morphism_from_data(src: MonObject, dst: MonObject,
                             s0: MatS, s1: MatS) -> tuple[MonMorphism, HomotopyWitness]:
     """Build the null-homotopic morphism generated by arbitrary (s0, s1)."""
-    psi0 = dst.mat @ s0 + s1 @ src.partner_mat
-    psi1 = s0 @ src.mat + dst.partner_mat @ s1
+    psi0 = add_products(dst.mat, s0, s1, src.partner_mat)
+    psi1 = add_products(s0, src.mat, dst.partner_mat, s1)
     psi = MonMorphism(src, dst, psi1, psi0)
     return psi, HomotopyWitness(s0, s1)
 

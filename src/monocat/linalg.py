@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -74,6 +75,25 @@ class MatS:
 
     def scale(self, c: Scalar) -> "MatS":
         return MatS(self.ctx, self.rows, self.cols, tuple(c * e for e in self.entries))
+
+
+def add_products(a: MatS, b: MatS, c: MatS, d: MatS) -> MatS:
+    """a @ b + c @ d, each entry normalized once: one _dot over the pairs
+    of both products chained."""
+    for x, y in ((a, b), (c, d)):
+        x._check(y)
+        if x.cols != y.rows:
+            raise ValueError("shape mismatch in matrix product")
+    a._check(c)
+    if (a.rows, b.cols) != (c.rows, d.cols):
+        raise ValueError("shape mismatch in matrix addition")
+    ctx, n, k, m = a.ctx, a.cols, c.cols, b.cols
+    bcols = [b.entries[j::m] for j in range(m)]
+    dcols = [d.entries[j::m] for j in range(m)]
+    return MatS(ctx, a.rows, m,
+                tuple(_dot(chain(zip(a.entries[i * n:(i + 1) * n], bcols[j]),
+                                 zip(c.entries[i * k:(i + 1) * k], dcols[j])), ctx)
+                      for i in range(a.rows) for j in range(m)))
 
 
 def _dot(pairs, ctx: RingCtx) -> Scalar:

@@ -26,12 +26,16 @@ RingCtx method sees every call of it.
 
 Normalization policy.  Every scalar, residue and Poly is stored in
 canonical form, so field equality is value equality: exact values compare
-with ``==``, and a value is falsy exactly at zero.  Coefficients inside a
-:class:`Poly` are kept canonical inline by its operations (``% q`` over
-F_q; over Q a Fraction operation already yields a Fraction) instead of
-re-normalizing each coefficient.  A :class:`PolyFrac` or Fraction is brought
-to lowest terms once per result: a matrix product accumulates each entry as
-an unreduced numerator over a denominator and normalizes it once.
+with ``==``, and a value is falsy exactly at zero.  A :class:`Poly` holds
+integer coefficients ``ints`` over one denominator ``den``.  Over F_q the
+ints lie in [0, q), kept there by ``% q`` inline, and den is 1.  Over Q
+den > 0, gcd(den, *ints) = 1 and no trailing zero is stored; each
+operation works on the ints and brings its result to that form with one
+``math.gcd(den, *ints)``, never a gcd per coefficient.  Division over Q is
+pseudo-division on Z[x], and the gcd is a primitive remainder sequence on
+Z[x] made monic once.  A :class:`PolyFrac` or Fraction is brought to lowest
+terms once per result: a matrix product accumulates each entry as an
+unreduced numerator over a denominator and normalizes it once.
 """
 
 from __future__ import annotations
@@ -88,21 +92,27 @@ def _is_prime(n: int) -> bool:
 # polynomials over Q or F_q
 
 
-@dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial, coefficients listed by ascending degree.
+    """Dense univariate polynomial over Q (``q is None``) or over F_q.
 
-    ``q is None`` means rational coefficients (Fractions); otherwise the
-    coefficients are canonical integers in [0, q) for the prime field F_q.
-    The zero polynomial is the empty tuple.
+    ``ints`` lists integer coefficients by ascending degree, and the value
+    is ints / den.  Over F_q the ints lie in [0, q) and ``den`` is 1.  Over
+    Q (the layout of FLINT's ``fmpq_poly``) ``den`` > 0 and
+    gcd(den, *ints) = 1.  No trailing zero is stored, so zero is
+    ``((), 1)``, every value has one form, and ``==`` and ``hash`` compare
+    the fields.  ``coeffs`` is a read-only view, with Fraction coefficients
+    over Q.  A Poly is never changed after it is built.
     """
 
-    coeffs: tuple
-    q: int | None = None
+    __slots__ = ("ints", "den", "q")
 
     @staticmethod
     def make(coeffs, q: int | None = None) -> "Poly":
-        return _canon([_coeff_canon(c, q) for c in coeffs], q)
+        if q is not None:
+            return _canon([_coeff_canon(c, q) for c in coeffs], q)
+        cs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return _canon([c.numerator * (den // c.denominator) for c in cs], None, den)
 
     @staticmethod
     def const(c, q: int | None = None) -> "Poly":
@@ -112,20 +122,40 @@ class Poly:
     def x_power(k: int, q: int | None = None) -> "Poly":
         return Poly.make([0] * k + [1], q)
 
+    @property
+    def coeffs(self) -> tuple:
+        if self.q is not None:
+            return self.ints
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    def __eq__(self, other):
+        if type(other) is not Poly:
+            return NotImplemented
+        return self.ints == other.ints and self.den == other.den and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.ints, self.den, self.q))
+
+    def __repr__(self) -> str:
+        return f"Poly({self.coeffs!r}, q={self.q!r})"
+
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
+
+    def _coeff(self, c: int):
+        return c if self.q is not None else Fraction(c, self.den)
 
     def constant_term(self):
-        return self.coeffs[0] if self.coeffs else _coeff_canon(0, self.q)
+        return self._coeff(self.ints[0] if self.ints else 0)
 
     def leading(self):
-        if not self.coeffs:
+        if not self.ints:
             raise ZeroDivisionError("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
+        return self._coeff(self.ints[-1])
 
     def _check(self, other: "Poly"):
         if self.q != other.q:
@@ -133,55 +163,72 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b, q = self.coeffs, other.coeffs, self.q
+        a, b, q, den = self.ints, other.ints, self.q, self.den
+        if q is None and den != other.den:
+            a, b = [x * other.den for x in a], [y * den for y in b]
+            den *= other.den
         if len(a) < len(b):
             a, b = b, a
-        return _canon([x + y for x, y in zip(a, b)] + list(a[len(b):]), q)
+        return _canon([x + y for x, y in zip(a, b)] + list(a[len(b):]), q, den)
 
     def __neg__(self) -> "Poly":
-        return _canon([-c for c in self.coeffs], self.q)
+        if self.q is None:
+            return _poly(tuple(-c for c in self.ints), self.den, None)
+        return _canon([-c for c in self.ints], self.q)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b, q = self.coeffs, other.coeffs, self.q
+        a, b, q = self.ints, other.ints, self.q
         if not a or not b:
-            return Poly((), q)
-        out = [_ZERO_Q if q is None else 0] * (len(a) + len(b) - 1)
+            return _poly((), 1, q)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
+        if q is None:
+            return _canon(out, None, self.den * other.den)
         return _canon(out, q)
 
     def scale(self, c) -> "Poly":
-        c = _coeff_canon(c, self.q)
-        return _canon([a * c for a in self.coeffs], self.q)
+        if self.q is not None:
+            c = _coeff_canon(c, self.q)
+            return _canon([a * c for a in self.ints], self.q)
+        return _canon([a * c.numerator for a in self.ints], None,
+                      self.den * c.denominator)
 
     def truncate(self, k: int) -> "Poly":
         """Reduce modulo x^k."""
-        return _canon(list(self.coeffs[:k]), self.q)
+        return _canon(list(self.ints[:k]), self.q, self.den)
 
     def monic(self) -> "Poly":
         if not self:
             return self
-        inv = _coeff_inv(self.leading(), self.q)
-        return self.scale(inv)
+        if self.q is not None:
+            return self.scale(pow(self.ints[-1], -1, self.q))
+        return _canon(list(self.ints), None, self.ints[-1])
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        q, b = self.q, other.coeffs
-        rem = list(self.coeffs)
+        q, b = self.q, other.ints
         dq = len(b) - 1
-        inv = _coeff_inv(b[-1], q)
+        if q is None:
+            # s*A = quo*B + rem over Z, with self = A/da and other = B/db
+            s, quo, rem = _pseudo_divmod(self.ints, b)
+            den = s * self.den
+            return (_canon([c * other.den for c in quo], None, den),
+                    _canon(rem, None, den))
+        rem = list(self.ints)
+        inv = pow(b[-1], -1, q)
         quo = [0] * max(0, len(rem) - dq)
-        # over F_q the remainder stays unreduced until _canon
+        # the remainder stays unreduced until _canon
         for i in range(len(rem) - dq - 1, -1, -1):
-            c = rem[i + dq] * inv if q is None else rem[i + dq] * inv % q
+            c = rem[i + dq] * inv % q
             quo[i] = c
             if c:
                 for j in range(dq):
@@ -189,14 +236,28 @@ class Poly:
         return _canon(quo, q), _canon(rem[:dq], q)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor (Euclid)."""
-        a, b = self, other
+        """Monic greatest common divisor: Euclid over F_q, and over Q a
+        primitive remainder sequence on Z[x]."""
+        if self.q is not None:
+            a, b = self, other
+            while b:
+                a, b = b, a.divmod(b)[1]
+            return a.monic()
+        self._check(other)
+        a, b = _primitive(self.ints), _primitive(other.ints)
         while b:
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
+            a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+        return _canon(a, None, a[-1] if a else 1)
 
 
-_ZERO_Q = Fraction(0)
+_new = object.__new__
+
+
+def _poly(ints: tuple, den: int, q: int | None) -> Poly:
+    """The Poly with these fields, which must already be canonical."""
+    p = _new(Poly)
+    p.ints, p.den, p.q = ints, den, q
+    return p
 
 
 @cache
@@ -205,20 +266,25 @@ def _unit_poly(q: int | None) -> Poly:
     return Poly.const(1, q)
 
 
-def _canon(cs: list, q: int | None) -> Poly:
-    """The Poly of a coefficient list: Fractions over Q, any integers over
-    F_q (reduced here); trailing zeros are dropped."""
+def _canon(cs: list, q: int | None, den: int = 1) -> Poly:
+    """The Poly of the value cs / den: over F_q any integers (reduced here)
+    over den 1; over Q integers over a nonzero den, brought to lowest terms
+    with one gcd.  Trailing zeros are dropped."""
     if q is not None:
         cs = [c % q for c in cs]
     while cs and not cs[-1]:
         cs.pop()
-    return Poly(tuple(cs), q)
+    if den != 1:
+        if den < 0:
+            cs, den = [-c for c in cs], -den
+        g = math.gcd(den, *cs)
+        if g != 1:
+            cs, den = [c // g for c in cs], den // g
+    return _poly(tuple(cs), den, q)
 
 
-def _coeff_canon(c, q: int | None):
-    """Canonical coefficient: Fraction for q None, int in [0, q) otherwise."""
-    if q is None:
-        return c if type(c) is Fraction else Fraction(c)
+def _coeff_canon(c, q: int):
+    """The canonical coefficient in [0, q) of an int or Fraction."""
     if type(c) is int:
         return c % q
     if isinstance(c, Fraction):
@@ -228,12 +294,40 @@ def _coeff_canon(c, q: int | None):
     return int(c) % q
 
 
-def _coeff_inv(c, q: int | None):
-    if q is None:
-        if c == 0:
-            raise ZeroDivisionError("inverse of zero coefficient")
-        return 1 / Fraction(c)
-    return pow(int(c), -1, q)
+def _primitive(cs) -> list:
+    """cs divided by its content gcd(*cs): a primitive polynomial of Z[x]."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else list(cs)
+
+
+def _pseudo_divmod(a, b) -> tuple[int, list, list]:
+    """Pseudo-division on Z[x]: (s, quo, rem) with s*a = quo*b + rem,
+    s > 0 and deg rem < deg b, for integer lists a and b (b nonzero).
+
+    A step scales the partial remainder only when lc(b) does not divide its
+    leading coefficient, and then by the least factor that makes it do so;
+    so s = 1 whenever b divides a in Z[x]."""
+    rem, dq, lead = list(a), len(b) - 1, b[-1]
+    quo, s = [0] * max(0, len(rem) - dq), 1
+    for i in range(len(rem) - dq - 1, -1, -1):
+        c = rem[i + dq]
+        if not c:
+            continue
+        if c % lead:
+            m = abs(lead) // math.gcd(lead, c)
+            s, c = s * m, c * m
+            for k in range(i + dq):
+                rem[k] *= m
+            for k in range(i + 1, len(quo)):
+                quo[k] *= m
+        c //= lead
+        quo[i] = c
+        for j in range(dq):
+            rem[i + j] -= c * b[j]
+    rem = rem[:dq]
+    while rem and not rem[-1]:
+        rem.pop()
+    return s, quo, rem
 
 
 @dataclass(frozen=True)
@@ -255,20 +349,21 @@ class PolyFrac:
         num._check(den)
         if not num:
             return PolyFrac(num, _unit_poly(num.q))
-        if den.degree == 0:
-            if den.coeffs[0] == 1:
+        if len(den.ints) == 1:
+            if den.ints[0] == den.den == 1:
                 return PolyFrac(num, den)
-        elif num.degree > 0:
+        elif len(num.ints) > 1:
             # a constant on either side has gcd 1 with the other
             g = num.gcd(den)
-            if g.degree > 0:
+            if len(g.ints) > 1:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-        lead_inv = _coeff_inv(den.leading(), num.q)
+        lead, q = den.ints[-1], num.q
+        lead_inv = pow(lead, -1, q) if q is not None else Fraction(den.den, lead)
         return PolyFrac(num.scale(lead_inv), den.scale(lead_inv))
 
     def __bool__(self) -> bool:
-        return bool(self.numerator.coeffs)
+        return bool(self.numerator.ints)
 
     def __add__(self, other: "PolyFrac") -> "PolyFrac":
         return PolyFrac.make(self.numerator * other.denominator
@@ -517,8 +612,8 @@ class PolyLocal(RingCtx):
 
     def _valuation(self, f: Poly):
         """x-adic valuation: index of the lowest nonzero coefficient."""
-        for i, c in enumerate(f.coeffs):
-            if c != 0:
+        for i, c in enumerate(f.ints):
+            if c:
                 return i
         return INFINITY
 
@@ -526,24 +621,35 @@ class PolyLocal(RingCtx):
         return f.truncate(e)
 
     def _pi_quotient(self, f: Poly, k: int) -> Poly:
-        return Poly(f.coeffs[k:], f.q)
+        # exact: the k lowest coefficients are zero, so the form stays canonical
+        return _poly(f.ints[k:], f.den, f.q)
 
     def _inverse_den(self, den: Poly, e: int) -> Poly:
         """The power series inverse of den modulo x^e."""
-        c0 = den.constant_term()
-        if c0 == 0:
+        c, q = den.ints, den.q
+        if not c or not c[0]:
             raise DivisionLeavesRing("denominator has zero constant term")
-        c0inv = _coeff_inv(c0, den.q)
-        if den.degree == 0:
-            return Poly((c0inv,), den.q)
-        out = [c0inv]
-        coeffs = den.coeffs
-        for n in range(1, e):
-            acc = 0
-            for i in range(1, min(n, len(coeffs) - 1) + 1):
-                acc += coeffs[i] * out[n - i]
-            out.append(_coeff_canon(-acc * c0inv, den.q))
-        return Poly.make(out, den.q)
+        n = max(e, 1) if len(c) > 1 else 1
+        if q is not None:
+            c0inv = pow(c[0], -1, q)
+            out = [c0inv]
+            for k in range(1, n):
+                acc = 0
+                for i in range(1, min(k, len(c) - 1) + 1):
+                    acc += c[i] * out[k - i]
+                out.append(-acc * c0inv % q)
+            return _canon(out, q)
+        # den = D/d and d/D = sum_k u_k x^k / D_0^(k+1), where u_0 = d and
+        # u_k = -sum_(i>=1) D_i D_0^(i-1) u_(k-i) are integers
+        w = [c[i] * c[0] ** (i - 1) for i in range(1, len(c))]
+        u = [den.den]
+        for k in range(1, n):
+            u.append(-sum(w[i] * u[k - 1 - i] for i in range(min(k, len(w)))))
+        ints, p = [], 1
+        for x in reversed(u):
+            ints.append(x * p)
+            p *= c[0]
+        return _canon(ints[::-1], None, p)
 
     @cached_property
     def _one_poly(self) -> Poly:
@@ -585,10 +691,9 @@ class PolyLocal(RingCtx):
 
     def _term(self, coeff: Fraction, k: int) -> PolyFrac:
         try:
-            c = _coeff_canon(coeff, self.coeff_q)
+            return self.lift(Poly.make([0] * k + [coeff], self.coeff_q))
         except ZeroDivisionError as exc:
             raise ParseError(str(exc)) from exc
-        return self.lift(Poly.make([0] * k + [c], self.coeff_q))
 
     def _random_unit(self, rng) -> PolyFrac:
         c = rng.choice([1, 2, -1]) if self.coeff_q != 2 else 1

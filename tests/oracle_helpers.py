@@ -8,6 +8,7 @@ kernels.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -363,3 +364,58 @@ def polyfrac_ref(num: Poly, den: Poly) -> PolyFrac:
     inv = _inv(den.coeffs[-1], num.q)
     return PolyFrac(Poly.make([c * inv for c in num.coeffs], num.q),
                     Poly.make([c * inv for c in den.coeffs], num.q))
+
+
+# Q[x] on plain lists of Fractions, lowest degree first and no trailing
+# zero: long division and Euclid with nothing of Poly inside.
+
+def frac_list_trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def frac_list_mul(f: list, g: list) -> list:
+    out = [Fraction(0)] * max(0, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return frac_list_trim(out)
+
+
+def frac_list_divmod(f: list, g: list) -> tuple[list, list]:
+    rem = list(f)
+    quo = [Fraction(0)] * max(0, len(f) - len(g) + 1)
+    while len(rem) >= len(g):
+        k = len(rem) - len(g)
+        c = rem[-1] / g[-1]
+        quo[k] = c
+        for j, b in enumerate(g):
+            rem[k + j] -= c * b
+        frac_list_trim(rem)
+    return frac_list_trim(quo), rem
+
+
+def frac_list_gcd(f: list, g: list) -> list:
+    """Monic gcd by Euclid over Fraction coefficients."""
+    while g:
+        f, g = g, frac_list_divmod(f, g)[1]
+    return [c / f[-1] for c in f]
+
+
+def frac_list_lowest_terms(num: list, den: list) -> tuple[list, list]:
+    """num/den with the gcd divided out and a monic denominator."""
+    g = frac_list_gcd(num, den)
+    num, den = frac_list_divmod(num, g)[0], frac_list_divmod(den, g)[0]
+    lead = den[-1]
+    return [c / lead for c in num], [c / lead for c in den]
+
+
+def is_canonical_poly(p: Poly) -> bool:
+    """The stored form: den > 0 (1 over F_q), gcd(den, *ints) = 1 and no
+    trailing zero; over F_q every int in [0, q)."""
+    if p.ints and not p.ints[-1]:
+        return False
+    if p.q is not None:
+        return p.den == 1 and all(0 <= c < p.q for c in p.ints)
+    return p.den > 0 and math.gcd(p.den, *p.ints) == 1

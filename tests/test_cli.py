@@ -246,6 +246,32 @@ def test_morphism_inline_objects(tmp_path, capsys):
     assert out.splitlines()[0] == "nullhomotopic: true"
 
 
+RANK_ONE = {"ring": {"kind": "int-local", "p": 2}, "t": 2, "matrix": [["2"]]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"ring": {"kind": "int-local", "p": 2}, "matrix": [["2"]]},
+     "missing field 't'"),
+    ({"ring": {"kind": "int-local"}, "t": 2, "matrix": [["2"]]},
+     "missing field 'p'"),
+    ({"ring": {"kind": "int-local", "p": 2}, "t": 2}, "missing field 'matrix'"),
+    ({"t": 2, "matrix": [["2"]]}, "missing field 'ring'"),
+    ({"ring": "int-local", "t": 2, "matrix": [["2"]]}, "ring must be a JSON object"),
+    ({"ring": ["int-local", 2], "t": 2, "matrix": [["2"]]},
+     "ring must be a JSON object"),
+], ids=["t", "p", "matrix", "ring", "ring-string", "ring-list"])
+def test_loader_names_the_bad_field(tmp_path, capsys, payload, message):
+    code, out, err = run(capsys, "validate", put(tmp_path, "f.json", json.dumps(payload)))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_morphism_loader_names_the_missing_field(tmp_path, capsys):
+    path = put(tmp_path, "m.json", json.dumps(
+        {"source": RANK_ONE, "target": RANK_ONE, "psi1": [["0"]]}))
+    code, out, err = run(capsys, "nullhomotopic", path)
+    assert (code, out, err) == (2, "", "error: missing field 'psi0'\n")
+
+
 def test_poly_ring_files(tmp_path, capsys):
     path = put(tmp_path, "p.json",
                '{"ring": {"kind": "poly-local", "q": 2}, "t": 2, '

@@ -307,6 +307,16 @@ def test_rational_squares_of_rank_two_complete(seed, identity_left):
     assert compose(tri2.w, eta) == compose(suspend_morphism(left), tri.w)
 
 
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_rational_octahedra_of_rank_two(seed):
+    rng = random.Random(seed)
+    x, y, z = (object_of_rank(QX, rng, 2) for _ in range(3))
+    data = octahedron(random_morphism(x, y, rng), random_morphism(y, z, rng))
+    assert data.connecting.src is data.tri_second.c
+    assert is_iso_in_homotopy(data.comparison)
+
+
 def test_complete_square_rejects_non_commuting():
     a = rank_one(Z2, 1)
     ident = identity_morphism(a)

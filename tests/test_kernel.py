@@ -6,7 +6,9 @@ operation at a time gives (``oracle_helpers``).  One Smith form reused for
 many right-hand sides must answer exactly as a fresh solve does.  The Smith
 transforms, replayed on first read, must equal those of the eager
 elimination, and callers that need only part of them must build no more.
-Exponents read modulo pi^e must be the exact ones capped at e.
+Exponents read modulo pi^e must be the exact ones capped at e.  Over Q the
+polynomial kernel must also agree with Euclid on plain Fraction lists,
+which share no code with ``Poly``.
 """
 
 import random
@@ -15,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocat import almost_split, category, linalg, stable
+from monocat import almost_split, category, linalg, rings, stable
 from monocat.almost_split import StrictFactorizer, _exactness_failure, ar_sequence
 from monocat.category import MonObject, identity_morphism, rank_one
 from monocat.errors import CokernelNotOmegaTorsion, NotMono
@@ -25,9 +27,11 @@ from monocat.linalg import (MatS, SnfResult, snf, solve_linear, solve_with_snf,
 from monocat.rings import Poly, PolyFrac, RingCtx
 from monocat.sampling import (morphism_from_params, random_morphism,
                               random_null_homotopic, random_object)
-from oracle_helpers import (eager_snf, naive_matmul, poly_add_ref,
-                            poly_divmod_ref, poly_gcd_ref, poly_mul_ref,
-                            poly_neg_ref, polyfrac_ref)
+from oracle_helpers import (eager_snf, frac_list_divmod, frac_list_gcd,
+                            frac_list_lowest_terms, frac_list_mul,
+                            frac_list_trim, is_canonical_poly, naive_matmul,
+                            poly_add_ref, poly_divmod_ref, poly_gcd_ref,
+                            poly_mul_ref, poly_neg_ref, polyfrac_ref)
 
 RINGS = [RingCtx.int_local(2, 2), RingCtx.int_local(3, 2),
          RingCtx.poly_local(2, 2), RingCtx.poly_local(2, 3),
@@ -82,6 +86,7 @@ def matrix_pairs(draw):
 def test_matmul_equals_naive_product(pair):
     a, b = pair
     assert a @ b == naive_matmul(a, b)
+    assert linalg.add_products(a, b, a, b) == naive_matmul(a, b) + naive_matmul(a, b)
 
 
 @settings(deadline=None)
@@ -108,6 +113,49 @@ def test_polyfrac_make_shortcuts_equal_full_gcd(args):
     assert PolyFrac.make(const, den) == polyfrac_ref(const, den)
     one = Poly.make([1], num.q)
     assert PolyFrac.make(num, one) == polyfrac_ref(num, one)
+
+
+def rational_lists(max_degree=6):
+    """Q[x] as Fraction lists: numerators up to 50 in absolute value."""
+    c = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
+    return st.lists(c, max_size=max_degree + 1).map(frac_list_trim)
+
+
+@settings(deadline=None)
+@given(rational_lists().filter(bool), rational_lists(), rational_lists().filter(bool))
+def test_rational_kernel_matches_fraction_euclid(g, h1, h2):
+    # f and k share the planted factor g, so their gcd has degree >= deg g
+    f, k = frac_list_mul(g, h1), frac_list_mul(g, h2)
+    ref = frac_list_gcd(f, k)
+    assert len(ref) >= len(g)
+    big, real = [], rings._pseudo_divmod
+
+    def spy(a, b):
+        big.append(max(abs(c).bit_length() for c in (*a, *b)))
+        return real(a, b)
+
+    F, K, G = (Poly.make(cs, None) for cs in (f, k, g))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "_pseudo_divmod", spy)
+        got = F.gcd(K)
+    assert got.coeffs == tuple(ref)
+    assert K.gcd(F).coeffs == tuple(ref)
+    # the remainder sequence stays primitive: its members are similar to
+    # subresultants, whose coefficients the Hadamard bound of the n x n
+    # Sylvester matrix caps at n * (B + log2 n) bits
+    n = len(f) + len(k)
+    bits = max(c.bit_length() for c in F.ints + K.ints)
+    assert max(big, default=0) <= n * (bits + n.bit_length())
+    out = [got, F, K, G]
+    for a, b in ((f, k), (k, g), (f, g)):
+        quo, rem = Poly.make(a, None).divmod(Poly.make(b, None))
+        assert (quo.coeffs, rem.coeffs) == tuple(map(tuple, frac_list_divmod(a, b)))
+        out += [quo, rem]
+    frac = PolyFrac.make(F, K)
+    num, den = frac_list_lowest_terms(f, k)
+    assert (frac.numerator.coeffs, frac.denominator.coeffs) == (tuple(num), tuple(den))
+    out += [frac.numerator, frac.denominator]
+    assert all(is_canonical_poly(p) for p in out)
 
 
 SOLVE_RINGS = [RingCtx.int_local(2, 2), RingCtx.int_local(3, 2),

@@ -15,7 +15,7 @@ from monocat.errors import (DivisionLeavesRing, InfiniteResidueField,
 from monocat.linalg import MatS
 from monocat.rings import (INFINITY, MAX_INT_DIGITS, IntLocal, Poly, PolyFrac,
                            PolyLocal, RingCtx, _is_prime)
-from oracle_helpers import trial_division_is_prime
+from oracle_helpers import is_canonical_poly, trial_division_is_prime
 
 Z2 = RingCtx.int_local(2, 2)
 Z3 = RingCtx.int_local(3, 3)
@@ -331,7 +331,9 @@ def test_field_equality_is_value_equality(built):
             one = Poly.const(1, num.q)
             assert den.leading() == 1 and num.gcd(den) == one
             assert num or den == one
+            assert is_canonical_poly(num) and is_canonical_poly(den)
     residues = [ctx.reduce_mod_omega(a) for a in pool]
+    assert all(is_canonical_poly(r) for r in residues if isinstance(r, Poly))
     for a, b in product(pool, repeat=2):
         assert (a == b) == (not (a - b))
         assert a != b or hash(a) == hash(b)
