@@ -53,14 +53,14 @@ def null_homotopy(psi: MonMorphism) -> HomotopyWitness | None:
     into independent one-cell congruences, and s1 is then forced exactly.
     """
     ctx = psi.ctx
-    f = psi.src
-    g = psi.dst
-    b = g.smith.u_inv @ (psi.psi0 @ f.mat) @ f.smith.v_inv
+    f, g = psi.src, psi.dst
+    lhs = psi.psi0 @ f.mat
+    b = g.smith.u_inv @ lhs @ f.smith.v_inv
     y = solve_sandwich_congruence(g.svals, f.svals, b, ctx)
     if y is None:
         return None
     s0 = g.smith.v_inv @ y @ f.smith.u_inv
-    num = psi.psi0 @ f.mat - g.mat @ s0 @ f.mat
+    num = lhs - g.mat @ s0 @ f.mat
     omega_inv = ctx.one() / ctx.omega()
     s1 = num.scale(omega_inv)
     if not s1.in_ring():
@@ -187,7 +187,7 @@ class Triangle:
             raise NotComposable("first morphism endpoints are wrong")
         if (self.v.src, self.v.dst) != (self.b, self.c):
             raise NotComposable("second morphism endpoints are wrong")
-        if (self.w.src, self.w.dst.mat) != (self.c, -self.a.partner_mat):
+        if (self.w.src, self.w.dst) != (self.c, self.a.shift):
             raise NotComposable("third morphism must land in the shifted start")
 
 

@@ -317,8 +317,10 @@ def snf(a: MatS) -> SnfResult:
     Pivoting picks the entry of minimal valuation, ties broken by smallest
     (row, col).  Because the pivot divides every entry of its submatrix,
     one elimination pass per pivot suffices and the diagonal exponents come
-    out weakly increasing.  Only the work matrix is eliminated; the
-    transforms are replayed from the recorded steps when first read.
+    out weakly increasing.  The pivot row is cleared by recording column
+    steps and zeroing the row, as the pivot is then alone in its column.
+    Only the work matrix is eliminated; the transforms are replayed from
+    the recorded steps when first read.
     """
     ctx = a.ctx
     m, n = a.rows, a.cols
@@ -327,14 +329,8 @@ def snf(a: MatS) -> SnfResult:
     col_ops: list = []
     svals: list = []
     for k in range(min(m, n)):
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                val = ctx.valuation(work[i][j])
-                if val is INFINITY:
-                    continue
-                if best is None or val < best[0]:
-                    best = (val, i, j)
+        best = min(((ctx.valuation(work[i][j]), i, j) for i in range(k, m)
+                    for j in range(k, n) if work[i][j]), default=None)
         if best is None:
             break
         _, bi, bj = best
@@ -354,24 +350,19 @@ def snf(a: MatS) -> SnfResult:
             for j in range(k, n):
                 work[i][j] = work[i][j] - q * work[k][j]
             row_ops.append(("add", i, k, q))
-        # clear the pivot row: col_j -= q * col_k
+        # clear the pivot row: col_j -= q * col_k, which changes only row k
         for j in range(k + 1, n):
-            if not work[k][j]:
-                continue
-            q = ctx.div_exact(work[k][j], piv)
-            for r in range(m):
-                work[r][j] = work[r][j] - q * work[r][k]
-            col_ops.append(("add", j, k, q))
+            if work[k][j]:
+                col_ops.append(("add", j, k, ctx.div_exact(work[k][j], piv)))
+                work[k][j] = ctx.zero()
         # normalize the pivot to a plain pi power
         sval = int(ctx.valuation(piv))
-        unit = ctx.div_exact(piv, ctx.pi_pow(sval))
+        work[k][k] = ctx.pi_pow(sval)
+        unit = ctx.div_exact(piv, work[k][k])
         if not ctx.is_unit(unit):
             raise InternalInvariantError("pivot unit part is not a unit")
         if unit != ctx.one():
-            inv = ctx.one() / unit
-            for j in range(k, n):
-                work[k][j] = work[k][j] * inv
-            row_ops.append(("scale", k, unit, inv))
+            row_ops.append(("scale", k, unit, ctx.one() / unit))
         svals.append(sval)
     while len(svals) < min(m, n):
         svals.append(INFINITY)

@@ -31,11 +31,13 @@ integer coefficients ``ints`` over one denominator ``den``.  Over F_q the
 ints lie in [0, q), kept there by ``% q`` inline, and den is 1.  Over Q
 den > 0, gcd(den, *ints) = 1 and no trailing zero is stored; each
 operation works on the ints and brings its result to that form with one
-``math.gcd(den, *ints)``, never a gcd per coefficient.  Division over Q is
-pseudo-division on Z[x], and the gcd is a primitive remainder sequence on
-Z[x] made monic once.  A :class:`PolyFrac` or Fraction is brought to lowest
-terms once per result: a matrix product accumulates each entry as an
-unreduced numerator over a denominator and normalizes it once.
+``math.gcd(den, *ints)``, never a gcd per coefficient.  Both fields share
+one division, ``_pseudo_divmod`` on integer lists, and one gcd, a
+remainder sequence that keeps the primitive part of each member: on Z[x]
+over Q, made monic once at the end, and the monic associate over F_q, so
+no pseudo-scaling step fires there.  A :class:`PolyFrac` or Fraction is
+brought to lowest terms once per result: a matrix product accumulates each
+entry as an unreduced numerator over a denominator and normalizes it once.
 """
 
 from __future__ import annotations
@@ -163,13 +165,13 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b, q, den = self.ints, other.ints, self.q, self.den
-        if q is None and den != other.den:
+        a, b, den = self.ints, other.ints, self.den
+        if den != other.den:
             a, b = [x * other.den for x in a], [y * den for y in b]
             den *= other.den
         if len(a) < len(b):
             a, b = b, a
-        return _canon([x + y for x, y in zip(a, b)] + list(a[len(b):]), q, den)
+        return _canon([x + y for x, y in zip(a, b)] + list(a[len(b):]), self.q, den)
 
     def __neg__(self) -> "Poly":
         if self.q is None:
@@ -181,17 +183,15 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b, q = self.ints, other.ints, self.q
+        a, b = self.ints, other.ints
         if not a or not b:
-            return _poly((), 1, q)
+            return _poly((), 1, self.q)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        if q is None:
-            return _canon(out, None, self.den * other.den)
-        return _canon(out, q)
+        return _canon(out, self.q, self.den * other.den)
 
     def scale(self, c) -> "Poly":
         if self.q is not None:
@@ -204,50 +204,28 @@ class Poly:
         """Reduce modulo x^k."""
         return _canon(list(self.ints[:k]), self.q, self.den)
 
-    def monic(self) -> "Poly":
-        if not self:
-            return self
-        if self.q is not None:
-            return self.scale(pow(self.ints[-1], -1, self.q))
-        return _canon(list(self.ints), None, self.ints[-1])
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        q, b = self.q, other.ints
-        dq = len(b) - 1
-        if q is None:
-            # s*A = quo*B + rem over Z, with self = A/da and other = B/db
-            s, quo, rem = _pseudo_divmod(self.ints, b)
-            den = s * self.den
-            return (_canon([c * other.den for c in quo], None, den),
-                    _canon(rem, None, den))
-        rem = list(self.ints)
-        inv = pow(b[-1], -1, q)
-        quo = [0] * max(0, len(rem) - dq)
-        # the remainder stays unreduced until _canon
-        for i in range(len(rem) - dq - 1, -1, -1):
-            c = rem[i + dq] * inv % q
-            quo[i] = c
-            if c:
-                for j in range(dq):
-                    rem[i + j] -= c * b[j]
-        return _canon(quo, q), _canon(rem[:dq], q)
+        q, b, f = self.q, other.ints, other.den
+        if q is not None:  # divide by the monic associate, scale the quotient back
+            f, b = pow(b[-1], -1, q), _primitive(b, q)
+        # s*A = quo*b + rem with self = A/da and other = b/f
+        s, quo, rem = _pseudo_divmod(self.ints, b, q)
+        den = s * self.den
+        return _canon([c * f for c in quo], q, den), _canon(rem, q, den)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor: Euclid over F_q, and over Q a
-        primitive remainder sequence on Z[x]."""
-        if self.q is not None:
-            a, b = self, other
-            while b:
-                a, b = b, a.divmod(b)[1]
-            return a.monic()
+        """Monic greatest common divisor: one remainder sequence for both
+        fields that keeps the primitive part of each pseudo-remainder (on
+        Z[x] over Q, the monic associate over F_q)."""
         self._check(other)
-        a, b = _primitive(self.ints), _primitive(other.ints)
+        q = self.q
+        a, b = _primitive(self.ints, q), _primitive(other.ints, q)
         while b:
-            a, b = b, _primitive(_pseudo_divmod(a, b)[2])
-        return _canon(a, None, a[-1] if a else 1)
+            a, b = b, _primitive(_pseudo_divmod(a, b, q)[2], q)
+        return _canon(a, q, a[-1] if a else 1)
 
 
 _new = object.__new__
@@ -294,23 +272,30 @@ def _coeff_canon(c, q: int):
     return int(c) % q
 
 
-def _primitive(cs) -> list:
-    """cs divided by its content gcd(*cs): a primitive polynomial of Z[x]."""
+def _primitive(cs, q: int | None = None) -> list:
+    """The primitive part of cs, integers with no trailing zero: over Q cs
+    divided by its content gcd(*cs); over the field F_q (entries in [0, q))
+    the monic associate."""
+    if q is not None:
+        inv = pow(cs[-1], -1, q) if cs else 1
+        return [c * inv % q for c in cs] if inv != 1 else list(cs)
     g = math.gcd(*cs)
     return [c // g for c in cs] if g > 1 else list(cs)
 
 
-def _pseudo_divmod(a, b) -> tuple[int, list, list]:
-    """Pseudo-division on Z[x]: (s, quo, rem) with s*a = quo*b + rem,
-    s > 0 and deg rem < deg b, for integer lists a and b (b nonzero).
+def _pseudo_divmod(a, b, q: int | None = None) -> tuple[int, list, list]:
+    """Pseudo-division: (s, quo, rem) with s*a = quo*b + rem, s > 0 and
+    deg rem < deg b, for integer lists a and b (b nonzero), rem with no
+    trailing zero.  Over Q this is on Z[x].  Over F_q b must be monic, so
+    s = 1, and quo and rem are reduced into [0, q).
 
     A step scales the partial remainder only when lc(b) does not divide its
     leading coefficient, and then by the least factor that makes it do so;
-    so s = 1 whenever b divides a in Z[x]."""
+    so s = 1 whenever b divides a in Z[x], and always over F_q."""
     rem, dq, lead = list(a), len(b) - 1, b[-1]
     quo, s = [0] * max(0, len(rem) - dq), 1
     for i in range(len(rem) - dq - 1, -1, -1):
-        c = rem[i + dq]
+        c = rem[i + dq] if q is None else rem[i + dq] % q
         if not c:
             continue
         if c % lead:
@@ -324,7 +309,7 @@ def _pseudo_divmod(a, b) -> tuple[int, list, list]:
         quo[i] = c
         for j in range(dq):
             rem[i + j] -= c * b[j]
-    rem = rem[:dq]
+    rem = rem[:dq] if q is None else [c % q for c in rem[:dq]]
     while rem and not rem[-1]:
         rem.pop()
     return s, quo, rem

@@ -411,6 +411,50 @@ def frac_list_lowest_terms(num: list, den: list) -> tuple[list, list]:
     return [c / lead for c in num], [c / lead for c in den]
 
 
+# F_q[x] on plain lists of ints in [0, q), lowest degree first and no
+# trailing zero: long division and Euclid mod q with nothing of Poly inside.
+
+def fq_list_mul(f: list, g: list, q: int) -> list:
+    out = [0] * max(0, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % q
+    return frac_list_trim(out)
+
+
+def fq_list_divmod(f: list, g: list, q: int) -> tuple[list, list]:
+    rem, inv = list(f), pow(g[-1], -1, q)
+    quo = [0] * max(0, len(f) - len(g) + 1)
+    while len(rem) >= len(g):
+        k = len(rem) - len(g)
+        c = rem[-1] * inv % q
+        quo[k] = c
+        for j, b in enumerate(g):
+            rem[k + j] = (rem[k + j] - c * b) % q
+        frac_list_trim(rem)
+    return frac_list_trim(quo), rem
+
+
+def fq_list_monic(f: list, q: int) -> list:
+    inv = pow(f[-1], -1, q) if f else 1
+    return [c * inv % q for c in f]
+
+
+def fq_list_gcd(f: list, g: list, q: int) -> list:
+    """Monic gcd by Euclid mod q."""
+    while g:
+        f, g = g, fq_list_divmod(f, g, q)[1]
+    return fq_list_monic(f, q)
+
+
+def fq_list_lowest_terms(num: list, den: list, q: int) -> tuple[list, list]:
+    """num/den with the gcd divided out and a monic denominator."""
+    g = fq_list_gcd(num, den, q)
+    num, den = fq_list_divmod(num, g, q)[0], fq_list_divmod(den, g, q)[0]
+    inv = pow(den[-1], -1, q)
+    return [c * inv % q for c in num], fq_list_monic(den, q)
+
+
 def is_canonical_poly(p: Poly) -> bool:
     """The stored form: den > 0 (1 over F_q), gcd(den, *ints) = 1 and no
     trailing zero; over F_q every int in [0, q)."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from monocat.category import (MonMorphism, MonObject, compose, decompose,
                               direct_sum, identity_morphism, make_object,
                               partner_morphism, rank_one, zero_morphism)
-from monocat.errors import (InvalidWitness, NotExactTriangle,
+from monocat.errors import (InvalidWitness, NotComposable, NotExactTriangle,
                             SquaresNotHomotopyCommuting)
 from monocat.homotopy import (HomotopyWitness, Triangle, complete_square, cone,
                               cone_maps, factor_through_projective, homotopic,
@@ -241,6 +241,18 @@ def test_rotate_rejects_non_triangle():
                    zero_morphism(b, suspend(a)))
     with pytest.raises(NotExactTriangle):
         rotate(bad)
+
+
+def test_triangle_rejects_third_map_off_the_shifted_start():
+    a = rank_one(Z2, 1)
+    b = make_object(Z2, [["2", "0"], ["0", "1"]])
+    assert b != suspend(a)
+    u, v = zero_morphism(a, b), identity_morphism(b)
+    with pytest.raises(NotComposable,
+                       match="third morphism must land in the shifted start"):
+        Triangle(a, b, b, u, v, zero_morphism(b, b))
+    # the same maps with w landing in shift(a) pass the check
+    Triangle(a, b, b, u, v, zero_morphism(b, suspend(a)))
 
 
 def test_complete_square_strict_and_homotopy_cases():

@@ -6,9 +6,9 @@ operation at a time gives (``oracle_helpers``).  One Smith form reused for
 many right-hand sides must answer exactly as a fresh solve does.  The Smith
 transforms, replayed on first read, must equal those of the eager
 elimination, and callers that need only part of them must build no more.
-Exponents read modulo pi^e must be the exact ones capped at e.  Over Q the
-polynomial kernel must also agree with Euclid on plain Fraction lists,
-which share no code with ``Poly``.
+Exponents read modulo pi^e must be the exact ones capped at e.  The
+polynomial kernel must also agree with Euclid on plain lists, which share
+no code with ``Poly``: Fraction lists over Q, integer lists mod q over F_q.
 """
 
 import random
@@ -27,7 +27,9 @@ from monocat.linalg import (MatS, SnfResult, snf, solve_linear, solve_with_snf,
 from monocat.rings import Poly, PolyFrac, RingCtx
 from monocat.sampling import (morphism_from_params, random_morphism,
                               random_null_homotopic, random_object)
-from oracle_helpers import (eager_snf, frac_list_divmod, frac_list_gcd,
+from oracle_helpers import (eager_snf, fq_list_divmod, fq_list_gcd,
+                            fq_list_lowest_terms, fq_list_mul,
+                            frac_list_divmod, frac_list_gcd,
                             frac_list_lowest_terms, frac_list_mul,
                             frac_list_trim, is_canonical_poly, naive_matmul,
                             poly_add_ref, poly_divmod_ref, poly_gcd_ref,
@@ -115,6 +117,36 @@ def test_polyfrac_make_shortcuts_equal_full_gcd(args):
     assert PolyFrac.make(num, one) == polyfrac_ref(num, one)
 
 
+def prime_field_lists(q, max_degree=8):
+    return st.lists(st.integers(0, q - 1), max_size=max_degree + 1).map(frac_list_trim)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda q: st.tuples(
+    st.just(q), prime_field_lists(q).filter(bool), prime_field_lists(q),
+    prime_field_lists(q).filter(bool))))
+def test_prime_field_kernel_matches_integer_list_euclid(args):
+    q, g, h1, h2 = args
+    # f and k share the planted factor g, whose leading coefficient, like
+    # that of k, need not be 1 over F_3, F_5 and F_7
+    f, k = fq_list_mul(g, h1, q), fq_list_mul(g, h2, q)
+    ref = fq_list_gcd(f, k, q)
+    assert len(ref) >= len(g)
+    F, K, G = (Poly.make(cs, q) for cs in (f, k, g))
+    got = F.gcd(K)
+    assert got.coeffs == K.gcd(F).coeffs == tuple(ref)
+    out = [got, F, K, G]
+    for a, b in ((f, k), (k, g), (f, g), (g, k)):
+        quo, rem = Poly.make(a, q).divmod(Poly.make(b, q))
+        assert (quo.coeffs, rem.coeffs) == tuple(map(tuple, fq_list_divmod(a, b, q)))
+        out += [quo, rem]
+    frac = PolyFrac.make(F, K)
+    num, den = fq_list_lowest_terms(f, k, q)
+    assert (frac.numerator.coeffs, frac.denominator.coeffs) == (tuple(num), tuple(den))
+    out += [frac.numerator, frac.denominator]
+    assert all(is_canonical_poly(p) for p in out)
+
+
 def rational_lists(max_degree=6):
     """Q[x] as Fraction lists: numerators up to 50 in absolute value."""
     c = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
@@ -130,9 +162,9 @@ def test_rational_kernel_matches_fraction_euclid(g, h1, h2):
     assert len(ref) >= len(g)
     big, real = [], rings._pseudo_divmod
 
-    def spy(a, b):
+    def spy(a, b, q=None):
         big.append(max(abs(c).bit_length() for c in (*a, *b)))
-        return real(a, b)
+        return real(a, b, q)
 
     F, K, G = (Poly.make(cs, None) for cs in (f, k, g))
     with pytest.MonkeyPatch.context() as mp:
