@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import MonMorphism, MonObject, compose, identity_morphism, rank_one
+from .category import (MonMorphism, MonObject, compose, composes_to,
+                       identity_morphism, rank_one)
 from .errors import (InternalInvariantError, NotComposable, NotIndecomposable,
                      ProjectiveObject)
 from .homotopy import is_iso_in_homotopy
@@ -96,7 +97,7 @@ def _splits(h: MonMorphism, generators: list) -> bool:
             inv = ctx.one() / u
             section = MonMorphism(sigma.src, sigma.dst, sigma.psi1.scale(inv),
                                   sigma.psi0.scale(inv))
-            if compose(h, section) != identity_morphism(h.dst):
+            if not composes_to(h, section, identity_morphism(h.dst)):
                 raise InternalInvariantError(
                     "split section does not compose back")
             return True

@@ -6,6 +6,13 @@ whose cokernel is killed by omega (every elementary-divisor exponent is at
 most t).  A morphism f -> f' is a pair of matrices (psi1, psi0) making the
 evident square commute: psi0 @ f == f' @ psi1.
 
+Every morphism re-checks that square when it is built.  The two products
+are never formed: ``linalg.sums_equal`` accumulates each entry of both
+sides as an unreduced numerator over a denominator and compares them by
+cross-multiplication, so no entry is brought to lowest terms (no gcd).
+Checks that a composite equals a known morphism (``composes_to``) are
+decided the same way.
+
 An object validates through its Smith exponents over S/(pi^(t+1)): every
 exponent of a valid object is at most t, so one elimination of the matrix
 modulo pi^(t+1) reads them all off.  Only a matrix that fails falls back to
@@ -22,7 +29,7 @@ from functools import cached_property
 from .errors import (CokernelNotOmegaTorsion, ContextMismatch, NotComposable,
                      NonSquare, NotMono, SquareNotCommuting)
 from .linalg import (INFINITY, MatS, SnfResult, block, identity, mat,
-                     snf, truncated_svals, zeros)
+                     snf, sums_equal, truncated_svals, zeros)
 from .rings import RingCtx
 
 
@@ -169,7 +176,10 @@ class MonMorphism:
 
 
 def check_morphism(src: MonObject, dst: MonObject, psi1: MatS, psi0: MatS):
-    """Raise if (psi1, psi0) is not a morphism src -> dst."""
+    """Raise if (psi1, psi0) is not a morphism src -> dst.
+
+    The square psi0 @ f == f' @ psi1 is decided by ``sums_equal``, exactly
+    and without normalizing either product."""
     if src.ctx != dst.ctx or psi1.ctx != src.ctx or psi0.ctx != src.ctx:
         raise ContextMismatch("morphism pieces carry different ring contexts")
     if psi1.rows != dst.n or psi1.cols != src.n:
@@ -178,7 +188,7 @@ def check_morphism(src: MonObject, dst: MonObject, psi1: MatS, psi0: MatS):
         raise NonSquare(f"psi0 must be {dst.n}x{src.n}, got {psi0.rows}x{psi0.cols}")
     if not psi1.in_ring() or not psi0.in_ring():
         raise NotMono("morphism entries must lie in the local ring")
-    if psi0 @ src.mat != dst.mat @ psi1:
+    if not sums_equal([(psi0, src.mat)], [(dst.mat, psi1)]):
         raise SquareNotCommuting("psi0 . f differs from f' . psi1")
 
 
@@ -198,6 +208,14 @@ def compose(g: MonMorphism, f: MonMorphism) -> MonMorphism:
         raise NotComposable("codomain of the first factor differs from the "
                             "domain of the second")
     return MonMorphism(f.src, g.dst, g.psi1 @ f.psi1, g.psi0 @ f.psi0)
+
+
+def composes_to(g: MonMorphism, f: MonMorphism, target: MonMorphism) -> bool:
+    """Whether g after f has the components of target, decided by
+    ``sums_equal`` without forming the composite; the endpoints are the
+    caller's to match."""
+    return (sums_equal(target.psi1, [(g.psi1, f.psi1)])
+            and sums_equal(target.psi0, [(g.psi0, f.psi0)]))
 
 
 def partner_morphism(psi: MonMorphism) -> MonMorphism:

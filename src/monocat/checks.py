@@ -22,7 +22,7 @@ from .homotopy import (complete_square, cone, cone_maps,
                        factor_through_projective, is_iso_in_homotopy,
                        null_homotopy, octahedron, standard_triangle,
                        suspend_morphism, triangle_composite_witnesses)
-from .linalg import identity
+from .linalg import identity, sums_equal
 from .rings import RingCtx
 from .sampling import random_morphism, random_null_homotopic, random_object
 from .stable import resolution_is_exact, two_periodic_resolution
@@ -102,8 +102,8 @@ def suite_sigma(ctx, rng, max_size, i):
     """Partner laws: f f_S = omega I = f_S f and the flip is involutive."""
     f = random_object(ctx, rng, max_size)
     scaled = identity(ctx, f.n).scale(ctx.omega())
-    return (f.mat @ f.partner_mat == scaled
-            and f.partner_mat @ f.mat == scaled
+    return (sums_equal(scaled, [(f.mat, f.partner_mat)])
+            and sums_equal(scaled, [(f.partner_mat, f.mat)])
             and f.partner().partner_mat == f.mat)
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import (MonMorphism, MonObject, compose, identity_morphism,
-                       projective_envelope)
+from .category import (MonMorphism, MonObject, compose, composes_to,
+                       identity_morphism, projective_envelope)
 from .errors import (ContextMismatch, InternalInvariantError, InvalidWitness,
                      NotComposable, NotExactTriangle,
                      SquaresNotHomotopyCommuting)
 from .linalg import (MatS, add_products, block, hstack, identity,
-                     solve_sandwich_congruence, vstack, zeros)
+                     solve_sandwich_congruence, sums_equal, vstack, zeros)
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,19 @@ class HomotopyWitness:
 
 
 def witness_holds(psi: MonMorphism, w: HomotopyWitness) -> bool:
-    """Check both defining identities of a null-homotopy witness."""
+    """Check both defining identities of a null-homotopy witness.
+
+    psi0 == f' s0 + s1 f_sigma and psi1 == s0 f + f'_sigma s1 are each
+    decided by ``sums_equal``: exactly, by cross-multiplying unreduced
+    entries, with no product normalized."""
     f = psi.src
     g = psi.dst
     expect_shapes = (g.n, f.n)
     for s in (w.s0, w.s1):
         if (s.rows, s.cols) != expect_shapes or not s.in_ring():
             return False
-    return (psi.psi0 == add_products(g.mat, w.s0, w.s1, f.partner_mat)
-            and psi.psi1 == add_products(w.s0, f.mat, g.partner_mat, w.s1))
+    return (sums_equal(psi.psi0, [(g.mat, w.s0), (w.s1, f.partner_mat)])
+            and sums_equal(psi.psi1, [(w.s0, f.mat), (g.partner_mat, w.s1)]))
 
 
 def require_witness(psi: MonMorphism, w: HomotopyWitness):
@@ -93,8 +97,7 @@ def factor_through_projective(psi: MonMorphism, w: HomotopyWitness
     alpha = MonMorphism(psi.src, env,
                         vstack([w.s1, psi.psi1]),
                         vstack([w.s0, psi.psi0]))
-    got = compose(beta, alpha)
-    if (got.psi1, got.psi0) != (psi.psi1, psi.psi0):
+    if not composes_to(beta, alpha, psi):
         raise InternalInvariantError(
             "projective factorization failed to compose back")
     return alpha, beta
@@ -330,8 +333,7 @@ def octahedron(first: MonMorphism, second: MonMorphism) -> Octahedron:
     comparison = MonMorphism(cv, cphi, comp, comp)
 
     # projection after the comparison equals the connecting map strictly
-    after = compose(prj_phi, comparison)
-    if (after.psi1, after.psi0) != (connecting.psi1, connecting.psi0):
+    if not composes_to(prj_phi, comparison, connecting):
         raise NotExactTriangle("projection side of the octahedron fails")
     # comparison after the middle map differs from the standard inclusion
     # by a null-homotopic morphism with a closed-form witness

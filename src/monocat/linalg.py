@@ -61,17 +61,8 @@ class MatS:
         return MatS(self.ctx, self.rows, self.cols, tuple(-e for e in self.entries))
 
     def __matmul__(self, other: "MatS") -> "MatS":
-        self._check(other)
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch in matrix product: {self.rows}x{self.cols} times "
-                f"{other.rows}x{other.cols}")
-        ctx, n, m = self.ctx, self.cols, other.cols
-        a = self.entries
-        cols = [other.entries[j::m] for j in range(m)]
-        return MatS(ctx, self.rows, m,
-                    tuple(_dot(zip(a[i * n:(i + 1) * n], col), ctx)
-                          for i in range(self.rows) for col in cols))
+        ctx, (rows, cols), entries = _entry_pairs([(self, other)])
+        return MatS(ctx, rows, cols, tuple(_dot(e, ctx) for e in entries))
 
     def scale(self, c: Scalar) -> "MatS":
         return MatS(self.ctx, self.rows, self.cols, tuple(c * e for e in self.entries))
@@ -80,25 +71,13 @@ class MatS:
 def add_products(a: MatS, b: MatS, c: MatS, d: MatS) -> MatS:
     """a @ b + c @ d, each entry normalized once: one _dot over the pairs
     of both products chained."""
-    for x, y in ((a, b), (c, d)):
-        x._check(y)
-        if x.cols != y.rows:
-            raise ValueError("shape mismatch in matrix product")
-    a._check(c)
-    if (a.rows, b.cols) != (c.rows, d.cols):
-        raise ValueError("shape mismatch in matrix addition")
-    ctx, n, k, m = a.ctx, a.cols, c.cols, b.cols
-    bcols = [b.entries[j::m] for j in range(m)]
-    dcols = [d.entries[j::m] for j in range(m)]
-    return MatS(ctx, a.rows, m,
-                tuple(_dot(chain(zip(a.entries[i * n:(i + 1) * n], bcols[j]),
-                                 zip(c.entries[i * k:(i + 1) * k], dcols[j])), ctx)
-                      for i in range(a.rows) for j in range(m)))
+    ctx, (rows, cols), entries = _entry_pairs([(a, b), (c, d)])
+    return MatS(ctx, rows, cols, tuple(_dot(e, ctx) for e in entries))
 
 
-def _dot(pairs, ctx: RingCtx) -> Scalar:
-    """Sum of a * b over the pairs, normalized once: the terms accumulate
-    as an unreduced numerator over a common denominator."""
+def _accumulate(pairs):
+    """Sum of a * b over the pairs as an unreduced (numerator, denominator)
+    over a common denominator, or None when no term is nonzero."""
     num = den = None
     for a, b in pairs:
         if not (a and b):
@@ -110,7 +89,80 @@ def _dot(pairs, ctx: RingCtx) -> Scalar:
             num = num + tn
         else:
             num, den = num * td + tn * den, den * td
-    return ctx.zero() if num is None else ctx._normalize(num, den)
+    return None if num is None else (num, den)
+
+
+def _dot(pairs, ctx: RingCtx) -> Scalar:
+    """Sum of a * b over the pairs, normalized once."""
+    acc = _accumulate(pairs)
+    return ctx.zero() if acc is None else ctx._normalize(*acc)
+
+
+def _entry_pairs(products) -> tuple:
+    """The ring context and shape of a sum of products a @ b, given as a
+    nonempty sequence of pairs (a, b), and for each entry, row-major, the
+    pairs of scalars whose products sum to it."""
+    a0, b0 = products[0]
+    shape = (a0.rows, b0.cols)
+    per_product = []
+    for a, b in products:
+        a._check(b)
+        if a.cols != b.rows:
+            raise ValueError(
+                f"shape mismatch in matrix product: {a.rows}x{a.cols} times "
+                f"{b.rows}x{b.cols}")
+        a0._check(a)
+        if (a.rows, b.cols) != shape:
+            raise ValueError("shape mismatch in matrix addition")
+        n, m = a.cols, b.cols
+        cols = [b.entries[j::m] for j in range(m)]
+        per_product.append([zip(a.entries[i * n:(i + 1) * n], col)
+                            for i in range(a.rows) for col in cols])
+    if len(per_product) == 1:
+        return a0.ctx, shape, per_product[0]
+    return a0.ctx, shape, [chain.from_iterable(e) for e in zip(*per_product)]
+
+
+def _unreduced(side) -> tuple:
+    """The ring context, shape and entries of a side of ``sums_equal``,
+    each entry an unreduced (numerator, denominator), or None for zero."""
+    if isinstance(side, MatS):
+        return side.ctx, (side.rows, side.cols), (
+            (x.numerator, x.denominator) if x else None for x in side.entries)
+    ctx, shape, entries = _entry_pairs(side)
+    return ctx, shape, map(_accumulate, entries)
+
+
+def _same(x, y) -> bool:
+    """Whether two unreduced (numerator, denominator) pairs are equal,
+    None standing for zero."""
+    if x is None or y is None:
+        z = x or y
+        return z is None or not z[0]
+    if x[1] == y[1]:
+        return x[0] == y[0]
+    return x[0] * y[1] == y[0] * x[1]
+
+
+def sums_equal(left, right) -> bool:
+    """Whether two matrices, each given as a matrix or as a sum of
+    products, agree entrywise.
+
+    A sum of products is a nonempty sequence of pairs of matrices (a, b),
+    standing for the sum of the a @ b.  No entry is brought to lowest
+    terms.  Each entry of a sum accumulates as an unreduced numerator over
+    a denominator, as ``_dot`` does before it normalizes.  Equal
+    denominators compare their numerators, and others compare n1 * d2
+    with n2 * d1, which is exact because S is an integral domain.  An
+    entry with no nonzero term is zero.
+    """
+    lctx, lshape, lvals = _unreduced(left)
+    rctx, rshape, rvals = _unreduced(right)
+    if lctx != rctx:
+        raise ContextMismatch("matrices over different ring contexts")
+    if lshape != rshape:
+        raise ValueError("shape mismatch in matrix comparison")
+    return all(map(_same, lvals, rvals))
 
 
 def coerce_scalar(ctx: RingCtx, value) -> Scalar:

@@ -37,7 +37,10 @@ remainder sequence that keeps the primitive part of each member: on Z[x]
 over Q, made monic once at the end, and the monic associate over F_q, so
 no pseudo-scaling step fires there.  A :class:`PolyFrac` or Fraction is
 brought to lowest terms once per result: a matrix product accumulates each
-entry as an unreduced numerator over a denominator and normalizes it once.
+entry as an unreduced numerator over a denominator and normalizes it once,
+and a comparison of products (``linalg.sums_equal``) normalizes none.
+Lowest terms divide by the monic gcd with ``_pseudo_divmod`` directly, and
+multiplying by the constant 1 returns the other factor.
 """
 
 from __future__ import annotations
@@ -184,6 +187,11 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         a, b = self.ints, other.ints
+        # the constant 1 (not 1/2 over Q) returns the other, canonical, factor
+        if a == (1,) and self.den == 1:
+            return other
+        if b == (1,) and other.den == 1:
+            return self
         if not a or not b:
             return _poly((), 1, self.q)
         out = [0] * (len(a) + len(b) - 1)
@@ -341,8 +349,10 @@ class PolyFrac:
             # a constant on either side has gcd 1 with the other
             g = num.gcd(den)
             if len(g.ints) > 1:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
+                # g divides both, so no pseudo-scaling step fires (s = 1);
+                # dividing by g.ints alone scales both quotients alike
+                num, den = (_canon(_pseudo_divmod(p.ints, g.ints, p.q)[1], p.q, p.den)
+                            for p in (num, den))
         lead, q = den.ints[-1], num.q
         lead_inv = pow(lead, -1, q) if q is not None else Fraction(den.den, lead)
         return PolyFrac(num.scale(lead_inv), den.scale(lead_inv))

@@ -1,6 +1,11 @@
 """Null-homotopy decisions and the triangle axioms."""
 
+import inspect
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +14,7 @@ from monocat.category import (MonMorphism, MonObject, compose, decompose,
                               direct_sum, identity_morphism, make_object,
                               partner_morphism, rank_one, zero_morphism)
 from monocat.errors import (InvalidWitness, NotComposable, NotExactTriangle,
-                            SquaresNotHomotopyCommuting)
+                            SquareNotCommuting, SquaresNotHomotopyCommuting)
 from monocat.homotopy import (HomotopyWitness, Triangle, complete_square, cone,
                               cone_maps, factor_through_projective, homotopic,
                               is_iso_in_homotopy, null_homotopy,
@@ -101,6 +106,78 @@ def test_witness_validation_rejects_garbage():
     assert not witness_holds(psi, bad)
     with pytest.raises(InvalidWitness):
         factor_through_projective(psi, bad)
+
+
+# rank-two data over F_3 and Q whose entries carry distinct non-constant
+# denominators, so the two sides of each checked identity accumulate over
+# different denominators; bump is a unit times pi
+RANK_TWO = dict(src=[["1/(1 + x)", "0"], ["x", "x/(1 + x^2)"]],
+                dst=[["1 + x", "x"], ["0", "x^2/(1 + 2*x)"]],
+                s0=[["1/(1 + x)", "0"], ["x", "2"]],
+                s1=[["0", "1/(1 + 2*x)"], ["1", "x/(1 + x^2)"]],
+                bump=[["0", "x/(1 + x)"], ["0", "0"]])
+
+
+def rank_two(ctx):
+    """A null-homotopic morphism over ctx, its witness, a witness moved by
+    bump, and bump, all from RANK_TWO."""
+    m = {k: mat(ctx, rows) for k, rows in RANK_TWO.items()}
+    src, dst = MonObject(ctx, m["src"]), MonObject(ctx, m["dst"])
+    psi, w = null_morphism_from_data(src, dst, m["s0"], m["s1"])
+    return psi, w, HomotopyWitness(m["s0"] + m["bump"], m["s1"]), m["bump"]
+
+
+@pytest.mark.parametrize("ctx", [RingCtx.poly_local(2, 3), RingCtx.poly_local(2)],
+                         ids=["F3", "Q"])
+def test_rank_two_checks_reject_perturbed_data(ctx):
+    psi, w, bad, bump = rank_two(ctx)
+    assert witness_holds(psi, w)
+    MonMorphism(psi.src, psi.dst, psi.psi1, psi.psi0)
+    with pytest.raises(SquareNotCommuting, match="psi0 . f differs from f' . psi1"):
+        MonMorphism(psi.src, psi.dst, psi.psi1, psi.psi0 + bump)
+    with pytest.raises(SquareNotCommuting):
+        MonMorphism(psi.src, psi.dst, psi.psi1 + bump, psi.psi0)
+    assert not witness_holds(psi, bad)
+    assert not witness_holds(psi, HomotopyWitness(w.s0, w.s1 + bump))
+    with pytest.raises(InvalidWitness):
+        factor_through_projective(psi, bad)
+
+
+CHECKS_UNDER_O = f"""
+import sys
+from monocat.category import MonMorphism, MonObject
+from monocat.errors import InvalidWitness, SquareNotCommuting
+from monocat.homotopy import (HomotopyWitness, factor_through_projective,
+                              null_morphism_from_data, witness_holds)
+from monocat.linalg import mat
+from monocat.rings import RingCtx
+assert sys.flags.optimize
+RANK_TWO = {RANK_TWO!r}
+{inspect.getsource(rank_two)}
+for ctx in (RingCtx.poly_local(2, 3), RingCtx.poly_local(2)):
+    psi, w, bad, bump = rank_two(ctx)
+    try:
+        MonMorphism(psi.src, psi.dst, psi.psi1, psi.psi0 + bump)
+    except SquareNotCommuting as exc:
+        print("square:", exc)
+    print("witness:", witness_holds(psi, w), witness_holds(psi, bad))
+    try:
+        factor_through_projective(psi, bad)
+    except InvalidWitness as exc:
+        print("factor:", exc)
+"""
+
+
+def test_square_and_witness_checks_run_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == 2 * [
+        "square: psi0 . f differs from f' . psi1",
+        "witness: True False",
+        "factor: claimed null-homotopy data fails its identities"]
 
 
 def test_factor_through_projective_round_trip():

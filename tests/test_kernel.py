@@ -2,13 +2,15 @@
 
 Matrix products normalize once per entry and the polynomial operations keep
 coefficients canonical inline; both must give exactly what one normalized
-operation at a time gives (``oracle_helpers``).  One Smith form reused for
-many right-hand sides must answer exactly as a fresh solve does.  The Smith
-transforms, replayed on first read, must equal those of the eager
-elimination, and callers that need only part of them must build no more.
-Exponents read modulo pi^e must be the exact ones capped at e.  The
-polynomial kernel must also agree with Euclid on plain lists, which share
-no code with ``Poly``: Fraction lists over Q, integer lists mod q over F_q.
+operation at a time gives (``oracle_helpers``).  Equality of sums of
+products, decided without normalizing, must agree with ``==`` of the
+normalized products.  One Smith form reused for many right-hand sides must
+answer exactly as a fresh solve does.  The Smith transforms, replayed on
+first read, must equal those of the eager elimination, and callers that
+need only part of them must build no more.  Exponents read modulo pi^e
+must be the exact ones capped at e.  The polynomial kernel must also agree
+with Euclid on plain lists, which share no code with ``Poly``: Fraction
+lists over Q, integer lists mod q over F_q.
 """
 
 import random
@@ -91,6 +93,83 @@ def test_matmul_equals_naive_product(pair):
     assert linalg.add_products(a, b, a, b) == naive_matmul(a, b) + naive_matmul(a, b)
 
 
+EQUALITY_RINGS = [RingCtx.int_local(2, 2), RingCtx.int_local(3, 2),
+                  RingCtx.poly_local(2, 2), RingCtx.poly_local(2, 3),
+                  RingCtx.poly_local(2, 5), RingCtx.poly_local(2)]
+
+
+def units(ctx):
+    """Units with distinct non-trivial denominators: 1/(1 + pi) and
+    1/(1 + pi^2), and 2/3 over Q."""
+    one = ctx.one()
+    out = [one, one / (one + ctx.pi()), one / (one + ctx.pi_pow(2))]
+    return out + [ctx.parse_scalar("2/3")] if ctx == RingCtx.poly_local(2) else out
+
+
+def unit_scaled_matrices(ctx, rows, cols):
+    entry = st.builds(lambda a, u: a * u, scalars(ctx), st.sampled_from(units(ctx)))
+    return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: MatS(ctx, rows, cols, tuple(es)))
+
+
+@st.composite
+def product_sums(draw):
+    """a, b, c, d over one ring with a @ b + c @ d defined; inner sizes 0
+    give empty sums, and a quarter of the right factors are zero."""
+    ctx = draw(st.sampled_from(EQUALITY_RINGS))
+    r, k1, k2, c = (draw(st.integers(lo, 3)) for lo in (1, 0, 0, 1))
+    mats = [draw(unit_scaled_matrices(ctx, *shape))
+            for shape in ((r, k1), (k1, c), (r, k2), (k2, c))]
+    for i in (1, 3):
+        if draw(st.integers(0, 3)) == 0:
+            mats[i] = linalg.zeros(ctx, mats[i].rows, c)
+    return mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_sums(), st.data())
+def test_sums_equal_matches_normalized_products(mats, data):
+    a, b, c, d = mats
+    ctx, r, n = a.ctx, a.rows, b.cols
+    sums_equal = linalg.sums_equal
+    x = naive_matmul(a, b) + naive_matmul(c, d)
+    assert sums_equal(x, [(a, b), (c, d)])
+    assert sums_equal([(c, d), (a, b)], x)
+    assert sums_equal([(a, b)], [(c, d)]) == (naive_matmul(a, b) == naive_matmul(c, d))
+    # terms that cancel, against a zero matrix and against an empty sum
+    zero = linalg.zeros(ctx, r, n)
+    assert sums_equal([(a, b), (-a, b)], zero)
+    assert sums_equal([(c, d), (-c, d)],
+                      [(linalg.zeros(ctx, r, 0), linalg.zeros(ctx, 0, n))])
+    assert sums_equal(x, zero) == x.is_zero()
+    # one entry moved by a unit times pi^k
+    i = data.draw(st.integers(0, r * n - 1))
+    u = data.draw(st.sampled_from(units(ctx))) * ctx.pi_pow(data.draw(st.integers(0, 3)))
+    y = MatS(ctx, r, n, tuple(e + u if j == i else e for j, e in enumerate(x.entries)))
+    assert not sums_equal(y, [(a, b), (c, d)])
+    assert not sums_equal([(a, b), (c, d)], y)
+
+
+@pytest.mark.parametrize("ctx", EQUALITY_RINGS, ids=str)
+def test_sums_equal_takes_both_denominator_paths(ctx, monkeypatch):
+    """u = 1/(1 + pi) against u * 1, over the same denominator, and against
+    u^2 * (1/u), accumulated over (1 + pi)^2."""
+    paths, real = [], linalg._same
+
+    def spy(x, y):
+        paths.append(x[1] == y[1])
+        return real(x, y)
+
+    monkeypatch.setattr(linalg, "_same", spy)
+    u = units(ctx)[1]
+    one = MatS(ctx, 1, 1, (u,)), MatS(ctx, 1, 1, (ctx.one(),))
+    square = MatS(ctx, 1, 1, (u * u,)), MatS(ctx, 1, 1, (ctx.one() / u,))
+    assert linalg.sums_equal(one[0], [one])
+    assert linalg.sums_equal(one[0], [square])
+    assert not linalg.sums_equal(one[0], [square, one])
+    assert paths == [True, False, False]
+
+
 @settings(deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(
     lambda q: st.tuples(polys(q), polys(q), nonzero_polys(q))))
@@ -102,6 +181,14 @@ def test_poly_ops_equal_make_built(fgh):
     assert f.divmod(h) == poly_divmod_ref(f, h)
     assert f.gcd(h) == poly_gcd_ref(f, h)
     assert h.gcd(f) == poly_gcd_ref(h, f)
+    # the constant 1 returns the other factor; 1/2 over Q multiplies
+    one = Poly.make([1], f.q)
+    for p in (f * one, one * f):
+        assert p == f and is_canonical_poly(p)
+    if f.q is None:
+        half = Poly.make([Fraction(1, 2)])
+        for p in (f * half, half * f):
+            assert p == poly_mul_ref(f, half) and is_canonical_poly(p)
 
 
 @settings(deadline=None)
