@@ -14,20 +14,31 @@ Hom(test, middle), and its system depends on g and on the test object only,
 so the verifier takes one Smith form per (g, test object) and solves each
 class by back-substitution against it.  Split verdicts: the end Z has rank
 one, so End(Z) is S, a local ring, and h: X -> Z splits exactly when
-h o sigma is a unit for one of the generators sigma of Hom(Z, X); each
-class costs one product per generator.
+h o sigma is a unit for one of the generators sigma of Hom(Z, X).
+
+The verifier decides each class in parameter coordinates.
+``morphism_from_params`` is S-linear in its parameters, so the class with
+parameters c is h = sum_j c_j tau_j over the generators tau_j of
+Hom(X, Z), and its stacked right-hand side and its scalars
+(h o sigma).psi1 are the same combinations of those of the tau_j.  These
+are read off the tau_j once per (g, test object).  A class then costs a
+few sums over its parameters, one back-substitution and one exact check
+of the solution; h is built only when it splits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
-from .category import (MonMorphism, MonObject, compose, composes_to,
-                       identity_morphism, rank_one)
+from .category import (MonMorphism, MonObject, composes_to,
+                       identity_morphism, rank_one, zero_morphism)
 from .errors import (InternalInvariantError, NotComposable, NotIndecomposable,
                      ProjectiveObject)
 from .homotopy import is_iso_in_homotopy
-from .linalg import MatS, mat, snf, solve_with_snf, truncated_svals
+from .linalg import (MatS, back_substitute, mat, snf, solve_with_snf,
+                     sums_equal, truncated_svals)
 from .sampling import all_morphism_params, morphism_from_params
 from .stable import RModuleObj, syzygy
 
@@ -81,6 +92,12 @@ def _hom_generators(src: MonObject, dst: MonObject) -> list:
             for k in range(cells)]
 
 
+def _columns(ctx, columns) -> MatS:
+    """The matrix with the given columns, each a tuple of entries."""
+    return MatS(ctx, len(columns[0]), len(columns),
+                tuple(x for row in zip(*columns) for x in row))
+
+
 def _splits(h: MonMorphism, generators: list) -> bool:
     """Whether h onto a rank-one end is a split epimorphism, given the
     S-generators of Hom(h.dst, h.src).
@@ -94,14 +111,19 @@ def _splits(h: MonMorphism, generators: list) -> bool:
     for sigma in generators:
         u = (h.psi1 @ sigma.psi1).at(0, 0)
         if ctx.is_unit(u):
-            inv = ctx.one() / u
-            section = MonMorphism(sigma.src, sigma.dst, sigma.psi1.scale(inv),
-                                  sigma.psi0.scale(inv))
-            if not composes_to(h, section, identity_morphism(h.dst)):
-                raise InternalInvariantError(
-                    "split section does not compose back")
+            _check_section(h, sigma, u)
             return True
     return False
+
+
+def _check_section(h: MonMorphism, sigma: MonMorphism, u):
+    """Raise unless sigma / u is a section of h, where u, the scalar of
+    h o sigma, is a unit."""
+    inv = h.ctx.one() / u
+    section = MonMorphism(sigma.src, sigma.dst, sigma.psi1.scale(inv),
+                          sigma.psi0.scale(inv))
+    if not composes_to(h, section, identity_morphism(h.dst)):
+        raise InternalInvariantError("split section does not compose back")
 
 
 class StrictFactorizer:
@@ -117,14 +139,13 @@ class StrictFactorizer:
     """
 
     def __init__(self, through: MonMorphism, src: MonObject):
-        columns = [(through.psi1 @ sigma.psi1).entries
-                   + (through.psi0 @ sigma.psi0).entries
-                   for sigma in _hom_generators(src, through.src)]
         self.through = through
         self.src = src
-        self.smith = snf(MatS(through.ctx, 2 * through.dst.n * src.n,
-                              len(columns), tuple(x for row in zip(*columns)
-                                                  for x in row)))
+        self.a = _columns(through.ctx, [
+            (through.psi1 @ sigma.psi1).entries
+            + (through.psi0 @ sigma.psi0).entries
+            for sigma in _hom_generators(src, through.src)])
+        self.smith = snf(self.a)
 
     def solve(self, target: MonMorphism):
         """A morphism chi with through o chi == target exactly, or None."""
@@ -136,10 +157,22 @@ class StrictFactorizer:
         if sol is None:
             return None
         chi = morphism_from_params(self.src, through.src, sol.entries)
-        if compose(through, chi) != target:
+        if not composes_to(through, chi, target):
             raise InternalInvariantError(
                 "strict factorization does not compose back")
         return chi
+
+    def factors(self, rhs: MatS, reduced: MatS) -> bool:
+        """Whether a @ x == rhs has a solution over S, given
+        reduced == U^-1 @ rhs for the Smith form of a.  The solution found
+        is checked against a and rhs exactly."""
+        sol = back_substitute(self.smith, reduced)
+        if sol is None:
+            return False
+        if not sums_equal(rhs, [(self.a, sol)]):
+            raise InternalInvariantError(
+                "strict factorization does not compose back")
+        return True
 
 
 def factor_strictly(through: MonMorphism, target: MonMorphism):
@@ -187,8 +220,7 @@ def _exactness_failure(start, middle, end, theta, g):
         return "g endpoints"
     if middle.n != start.n + end.n:
         return "rank count"
-    comp = compose(g, theta)
-    if not (comp.psi1.is_zero() and comp.psi0.is_zero()):
+    if not composes_to(g, theta, zero_morphism(start, end)):
         return "composition not zero"
     for name, comp_mat, want in (("theta1", theta.psi1, start.n),
                                  ("theta0", theta.psi0, start.n),
@@ -210,7 +242,9 @@ def verify_right_almost_split(seq: ArSequence):
     strictly through seq.g exactly when it is not a split epimorphism.
     Split verdicts come from the generators of Hom(seq.end, test), so
     seq.end must have rank one; any other end raises NotIndecomposable
-    before a class is enumerated.
+    before a class is enumerated.  Each class is decided from its
+    parameters by ``_ClassCoordinates``; only a split class is built as a
+    morphism, to check its section.
 
     Returns (lines, ok): one TEST line per exponent and a final ARSS
     summary line.
@@ -232,19 +266,15 @@ def verify_right_almost_split(seq: ArSequence):
     for sp in range(ctx.t + 1):
         test = rank_one(ctx, sp)
         classes_iter = all_morphism_params(test, seq.end)
-        through_g = StrictFactorizer(seq.g, test)
-        generators = _hom_generators(seq.end, test)
+        coords = _ClassCoordinates(seq.g, test)
         classes = 0
         factored = 0
         good = True
         for params in classes_iter:
-            h = morphism_from_params(test, seq.end, params)
+            split, factors = coords.verdict(params)
             classes += 1
-            split = _splits(h, generators)
-            chi = through_g.solve(h)
-            if chi is not None:
-                factored += 1
-            if (chi is not None) == split:
+            factored += factors
+            if factors == split:
                 good = False
         mark = "PASS" if good else "FAIL"
         lines.append(f"TEST s'={sp} classes={classes} factored={factored} "
@@ -252,6 +282,62 @@ def verify_right_almost_split(seq: ArSequence):
         ok = ok and good
     lines.append(f"ARSS {label} {ctx.t} {'PASS' if ok else 'FAIL'}")
     return lines, ok
+
+
+class _ClassCoordinates:
+    """The classes h: test -> g.dst in parameter coordinates.
+
+    The class with parameters c is h = sum_j c_j tau_j over the Hom
+    generators tau_j, so (h o sigma_k).psi1 = sum_j c_j u_jk with
+    u_jk = (tau_j o sigma_k).psi1, and h stacked as a right-hand side is
+    sum_j c_j r_j with r_j = tau_j stacked, also after U^-1 of the
+    factorizer's Smith form.  The u_jk and r_j are read off once.
+    """
+
+    def __init__(self, g: MonMorphism, test: MonObject):
+        self.test = test
+        self.end = g.dst
+        self.factorizer = StrictFactorizer(g, test)
+        self.sigmas = _hom_generators(self.end, test)
+        taus = _hom_generators(test, self.end)
+        self._units = [[(tau.psi1 @ sigma.psi1).at(0, 0) for tau in taus]
+                       for sigma in self.sigmas]
+        rhs = _columns(test.ctx, [tau.psi1.entries + tau.psi0.entries
+                                  for tau in taus])
+        self._rhs = rhs.to_rows()
+        self._reduced = (self.factorizer.smith.u_inv @ rhs).to_rows()
+
+    def split_scalars(self, params) -> tuple:
+        """(h o sigma_k).psi1 for each generator sigma_k of Hom(end, test)."""
+        return _combine(params, self._units)
+
+    def rhs(self, params) -> MatS:
+        """h stacked as one column: psi1, then psi0."""
+        return MatS(self.test.ctx, len(self._rhs), 1,
+                    _combine(params, self._rhs))
+
+    def reduced(self, params) -> MatS:
+        """U^-1 @ rhs(params), for the factorizer's Smith form."""
+        return MatS(self.test.ctx, len(self._reduced), 1,
+                    _combine(params, self._reduced))
+
+    def verdict(self, params) -> tuple:
+        """(splits, factors through g) for one class.  A split class is
+        built and its section checked; a factorization is checked as
+        a @ x == rhs, which is g o chi == h for chi = sum_k x_k sigma_k."""
+        ctx = self.test.ctx
+        scalars = self.split_scalars(params)
+        k = next((k for k, u in enumerate(scalars) if ctx.is_unit(u)), None)
+        if k is not None:
+            _check_section(morphism_from_params(self.test, self.end, params),
+                           self.sigmas[k], scalars[k])
+        return k is not None, self.factorizer.factors(self.rhs(params),
+                                                      self.reduced(params))
+
+
+def _combine(params, rows) -> tuple:
+    """sum_j params[j] * row[j] for each row."""
+    return tuple(reduce(add, map(mul, params, row)) for row in rows)
 
 
 def end_ring_is_local(f: MonObject) -> bool:

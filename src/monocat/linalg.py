@@ -496,12 +496,17 @@ def solve_with_snf(s: SnfResult, rhs: MatS) -> MatS | None:
     Back-substitution only, so one ``snf(a)`` serves every right-hand side
     of the same a.
     """
+    if s.d.rows != rhs.rows:
+        raise ValueError("shape mismatch in linear solve")
+    return back_substitute(s, s.u_inv @ rhs)
+
+
+def back_substitute(s: SnfResult, c: MatS) -> MatS | None:
+    """``solve_with_snf`` for a right-hand side already multiplied by U^-1:
+    D @ y = c is solved entrywise, and the answer is V^-1 @ y, or None."""
     ctx = s.d.ctx
     rows, cols = s.d.rows, s.d.cols
-    if rows != rhs.rows:
-        raise ValueError("shape mismatch in linear solve")
-    c = s.u_inv @ rhs
-    ncols = rhs.cols
+    ncols = c.cols
     y = [[ctx.zero() for _ in range(ncols)] for _ in range(cols)]
     for i in range(rows):
         sval = s.svals[i] if i < len(s.svals) else INFINITY

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from monocat.almost_split import (ArSequence, StrictFactorizer,
-                                  _hom_generators, _splits, ar_sequence,
+                                  _ClassCoordinates, _hom_generators,
+                                  _splits, ar_sequence,
                                   end_ring_is_local, factor_strictly, tau,
                                   tau_gp, verify_right_almost_split)
 from monocat.category import (MonMorphism, MonObject, cokernel, compose,
@@ -396,6 +397,51 @@ def test_verifier_matches_per_class_reference(ctx):
     assert verdicts == [True, not flips, False] * (ctx.t - 1)
 
 
+def not_almost_split(ctx):
+    """f -> [[pi^2, 1], [0, pi^2]] -> f with f = pi^2: exact and not split,
+    but its middle term is projective, so g is not right almost split."""
+    f = rank_one(ctx, 2)
+    p2 = ctx.pi_pow(2)
+    middle = MonObject(ctx, MatS(ctx, 2, 2, (p2, ctx.one(), ctx.zero(), p2)))
+    col = MatS(ctx, 2, 1, (ctx.one(), ctx.zero()))
+    row = MatS(ctx, 1, 2, (ctx.zero(), ctx.one()))
+    return ArSequence(f, middle, f, MonMorphism(f, middle, col, col),
+                      MonMorphism(middle, f, row, row))
+
+
+@pytest.mark.parametrize("ctx", [RingCtx.int_local(2, 4),
+                                 RingCtx.int_local(3, 4),
+                                 RingCtx.poly_local(4, q=2)],
+                         ids=lambda c: f"{c.kind}-{c.residue_field_size}")
+def test_verifier_fails_a_sequence_that_is_not_almost_split(ctx):
+    # the structural checks pass, so the verdict comes from the classes
+    got = verify_right_almost_split(not_almost_split(ctx))
+    assert got == per_class_verify(not_almost_split(ctx))
+    lines, ok = got
+    assert not ok and not any(line.startswith("STRUCT") for line in lines)
+    assert lines[-1] == "ARSS 2 4 FAIL"
+    if ctx.residue_field_size == 2:
+        assert lines[1:3] == ["TEST s'=1 classes=16 factored=8 FAIL",
+                              "TEST s'=2 classes=16 factored=4 FAIL"]
+
+
+@pytest.mark.parametrize("ctx", VERIFIER_RINGS,
+                         ids=lambda c: f"{c.kind}-{c.residue_field_size}-t{c.t}")
+def test_class_coordinates_match_the_materialized_class(ctx):
+    for g in {seq.g for seq in verifier_cases(ctx)}:
+        for sp in range(ctx.t + 1):
+            test = rank_one(ctx, sp)
+            coords = _ClassCoordinates(g, test)
+            u_inv = coords.factorizer.smith.u_inv
+            for params in all_morphism_params(test, g.dst):
+                h = morphism_from_params(test, g.dst, params)
+                rhs = coords.rhs(params)
+                assert rhs.entries == h.psi1.entries + h.psi0.entries
+                assert coords.reduced(params) == u_inv @ rhs
+                assert coords.split_scalars(params) == tuple(
+                    (h.psi1 @ sigma.psi1).at(0, 0) for sigma in coords.sigmas)
+
+
 def test_factorizer_rejects_foreign_targets():
     f = rank_one(Z22, 1)
     seq = ar_sequence(f)
@@ -441,21 +487,21 @@ from monocat.category import identity_morphism, rank_one, zero_morphism
 from monocat.rings import RingCtx
 assert sys.flags.optimize
 f = rank_one(RingCtx.int_local(2, 2), 1)
-real_compose = a.compose
-a.compose = lambda g, h: zero_morphism(h.src, g.dst)
+real_composes_to = a.composes_to
+a.composes_to = lambda g, h, target: False
 try:
     a.factor_strictly(identity_morphism(f), identity_morphism(f))
 except AssertionError as exc:
     print("factor:", exc)
-# the verifier's own factorizer, with every split check answering no
-real_splits = a._splits
-a._splits = lambda h, generators: False
+a.composes_to = real_composes_to
+# the verifier's own factorizer, its check a @ x == rhs answering no
+real_sums_equal = a.sums_equal
+a.sums_equal = lambda left, right: False
 try:
     a.verify_right_almost_split(a.ar_sequence(f))
 except AssertionError as exc:
     print("verify:", exc)
-a._splits = real_splits
-a.compose = real_compose
+a.sums_equal = real_sums_equal
 # a split class whose scaled generator is compared to a zero identity
 real_identity = a.identity_morphism
 a.identity_morphism = lambda obj: zero_morphism(obj, obj)
