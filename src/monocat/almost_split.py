@@ -6,39 +6,37 @@ nonprojective object we build the almost split sequence ending at it by
 lifting the classical chain of cyclic length modules, and a brute-force
 verifier confirms the right-almost-split property: it enumerates every
 morphism class from every indecomposable test object and decides strict
-factorization with exact linear algebra over the base ring.  Hom(X, Y) is
-free over S, with one generator per free cell of
-``sampling.morphism_from_params``, and both decisions read that basis.  A
-strict factorization through g has one unknown per generator of
-Hom(test, middle), and its system depends on g and on the test object only,
-so the verifier takes one Smith form per (g, test object) and solves each
-class by back-substitution against it.  Split verdicts: the end Z has rank
-one, so End(Z) is S, a local ring, and h: X -> Z splits exactly when
-h o sigma is a unit for one of the generators sigma of Hom(Z, X).
+factorization with exact linear algebra over the base ring.
 
-The verifier decides each class in parameter coordinates.
-``morphism_from_params`` is S-linear in its parameters, so the class with
-parameters c is h = sum_j c_j tau_j over the generators tau_j of
-Hom(X, Z), and its stacked right-hand side and its scalars
-(h o sigma).psi1 are the same combinations of those of the tau_j.  These
-are read off the tau_j once per (g, test object).  A class then costs a
-few sums over its parameters, one back-substitution and one exact check
-of the solution; h is built only when it splits.
+Hom(X, Y) is free over S, with one generator per free cell of
+``sampling.morphism_from_params``.  A strict factorization through g has
+one unknown per generator of Hom(X, g.src), and its system depends on g
+and on X only, so a ``StrictFactorizer`` takes one Smith form and its
+``solve`` back-substitutes each right-hand side against it.  Every strict
+factorization goes through that ``solve``; ``factor_strictly`` is the
+entry point that takes morphisms.
+
+The verifier's end Z and test objects X have rank one, so
+Hom(X, Z) = S tau and Hom(Z, X) = S sigma, and ``morphism_from_params``
+is S-linear in its one parameter: the class c is c tau.  End(Z) is S, a
+local ring, so c tau splits exactly when c u is a unit, u being
+(tau o sigma).psi1, and it factors through g exactly when the system has
+a solution for c r, r being tau stacked.  u, r and U^-1 r are read off
+once per test object; a class is built as a morphism only when it
+splits, to check its section.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul
 
 from .category import (MonMorphism, MonObject, composes_to,
                        identity_morphism, rank_one, zero_morphism)
 from .errors import (InternalInvariantError, NotComposable, NotIndecomposable,
                      ProjectiveObject)
 from .homotopy import is_iso_in_homotopy
-from .linalg import (MatS, back_substitute, mat, snf, solve_with_snf,
-                     sums_equal, truncated_svals)
+from .linalg import (MatS, back_substitute, mat, snf, sums_equal,
+                     truncated_svals)
 from .sampling import all_morphism_params, morphism_from_params
 from .stable import RModuleObj, syzygy
 
@@ -135,49 +133,46 @@ class StrictFactorizer:
     column k holds both components of through o sigma_k.  The matrix a
     depends only on ``through`` and on ``src``; a target enters through
     the right-hand side alone.  So a and its Smith form are built once,
-    and each target costs one back-substitution.
+    and each right-hand side costs one back-substitution.
     """
 
     def __init__(self, through: MonMorphism, src: MonObject):
-        self.through = through
-        self.src = src
         self.a = _columns(through.ctx, [
             (through.psi1 @ sigma.psi1).entries
             + (through.psi0 @ sigma.psi0).entries
             for sigma in _hom_generators(src, through.src)])
         self.smith = snf(self.a)
 
-    def solve(self, target: MonMorphism):
-        """A morphism chi with through o chi == target exactly, or None."""
-        through = self.through
-        if target.src != self.src or target.dst != through.dst:
-            raise NotComposable("factorization endpoints disagree")
-        rhs = target.psi1.entries + target.psi0.entries
-        sol = solve_with_snf(self.smith, MatS(through.ctx, len(rhs), 1, rhs))
-        if sol is None:
-            return None
-        chi = morphism_from_params(self.src, through.src, sol.entries)
-        if not composes_to(through, chi, target):
+    def solve(self, rhs: MatS, reduced: MatS):
+        """One x over S with a @ x == rhs, or None, given
+        reduced == U^-1 @ rhs for the Smith form of a.  The x found is
+        checked against a and rhs exactly."""
+        x = back_substitute(self.smith, reduced)
+        if x is not None and not sums_equal(rhs, [(self.a, x)]):
             raise InternalInvariantError(
                 "strict factorization does not compose back")
-        return chi
+        return x
 
-    def factors(self, rhs: MatS, reduced: MatS) -> bool:
-        """Whether a @ x == rhs has a solution over S, given
-        reduced == U^-1 @ rhs for the Smith form of a.  The solution found
-        is checked against a and rhs exactly."""
-        sol = back_substitute(self.smith, reduced)
-        if sol is None:
-            return False
-        if not sums_equal(rhs, [(self.a, sol)]):
-            raise InternalInvariantError(
-                "strict factorization does not compose back")
-        return True
+
+def _stacked(h: MonMorphism) -> MatS:
+    """h as one column: psi1, then psi0."""
+    return _columns(h.ctx, [h.psi1.entries + h.psi0.entries])
 
 
 def factor_strictly(through: MonMorphism, target: MonMorphism):
     """A morphism chi with through o chi == target exactly, or None."""
-    return StrictFactorizer(through, target.src).solve(target)
+    if target.dst != through.dst:
+        raise NotComposable("factorization endpoints disagree")
+    factorizer = StrictFactorizer(through, target.src)
+    rhs = _stacked(target)
+    x = factorizer.solve(rhs, factorizer.smith.u_inv @ rhs)
+    if x is None:
+        return None
+    chi = morphism_from_params(target.src, through.src, x.entries)
+    if not composes_to(through, chi, target):
+        raise InternalInvariantError(
+            "strict factorization does not compose back")
+    return chi
 
 
 def ar_sequence(f: MonObject) -> ArSequence:
@@ -242,9 +237,9 @@ def verify_right_almost_split(seq: ArSequence):
     strictly through seq.g exactly when it is not a split epimorphism.
     Split verdicts come from the generators of Hom(seq.end, test), so
     seq.end must have rank one; any other end raises NotIndecomposable
-    before a class is enumerated.  Each class is decided from its
-    parameters by ``_ClassCoordinates``; only a split class is built as a
-    morphism, to check its section.
+    before a class is enumerated.  Each class is decided from its one
+    parameter; only a split class is built as a morphism, to check its
+    section.
 
     Returns (lines, ok): one TEST line per exponent and a final ARSS
     summary line.
@@ -266,12 +261,22 @@ def verify_right_almost_split(seq: ArSequence):
     for sp in range(ctx.t + 1):
         test = rank_one(ctx, sp)
         classes_iter = all_morphism_params(test, seq.end)
-        coords = _ClassCoordinates(seq.g, test)
+        factorizer = StrictFactorizer(seq.g, test)
+        (tau_gen,) = _hom_generators(test, seq.end)
+        (sigma,) = _hom_generators(seq.end, test)
+        u = (tau_gen.psi1 @ sigma.psi1).at(0, 0)
+        r = _stacked(tau_gen)
+        ur = factorizer.smith.u_inv @ r
         classes = 0
         factored = 0
         good = True
-        for params in classes_iter:
-            split, factors = coords.verdict(params)
+        for (c,) in classes_iter:
+            scalar = c * u
+            split = ctx.is_unit(scalar)
+            if split:
+                _check_section(morphism_from_params(test, seq.end, (c,)),
+                               sigma, scalar)
+            factors = factorizer.solve(r.scale(c), ur.scale(c)) is not None
             classes += 1
             factored += factors
             if factors == split:
@@ -282,62 +287,6 @@ def verify_right_almost_split(seq: ArSequence):
         ok = ok and good
     lines.append(f"ARSS {label} {ctx.t} {'PASS' if ok else 'FAIL'}")
     return lines, ok
-
-
-class _ClassCoordinates:
-    """The classes h: test -> g.dst in parameter coordinates.
-
-    The class with parameters c is h = sum_j c_j tau_j over the Hom
-    generators tau_j, so (h o sigma_k).psi1 = sum_j c_j u_jk with
-    u_jk = (tau_j o sigma_k).psi1, and h stacked as a right-hand side is
-    sum_j c_j r_j with r_j = tau_j stacked, also after U^-1 of the
-    factorizer's Smith form.  The u_jk and r_j are read off once.
-    """
-
-    def __init__(self, g: MonMorphism, test: MonObject):
-        self.test = test
-        self.end = g.dst
-        self.factorizer = StrictFactorizer(g, test)
-        self.sigmas = _hom_generators(self.end, test)
-        taus = _hom_generators(test, self.end)
-        self._units = [[(tau.psi1 @ sigma.psi1).at(0, 0) for tau in taus]
-                       for sigma in self.sigmas]
-        rhs = _columns(test.ctx, [tau.psi1.entries + tau.psi0.entries
-                                  for tau in taus])
-        self._rhs = rhs.to_rows()
-        self._reduced = (self.factorizer.smith.u_inv @ rhs).to_rows()
-
-    def split_scalars(self, params) -> tuple:
-        """(h o sigma_k).psi1 for each generator sigma_k of Hom(end, test)."""
-        return _combine(params, self._units)
-
-    def rhs(self, params) -> MatS:
-        """h stacked as one column: psi1, then psi0."""
-        return MatS(self.test.ctx, len(self._rhs), 1,
-                    _combine(params, self._rhs))
-
-    def reduced(self, params) -> MatS:
-        """U^-1 @ rhs(params), for the factorizer's Smith form."""
-        return MatS(self.test.ctx, len(self._reduced), 1,
-                    _combine(params, self._reduced))
-
-    def verdict(self, params) -> tuple:
-        """(splits, factors through g) for one class.  A split class is
-        built and its section checked; a factorization is checked as
-        a @ x == rhs, which is g o chi == h for chi = sum_k x_k sigma_k."""
-        ctx = self.test.ctx
-        scalars = self.split_scalars(params)
-        k = next((k for k, u in enumerate(scalars) if ctx.is_unit(u)), None)
-        if k is not None:
-            _check_section(morphism_from_params(self.test, self.end, params),
-                           self.sigmas[k], scalars[k])
-        return k is not None, self.factorizer.factors(self.rhs(params),
-                                                      self.reduced(params))
-
-
-def _combine(params, rows) -> tuple:
-    """sum_j params[j] * row[j] for each row."""
-    return tuple(reduce(add, map(mul, params, row)) for row in rows)
 
 
 def end_ring_is_local(f: MonObject) -> bool:

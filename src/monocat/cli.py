@@ -122,7 +122,10 @@ def object_from_payload(payload: dict) -> MonObject:
 
 
 def _load_payload(path: Path) -> dict:
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except RecursionError:
+        raise ParseError("JSON nests too deeply") from None
     if not isinstance(payload, dict):
         raise ParseError("file does not hold a JSON object")
     return payload
@@ -143,12 +146,18 @@ def _resolve_object(ref, base: Path) -> MonObject:
     raise ParseError("object reference must be a path or an inline object")
 
 
+def _require_one_ring(src: MonObject, dst: MonObject) -> None:
+    if src.ctx != dst.ctx:
+        raise ParseError("source and target live over different rings")
+
+
 def load_morphism_file(path_str: str) -> MonMorphism:
     path = Path(path_str)
     payload = _load_payload(path)
     base = path.resolve().parent
     src = _resolve_object(_field(payload, "source"), base)
     dst = _resolve_object(_field(payload, "target"), base)
+    _require_one_ring(src, dst)
     psi1 = _parse_matrix(src.ctx, _field(payload, "psi1"))
     psi0 = _parse_matrix(src.ctx, _field(payload, "psi0"))
     return MonMorphism(src, dst, psi1, psi0)
@@ -177,8 +186,7 @@ def _nullhomotopic(psi, _) -> tuple:
 
 
 def _stable_hom(src, dst, _) -> tuple:
-    if src.ctx != dst.ctx:
-        raise ParseError("source and target live over different rings")
+    _require_one_ring(src, dst)
     return f"lengths: {format_lengths(stable_hom(src, dst).lengths)}", 0
 
 

@@ -487,23 +487,17 @@ def solve_linear(a: MatS, rhs: MatS) -> MatS | None:
     Solves through the Smith form: free coordinates are set to zero, so the
     answer is deterministic.  ``rhs`` may have several columns.
     """
-    return solve_with_snf(snf(a), rhs)
-
-
-def solve_with_snf(s: SnfResult, rhs: MatS) -> MatS | None:
-    """``solve_linear(a, rhs)`` for the a whose Smith form is ``s``.
-
-    Back-substitution only, so one ``snf(a)`` serves every right-hand side
-    of the same a.
-    """
-    if s.d.rows != rhs.rows:
+    if a.rows != rhs.rows:
         raise ValueError("shape mismatch in linear solve")
+    s = snf(a)
     return back_substitute(s, s.u_inv @ rhs)
 
 
 def back_substitute(s: SnfResult, c: MatS) -> MatS | None:
-    """``solve_with_snf`` for a right-hand side already multiplied by U^-1:
-    D @ y = c is solved entrywise, and the answer is V^-1 @ y, or None."""
+    """``solve_linear`` for the a whose Smith form is ``s``, given the
+    right-hand side already multiplied by U^-1: D @ y = c is solved
+    entrywise, and the answer is V^-1 @ y, or None.  One Smith form
+    serves every right-hand side of the same a."""
     ctx = s.d.ctx
     rows, cols = s.d.rows, s.d.cols
     ncols = c.cols

@@ -522,7 +522,10 @@ class RingCtx:
         accepted so every element of S has a readable form.  The result is
         checked to lie in S.
         """
-        value = _ScalarParser(text, self).parse()
+        try:
+            value = _ScalarParser(text, self).parse()
+        except RecursionError:
+            raise ParseError("scalar nests parentheses too deeply") from None
         if not self.in_ring(value):
             raise ParseError(f"{text!r} is not an element of the local ring")
         return value

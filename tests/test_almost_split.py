@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from monocat.almost_split import (ArSequence, StrictFactorizer,
-                                  _ClassCoordinates, _hom_generators,
-                                  _splits, ar_sequence,
+                                  _hom_generators, _splits, ar_sequence,
                                   end_ring_is_local, factor_strictly, tau,
                                   tau_gp, verify_right_almost_split)
 from monocat.category import (MonMorphism, MonObject, cokernel, compose,
@@ -286,6 +285,33 @@ def test_verifier_smith_forms_do_not_grow_with_classes(monkeypatch):
     assert len(calls) == ctx.t + 1 < classes
 
 
+def test_verifier_builds_no_morphism_for_a_non_split_class(monkeypatch):
+    ctx = RingCtx.int_local(2, 4)
+    seq = ar_sequence(rank_one(ctx, 2))
+    built, generators = [], []
+
+    def counting_params(src, dst, params):
+        built.append(params)
+        return morphism_from_params(src, dst, params)
+
+    def counting_generators(src, dst):
+        gens = _hom_generators(src, dst)
+        generators.extend(gens)
+        return gens
+
+    monkeypatch.setattr("monocat.almost_split.morphism_from_params",
+                        counting_params)
+    monkeypatch.setattr("monocat.almost_split._hom_generators",
+                        counting_generators)
+    lines, ok = verify_right_almost_split(seq)
+    assert ok
+    counts = [[int(field.split("=")[1]) for field in line.split()[2:4]]
+              for line in lines[:-1]]
+    split = sum(classes - factored for classes, factored in counts)
+    assert 0 < split < sum(classes for classes, _ in counts)
+    assert len(built) == len(generators) + split
+
+
 def test_verify_refuses_rank_two_end_before_enumerating(monkeypatch):
     enumerated = []
 
@@ -428,29 +454,30 @@ def test_verifier_fails_a_sequence_that_is_not_almost_split(ctx):
 @pytest.mark.parametrize("ctx", VERIFIER_RINGS,
                          ids=lambda c: f"{c.kind}-{c.residue_field_size}-t{c.t}")
 def test_class_coordinates_match_the_materialized_class(ctx):
+    # Hom(test, end) = S tau and Hom(end, test) = S sigma: the class c is
+    # c tau, and its split scalar is c u
     for g in {seq.g for seq in verifier_cases(ctx)}:
         for sp in range(ctx.t + 1):
             test = rank_one(ctx, sp)
-            coords = _ClassCoordinates(g, test)
-            u_inv = coords.factorizer.smith.u_inv
-            for params in all_morphism_params(test, g.dst):
-                h = morphism_from_params(test, g.dst, params)
-                rhs = coords.rhs(params)
-                assert rhs.entries == h.psi1.entries + h.psi0.entries
-                assert coords.reduced(params) == u_inv @ rhs
-                assert coords.split_scalars(params) == tuple(
-                    (h.psi1 @ sigma.psi1).at(0, 0) for sigma in coords.sigmas)
+            (tau_gen,) = _hom_generators(test, g.dst)
+            (sigma,) = _hom_generators(g.dst, test)
+            u = (tau_gen.psi1 @ sigma.psi1).at(0, 0)
+            for (c,) in all_morphism_params(test, g.dst):
+                h = morphism_from_params(test, g.dst, (c,))
+                assert h.psi1 == tau_gen.psi1.scale(c)
+                assert h.psi0 == tau_gen.psi0.scale(c)
+                assert (h.psi1 @ sigma.psi1).entries == (c * u,)
 
 
 def test_factorizer_rejects_foreign_targets():
     f = rank_one(Z22, 1)
     seq = ar_sequence(f)
-    through_g = StrictFactorizer(seq.g, f)
-    assert through_g.solve(zero_morphism(f, f)) is not None
-    with pytest.raises(NotComposable):  # different source
-        through_g.solve(zero_morphism(rank_one(Z22, 2), f))
+    assert factor_strictly(seq.g, zero_morphism(f, f)) is not None
+    # the factorizer is built for the target's own source
+    assert factor_strictly(seq.g, zero_morphism(rank_one(Z22, 2), f)) \
+        is not None
     with pytest.raises(NotComposable):  # different codomain
-        through_g.solve(zero_morphism(f, rank_one(Z22, 2)))
+        factor_strictly(seq.g, zero_morphism(f, rank_one(Z22, 2)))
 
 
 # Z_(2), Z_(3), F_2 and F_3 with t <= 3 at ranks 1 and 2, then a few Q
@@ -472,7 +499,7 @@ def test_factorizer_agrees_with_the_stacked_reference():
             target = compose(through, random_morphism(test, middle, rng))
         else:
             target = random_morphism(test, end, rng)
-        chi = StrictFactorizer(through, test).solve(target)
+        chi = factor_strictly(through, target)
         assert (chi is None) == (reference_factor_strictly(through, target)
                                  is None)
         verdicts.append(chi is not None)

@@ -298,6 +298,37 @@ def test_stable_hom_ring_mismatch(tmp_path, capsys):
     assert code == 2 and "different rings" in err
 
 
+def test_morphism_ring_mismatch(tmp_path, capsys):
+    # the same refusal as stable-hom's, for every morphism command
+    path = put(tmp_path, "mixed.json", json.dumps({
+        "source": RANK_ONE,
+        "target": {"ring": {"kind": "int-local", "p": 3}, "t": 2,
+                   "matrix": [["3"]]},
+        "psi1": [["0"]], "psi0": [["0"]]}))
+    for command in ("cone", "nullhomotopic", "iso-test"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, "")
+        assert err == "error: source and target live over different rings\n"
+
+
+def nested_scalar_file(tmp_path, depth):
+    return put(tmp_path, f"nested{depth}.json", json.dumps(
+        {"ring": {"kind": "int-local", "p": 2}, "t": 2,
+         "matrix": [["(" * depth + "2" + ")" * depth]]}))
+
+
+def test_deep_nesting_is_malformed_input(tmp_path, capsys):
+    deep_json = put(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)
+    for path in (deep_json, nested_scalar_file(tmp_path, 5000)):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "validate", path)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "too deeply" in err
+    code, out, _ = run(capsys, "validate", nested_scalar_file(tmp_path, 300))
+    assert code == 0 and out.startswith("OK n=1")
+
+
 def test_validate_with_an_eighteen_digit_prime(tmp_path, capsys):
     p = 10 ** 18 + 3
     path = put(tmp_path, "big.json",
