@@ -29,15 +29,16 @@ splits, to check its section.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .category import (MonMorphism, MonObject, composes_to,
                        identity_morphism, rank_one, zero_morphism)
 from .errors import (InternalInvariantError, NotComposable, NotIndecomposable,
                      ProjectiveObject)
-from .homotopy import is_iso_in_homotopy
-from .linalg import (MatS, back_substitute, mat, snf, sums_equal,
-                     truncated_svals)
-from .sampling import all_morphism_params, morphism_from_params
+from .linalg import (MatR, MatS, back_substitute, mat, residue_svals, snf,
+                     sums_equal, truncated_svals)
+from .sampling import (all_morphism_params, cell_shifts, class_residues,
+                       morphism_from_params)
 from .stable import RModuleObj, syzygy
 
 
@@ -289,24 +290,81 @@ def verify_right_almost_split(seq: ArSequence):
     return lines, ok
 
 
+def _iso_classes(f: MonObject) -> tuple:
+    """R in its class order, and whether each class of End(f) is
+    invertible in the homotopy category, keyed by the indices into R of
+    its parameters (the order of ``all_morphism_params``).
+
+    Each class is decided in the Smith coordinates of f = U D V, with
+    D = diag(pi^s) and D_sigma = diag(pi^(t-s)).  The class with
+    parameters c is h = (V^-1 B1(c) V, U B0(c) U^-1)
+    (``morphism_from_params``), so
+    cone(h) = diag(U, V^-1) C diag(V, U^-1) with C = [[D, B0(c)],
+    [0, -D_sigma]].  The outer factors are invertible over S, so the
+    cone's Smith exponents are those of C.  They are at most t, as
+    C [[D_sigma, B1(c)], [0, -D]] = omega I (B0 D = D B1), so h is
+    invertible exactly when C's exponents capped at t, which C modulo
+    omega decides, are each 0 or t.  No morphism, cone object or Smith
+    transform of f is built.
+    """
+    ctx, n, t = f.ctx, f.n, f.ctx.t
+    residues = class_residues(f, f)
+    b0 = [[ctx.residue_mul(r, pi_k) for r in residues]
+          for pi_k in (ctx.reduce_mod_omega(ctx.pi_pow(k0))
+                       for _, k0 in cell_shifts(f, f))]
+    size = 2 * n
+    template = [ctx.residue_zero()] * (size * size)
+    for j, s in enumerate(f.svals):
+        template[j * size + j] = ctx.reduce_mod_omega(ctx.pi_pow(s))
+        template[(n + j) * (size + 1)] = ctx.reduce_mod_omega(
+            -ctx.pi_pow(t - s))
+    slots = [j * size + n + i for j in range(n) for i in range(n)]
+
+    def is_iso(key) -> bool:
+        entries = template[:]
+        for slot, cell, k in zip(slots, b0, key):
+            entries[slot] = cell[k]
+        c = MatR(ctx, size, size, tuple(entries))
+        return all(v == 0 or v == t for v in residue_svals(c))
+
+    return residues, {key: is_iso(key) for key in
+                      product(range(len(residues)), repeat=n * n)}
+
+
 def end_ring_is_local(f: MonObject) -> bool:
     """Whether the non-invertible endomorphism classes of f are closed
     under addition.
 
     Invertibility is judged in the homotopy category, so projective
     summands do not spoil the answer.  Classes are taken modulo omega;
-    both invertibility and addition descend to those classes.
+    both invertibility and addition descend to those classes, and
+    ``_iso_classes`` decides each.
+
+    The non-invertible classes N are closed under addition exactly when
+    N equals its additive span <N>: N lies in <N>, and in a finite group
+    sums of multiples reach every negative.  <N> grows from {0}, for
+    each m of N outside it, by the cosets span + k m up to the first k
+    with k m in the span, and the first invertible class reached shows
+    that N is not closed.  The zero class lies in N unless N is empty:
+    it is invertible only when f is zero in the homotopy category, and
+    then so is every class.
     """
     ctx = f.ctx
-    iso_by_class = {}
-    for params in all_morphism_params(f, f):
-        key = tuple(ctx.reduce_mod_omega(c) for c in params)
-        iso_by_class[key] = is_iso_in_homotopy(
-            morphism_from_params(f, f, params))
-    non_isos = [key for key, flag in iso_by_class.items() if not flag]
-    for k1 in non_isos:
-        for k2 in non_isos:
-            total = tuple(ctx.residue_add(r1, r2) for r1, r2 in zip(k1, k2))
-            if iso_by_class[total]:
+    residues, iso = _iso_classes(f)
+    index = {r: i for i, r in enumerate(residues)}
+    add = [[index[ctx.residue_add(a, b)] for b in residues] for a in residues]
+    span = {(index[ctx.residue_zero()],) * (f.n * f.n)}
+    for m in (key for key, flag in iso.items() if not flag):
+        if m in span:
+            continue
+        rows = [add[i] for i in m]
+        coset, grown = span, set(span)
+        while True:
+            coset = [tuple(row[i] for row, i in zip(rows, x)) for x in coset]
+            if coset[0] in span:
+                break
+            if any(iso[x] for x in coset):
                 return False
+            grown.update(coset)
+        span = grown
     return True

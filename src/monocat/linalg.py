@@ -61,8 +61,9 @@ class MatS:
         return MatS(self.ctx, self.rows, self.cols, tuple(-e for e in self.entries))
 
     def __matmul__(self, other: "MatS") -> "MatS":
-        ctx, (rows, cols), entries = _entry_pairs([(self, other)])
-        return MatS(ctx, rows, cols, tuple(_dot(e, ctx) for e in entries))
+        ctx = self.ctx
+        return MatS(ctx, self.rows, other.cols,
+                    tuple(_dot(e, ctx) for e in _product_pairs(self, other)))
 
     def scale(self, c: Scalar) -> "MatS":
         return MatS(self.ctx, self.rows, self.cols, tuple(c * e for e in self.entries))
@@ -80,9 +81,13 @@ def _accumulate(pairs):
     over a common denominator, or None when no term is nonzero."""
     num = den = None
     for a, b in pairs:
-        if not (a and b):
+        an = a.numerator
+        if not an:
             continue
-        tn, td = a.numerator * b.numerator, a.denominator * b.denominator
+        bn = b.numerator
+        if not bn:
+            continue
+        tn, td = an * bn, a.denominator * b.denominator
         if num is None:
             num, den = tn, td
         elif td == den:
@@ -98,28 +103,34 @@ def _dot(pairs, ctx: RingCtx) -> Scalar:
     return ctx.zero() if acc is None else ctx._normalize(*acc)
 
 
+def _product_pairs(a: MatS, b: MatS) -> list:
+    """For each entry of a @ b, row-major, the pairs of scalars whose
+    products sum to it; the contexts and inner dimensions are checked."""
+    a._check(b)
+    if a.cols != b.rows:
+        raise ValueError(
+            f"shape mismatch in matrix product: {a.rows}x{a.cols} times "
+            f"{b.rows}x{b.cols}")
+    n, m = a.cols, b.cols
+    cols = [b.entries[j::m] for j in range(m)]
+    return [zip(a.entries[i * n:(i + 1) * n], col)
+            for i in range(a.rows) for col in cols]
+
+
 def _entry_pairs(products) -> tuple:
     """The ring context and shape of a sum of products a @ b, given as a
     nonempty sequence of pairs (a, b), and for each entry, row-major, the
     pairs of scalars whose products sum to it."""
     a0, b0 = products[0]
     shape = (a0.rows, b0.cols)
+    if len(products) == 1:
+        return a0.ctx, shape, _product_pairs(a0, b0)
     per_product = []
     for a, b in products:
-        a._check(b)
-        if a.cols != b.rows:
-            raise ValueError(
-                f"shape mismatch in matrix product: {a.rows}x{a.cols} times "
-                f"{b.rows}x{b.cols}")
+        per_product.append(_product_pairs(a, b))
         a0._check(a)
         if (a.rows, b.cols) != shape:
             raise ValueError("shape mismatch in matrix addition")
-        n, m = a.cols, b.cols
-        cols = [b.entries[j::m] for j in range(m)]
-        per_product.append([zip(a.entries[i * n:(i + 1) * n], col)
-                            for i in range(a.rows) for col in cols])
-    if len(per_product) == 1:
-        return a0.ctx, shape, per_product[0]
     return a0.ctx, shape, [chain.from_iterable(e) for e in zip(*per_product)]
 
 
@@ -435,9 +446,16 @@ def truncated_svals(a: MatS, e: int) -> tuple:
     that row, so the row and column are dropped instead.
     """
     ctx = a.ctx
+    return _residue_svals(ctx, [[ctx._reduce(x, e) for x in row]
+                                for row in a.to_rows()], e)
+
+
+def _residue_svals(ctx: RingCtx, rows: list, e: int) -> tuple:
+    """``truncated_svals`` on the rows of canonical residues modulo pi^e of
+    a matrix; the rows are consumed."""
     mod, val = ctx._mod, ctx._valuation
     quo, inv = ctx._pi_quotient, ctx._inverse_den
-    rows = [[ctx._reduce(x, e) for x in row] for row in a.to_rows()]
+    size = min(len(rows), len(rows[0])) if rows else 0
     out = []
     while rows and rows[0]:
         best = min(((val(x), i, j) for i, row in enumerate(rows)
@@ -454,7 +472,7 @@ def truncated_svals(a: MatS, e: int) -> tuple:
                 c = -quo(c, v)
                 rows[i] = [mod(x + c * y, e) for x, y in zip(row, prow)]
         out.append(v)
-    return tuple(out) + (e,) * (min(a.rows, a.cols) - len(out))
+    return tuple(out) + (e,) * (size - len(out))
 
 
 def solve_sandwich_congruence(dl: Sequence, dr: Sequence, b: MatS,
@@ -591,6 +609,12 @@ class MatR:
 def _row_times(ctx: RingCtx, row, col) -> Residue:
     """Sum of the products row[k] * col[k], reduced modulo omega once."""
     return ctx.residue_truncate(sum(map(mul, row, col), ctx.residue_zero()), ctx.t)
+
+
+def residue_svals(a: MatR) -> tuple:
+    """The Smith exponents of a residue matrix capped at t, as
+    ``truncated_svals(lift, t)`` reads them for any lift of it."""
+    return _residue_svals(a.ctx, [list(row) for row in a._rows()], a.ctx.t)
 
 
 def reduce_mat(a: MatS) -> MatR:

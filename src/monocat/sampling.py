@@ -33,23 +33,27 @@ def random_object(ctx: RingCtx, rng: random.Random, max_size: int) -> MonObject:
     return MonObject(ctx, u @ diag_pi(ctx, exps) @ v)
 
 
+def cell_shifts(src: MonObject, dst: MonObject) -> list:
+    """The pi exponents (k1, k0) of each (target row j, source column i)
+    cell in diagonal coordinates, row-major: the cell's free scalar c
+    enters B1 as c pi^k1 and B0 as c pi^k0.
+
+    The square psi0 f = f' psi1 reads B0 D = D' B1 there, cell by cell
+    b0 pi^si = pi^sj b1, so k0 - k1 = sj - si and the smaller is 0.
+    """
+    return [(max(si - sj, 0), max(sj - si, 0))
+            for sj in dst.svals for si in src.svals]
+
+
 def morphism_from_params(src: MonObject, dst: MonObject, params) -> MonMorphism:
     """The morphism with the given free scalars, one per (target row,
     source column) cell in diagonal coordinates."""
     ctx = src.ctx
-    t = ctx.t
     cells1 = []
     cells0 = []
-    it = iter(params)
-    for sj in dst.svals:
-        for si in src.svals:
-            c = next(it)
-            if si >= sj:
-                cells0.append(c)
-                cells1.append(c * ctx.pi_pow(si - sj))
-            else:
-                cells1.append(c)
-                cells0.append(c * ctx.pi_pow(sj - si))
+    for c, (k1, k0) in zip(params, cell_shifts(src, dst), strict=True):
+        cells1.append(c * ctx.pi_pow(k1) if k1 else c)
+        cells0.append(c * ctx.pi_pow(k0) if k0 else c)
     big1 = MatS(ctx, dst.n, src.n, tuple(cells1))
     big0 = MatS(ctx, dst.n, src.n, tuple(cells0))
     psi1 = dst.smith.v_inv @ big1 @ src.smith.v
@@ -57,15 +61,20 @@ def morphism_from_params(src: MonObject, dst: MonObject, params) -> MonMorphism:
     return MonMorphism(src, dst, psi1, psi0)
 
 
+def class_residues(src: MonObject, dst: MonObject) -> list:
+    """R in its fixed order, the values of each free scalar of a class in
+    Hom(src, dst); refused over Q and beyond CLASS_BUDGET classes."""
+    ctx = src.ctx
+    if ctx.residue_field_size ** (ctx.t * src.n * dst.n) > CLASS_BUDGET:
+        raise ParametersTooLarge(f"more than {CLASS_BUDGET} morphism classes")
+    return list(ctx.residue_elements())
+
+
 def all_morphism_params(src: MonObject, dst: MonObject):
     """Parameter tuples covering every homotopy class once lifted; refused
     over Q and beyond CLASS_BUDGET classes before any tuple exists."""
-    ctx = src.ctx
-    cells = src.n * dst.n
-    if ctx.residue_field_size ** (ctx.t * cells) > CLASS_BUDGET:
-        raise ParametersTooLarge(f"more than {CLASS_BUDGET} morphism classes")
-    pool = [ctx.lift(r) for r in ctx.residue_elements()]
-    return itertools.product(pool, repeat=cells)
+    pool = [src.ctx.lift(r) for r in class_residues(src, dst)]
+    return itertools.product(pool, repeat=src.n * dst.n)
 
 
 def random_morphism(src: MonObject, dst: MonObject,

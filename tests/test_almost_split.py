@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -11,16 +12,18 @@ from pathlib import Path
 import pytest
 
 from monocat.almost_split import (ArSequence, StrictFactorizer,
-                                  _hom_generators, _splits, ar_sequence,
-                                  end_ring_is_local, factor_strictly, tau,
-                                  tau_gp, verify_right_almost_split)
+                                  _hom_generators, _iso_classes, _splits,
+                                  ar_sequence, end_ring_is_local,
+                                  factor_strictly, tau, tau_gp,
+                                  verify_right_almost_split)
 from monocat.category import (MonMorphism, MonObject, cokernel, compose,
                               direct_sum, identity_morphism, make_object,
                               rank_one, zero_morphism)
 from monocat.errors import (InfiniteResidueField, NotComposable,
                             NotIndecomposable, ParametersTooLarge,
                             ProjectiveObject)
-from monocat.linalg import MatS, mat, snf
+from monocat.homotopy import is_iso_in_homotopy
+from monocat.linalg import MatS, diag_pi, mat, snf
 from monocat.rings import RingCtx
 from monocat.sampling import (all_morphism_params, morphism_from_params,
                               random_morphism, random_object)
@@ -362,6 +365,115 @@ def test_end_ring_guards():
         end_ring_is_local(pair)
     with pytest.raises(InfiniteResidueField):
         end_ring_is_local(rank_one(RingCtx.poly_local(2), 1))
+
+
+# Z_(2), Z_(3), F_2 and F_3 at t <= 3
+LOCAL_RINGS = ([RingCtx.int_local(p, t) for p in (2, 3) for t in (1, 2, 3)]
+               + [RingCtx.poly_local(t, q=q) for q in (2, 3) for t in (1, 2, 3)])
+
+
+def small_end_ring(f) -> bool:
+    """At most 256 endomorphism classes."""
+    return f.ctx.residue_field_size ** (f.ctx.t * f.n * f.n) <= 256
+
+
+def diagonal_objects(ctx):
+    """diag(pi^exps) for every tuple of exponents of length n <= 2, in any
+    order, so the Smith transforms permute, with a small End ring."""
+    objects = (MonObject(ctx, diag_pi(ctx, exps)) for n in (1, 2)
+               for exps in itertools.product(range(ctx.t + 1), repeat=n))
+    return [f for f in objects if small_end_ring(f)]
+
+
+@pytest.mark.parametrize("ctx", LOCAL_RINGS,
+                         ids=lambda c: f"{c.kind}-{c.residue_field_size}-t{c.t}")
+def test_diagonal_cone_verdicts_match_the_materialized_cone(ctx):
+    # every class of every small diagonal and seeded random object, against
+    # the cone of the built morphism
+    rng = random.Random(ctx.t * 10 + ctx.residue_field_size)
+    randoms = [random_object(ctx, rng, 2) for _ in range(3)]
+    for f in diagonal_objects(ctx) + [f for f in randoms if small_end_ring(f)]:
+        residues, iso = _iso_classes(f)
+        assert len(iso) == len(residues) ** (f.n * f.n)
+        for (key, flag), params in zip(iso.items(), all_morphism_params(f, f),
+                                       strict=True):
+            assert params == tuple(ctx.lift(residues[i]) for i in key)
+            assert flag == is_iso_in_homotopy(morphism_from_params(f, f, params))
+
+
+def summand_rule(f):
+    """End(f) is local iff at most one summand pi^s is not projective."""
+    return sum(1 for s in f.svals if 0 < s < f.ctx.t) <= 1
+
+
+@pytest.mark.parametrize("ctx", LOCAL_RINGS,
+                         ids=lambda c: f"{c.kind}-{c.residue_field_size}-t{c.t}")
+def test_end_ring_verdicts_follow_the_summand_rule(ctx):
+    for f in diagonal_objects(ctx):
+        assert end_ring_is_local(f) is summand_rule(f)
+
+
+def test_end_ring_verdicts_at_the_class_budget():
+    # 8^4 = 4,096 classes: a projective and a non-projective summand, and
+    # two non-projective summands
+    for rows, local in (([[1, 0], [0, 2]], True), ([[2, 0], [0, 4]], False)):
+        f = make_object(Z23, rows)
+        assert end_ring_is_local(f) is local is summand_rule(f)
+
+
+def test_span_closure_matches_the_pair_loop(monkeypatch):
+    # the closure alone, on invented verdict tables with the zero class
+    # non-invertible: every such table over R = Z/8 at n = 1, and seeded
+    # ones over (Z/2)^4 at n = 2, against the all-pairs definition
+    def pair_loop(residues, iso):
+        non_isos = [k for k, flag in iso.items() if not flag]
+        return not any(iso[tuple((residues[a] + residues[b]) % len(residues)
+                                 for a, b in zip(k1, k2))]
+                       for k1 in non_isos for k2 in non_isos)
+
+    rng = random.Random(7)
+    cases = [(rank_one(Z23, 1), [bool(bits >> k & 1) for k in range(7)])
+             for bits in range(2 ** 7)]
+    pair = make_object(RingCtx.int_local(2, 1), [[1, 0], [0, 1]])
+    cases += [(pair, [rng.random() < 0.3 for _ in range(15)])
+              for _ in range(300)]
+    verdicts = set()
+    for f, flags in cases:
+        residues = list(f.ctx.residue_elements())
+        keys = list(itertools.product(range(len(residues)), repeat=f.n * f.n))
+        iso = dict(zip(keys, [False] + flags))
+        monkeypatch.setattr("monocat.almost_split._iso_classes",
+                            lambda f, table=(residues, iso): table)
+        verdict = end_ring_is_local(f)
+        assert verdict is pair_loop(residues, iso)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_end_ring_builds_no_morphism_cone_or_smith_form(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for module, name in [("sampling", "morphism_from_params"),
+                         ("almost_split", "morphism_from_params"),
+                         ("homotopy", "cone"), ("homotopy", "is_iso_in_homotopy"),
+                         ("linalg", "snf"), ("category", "snf"),
+                         ("almost_split", "snf"), ("category", "check_morphism")]:
+        target = f"monocat.{module}.{name}"
+        monkeypatch.setattr(target, counting(target, getattr(
+            sys.modules[f"monocat.{module}"], name)))
+    objects = [make_object(Z22, [[1, 0], [0, 2]]),  # local
+               make_object(Z22, [[2, 0], [0, 2]]),  # not local
+               make_object(Z22, [[1, 2], [2, 0]]),  # not diagonal, projective
+               rank_one(RingCtx.poly_local(3, q=2), 2)]
+    assert [end_ring_is_local(f) for f in objects] == [True, False, True, True]
+    assert calls == []
+    assert all("smith" not in vars(f) for f in objects)
 
 
 def test_factor_strictly_basics():

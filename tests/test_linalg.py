@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from monocat.errors import SingularMatrix
-from monocat.linalg import (INFINITY, MatR, MatS, block, diag_pi, hstack, identity,
-                            inverse_frac, mat, random_unimodular, reduce_mat,
-                            snf, solve_linear, solve_sandwich_congruence,
-                            vstack, zeros)
+from monocat.errors import ContextMismatch, SingularMatrix
+from monocat.linalg import (INFINITY, MatR, MatS, add_products, block, diag_pi,
+                            hstack, identity, inverse_frac, mat,
+                            random_unimodular, reduce_mat, residue_svals, snf,
+                            solve_linear, solve_sandwich_congruence,
+                            sums_equal, truncated_svals, vstack, zeros)
 from monocat.rings import Poly, RingCtx
 from oracle_helpers import adjugate, det, per_term_residue_matmul, submatrix
 
@@ -294,3 +295,38 @@ def test_residue_products_match_per_term_reduction(ctx):
             for v in vectors:
                 col = MatR(ctx, n, 1, v)
                 assert m.apply(v) == per_term_residue_matmul(m, col).entries
+
+
+@pytest.mark.parametrize("ctx", RESIDUE_RINGS,
+                         ids=lambda c: f"{c.kind}-{c.residue_field_size}-t{c.t}")
+def test_residue_svals_are_the_capped_smith_exponents(ctx):
+    # any shape, including an empty one; the lift is the canonical one
+    rng = random.Random(f"svals {ctx!r}")
+    pool = list(ctx.residue_elements())
+    for rows, cols in [(0, 0), (1, 3), (3, 1)] + [(k, k) for k in (1, 2, 3, 4)] * 5:
+        r = MatR(ctx, rows, cols, tuple(rng.choice(pool) for _ in range(rows * cols)))
+        lift = MatS(ctx, rows, cols, tuple(ctx.lift(x) for x in r.entries))
+        capped = tuple(min(s, ctx.t) for s in snf(lift).svals)
+        assert residue_svals(r) == capped == truncated_svals(lift, ctx.t)
+
+
+def test_product_errors_keep_their_messages():
+    a = mat(Z2, [[1, 2, 3], [4, 5, 6]])
+    b = identity(Z2, 2)
+    foreign = identity(Z3, 2)
+    cases = [(lambda: a @ b, ValueError,
+              "shape mismatch in matrix product: 2x3 times 2x2"),
+             (lambda: b @ foreign, ContextMismatch,
+              "matrices over different ring contexts"),
+             (lambda: add_products(b, b, foreign, foreign), ContextMismatch,
+              "matrices over different ring contexts"),
+             (lambda: add_products(b, b, b, a), ValueError,
+              "shape mismatch in matrix addition"),
+             (lambda: sums_equal(b, [(b, a)]), ValueError,
+              "shape mismatch in matrix comparison")]
+    for product, error, message in cases:
+        with pytest.raises(error) as info:
+            product()
+        assert str(info.value) == message
+    # a zero inner dimension gives the zero matrix
+    assert zeros(Z2, 2, 0) @ zeros(Z2, 0, 3) == zeros(Z2, 2, 3)
