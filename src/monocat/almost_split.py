@@ -22,8 +22,9 @@ is S-linear in its one parameter: the class c is c tau.  End(Z) is S, a
 local ring, so c tau splits exactly when c u is a unit, u being
 (tau o sigma).psi1, and it factors through g exactly when the system has
 a solution for c r, r being tau stacked.  u, r and U^-1 r are read off
-once per test object; a class is built as a morphism only when it
-splits, to check its section.
+once per test object.  Both verdicts depend on the valuation of c alone,
+so one class per valuation is decided, and a split one is built as a
+morphism to check its section.
 """
 
 from __future__ import annotations
@@ -239,8 +240,14 @@ def verify_right_almost_split(seq: ArSequence):
     Split verdicts come from the generators of Hom(seq.end, test), so
     seq.end must have rank one; any other end raises NotIndecomposable
     before a class is enumerated.  Each class is decided from its one
-    parameter; only a split class is built as a morphism, to check its
-    section.
+    parameter c, and one class per valuation of c is decided: write
+    c = pi^v w with w a unit.  Then a x = c r is solvable exactly when
+    a x = pi^v r is (x <-> w x), and c u is a unit exactly when v = 0 and
+    u is a unit.  So the first class of each valuation (the zero class
+    has valuation INFINITY) is decided, with its section checked when it
+    splits, and the later classes of that valuation reuse its verdict:
+    at most t + 1 back-substitutions and at most one section check per
+    test object.
 
     Returns (lines, ok): one TEST line per exponent and a final ARSS
     summary line.
@@ -268,16 +275,21 @@ def verify_right_almost_split(seq: ArSequence):
         u = (tau_gen.psi1 @ sigma.psi1).at(0, 0)
         r = _stacked(tau_gen)
         ur = factorizer.smith.u_inv @ r
+        verdicts = {}
         classes = 0
         factored = 0
         good = True
         for (c,) in classes_iter:
-            scalar = c * u
-            split = ctx.is_unit(scalar)
-            if split:
-                _check_section(morphism_from_params(test, seq.end, (c,)),
-                               sigma, scalar)
-            factors = factorizer.solve(r.scale(c), ur.scale(c)) is not None
+            v = ctx.valuation(c)
+            if v not in verdicts:
+                scalar = c * u
+                split = ctx.is_unit(scalar)
+                if split:
+                    _check_section(morphism_from_params(test, seq.end, (c,)),
+                                   sigma, scalar)
+                verdicts[v] = split, factorizer.solve(
+                    r.scale(c), ur.scale(c)) is not None
+            split, factors = verdicts[v]
             classes += 1
             factored += factors
             if factors == split:

@@ -288,6 +288,26 @@ def test_verifier_smith_forms_do_not_grow_with_classes(monkeypatch):
     assert len(calls) == ctx.t + 1 < classes
 
 
+def test_verifier_solves_do_not_grow_with_classes(monkeypatch):
+    ctx = RingCtx.int_local(2, 4)
+    seq = ar_sequence(rank_one(ctx, 2))
+    keys = []
+    real_solve = StrictFactorizer.solve
+
+    def counting_solve(self, rhs, reduced):
+        # rhs = c r with r != 0, so its least valuation fixes val(c)
+        keys.append((id(self), min(ctx.valuation(x) for x in rhs.entries)))
+        return real_solve(self, rhs, reduced)
+
+    monkeypatch.setattr(StrictFactorizer, "solve", counting_solve)
+    lines, ok = verify_right_almost_split(seq)
+    assert ok
+    classes = sum(int(line.split()[2].split("=")[1]) for line in lines[:-1])
+    # at most one back-substitution per (test object, valuation)
+    assert len(set(keys)) == len(keys) <= (ctx.t + 1) ** 2
+    assert len(keys) < classes
+
+
 def test_verifier_builds_no_morphism_for_a_non_split_class(monkeypatch):
     ctx = RingCtx.int_local(2, 4)
     seq = ar_sequence(rank_one(ctx, 2))
@@ -312,7 +332,10 @@ def test_verifier_builds_no_morphism_for_a_non_split_class(monkeypatch):
               for line in lines[:-1]]
     split = sum(classes - factored for classes, factored in counts)
     assert 0 < split < sum(classes for classes, _ in counts)
-    assert len(built) == len(generators) + split
+    # one split class is built per test object that has one: the split
+    # verdict is shared by the classes of one valuation
+    assert len(built) == len(generators) + sum(
+        classes > factored for classes, factored in counts)
 
 
 def test_verify_refuses_rank_two_end_before_enumerating(monkeypatch):
@@ -545,6 +568,28 @@ def not_almost_split(ctx):
     row = MatS(ctx, 1, 2, (ctx.zero(), ctx.one()))
     return ArSequence(f, middle, f, MonMorphism(f, middle, col, col),
                       MonMorphism(middle, f, row, row))
+
+
+@pytest.mark.parametrize("ctx", VERIFIER_RINGS + [RingCtx.poly_local(2, q=3),
+                                                 RingCtx.poly_local(4, q=2)],
+                         ids=lambda c: f"{c.kind}-{c.residue_field_size}-t{c.t}")
+def test_verdicts_depend_on_the_valuation_alone(ctx):
+    # the verifier decides the first class of each valuation and lets the
+    # later ones reuse its verdict; the stacked oracle decides every class
+    throughs = {seq.g for seq in verifier_cases(ctx)}
+    if ctx.t >= 4:  # its middle term needs exponent 4
+        throughs.add(not_almost_split(ctx).g)
+    for g in throughs:
+        for sp in range(ctx.t + 1):
+            test = rank_one(ctx, sp)
+            first = {}
+            for params in all_morphism_params(test, g.dst):
+                h = morphism_from_params(test, g.dst, params)
+                verdict = (reference_factor_strictly(g, h) is not None,
+                           is_split_epi(h))
+                v = ctx.valuation(params[0])
+                assert first.setdefault(v, verdict) == verdict
+            assert len(first) <= ctx.t + 1
 
 
 @pytest.mark.parametrize("ctx", [RingCtx.int_local(2, 4),

@@ -208,6 +208,30 @@ def test_ar_commands(tmp_path, capsys):
     assert out.splitlines()[-1] == "ARSS 1 2 PASS"
 
 
+def test_ar_verify_at_depth_twelve(tmp_path, capsys):
+    # 13 test objects of 2^12 classes each
+    path = put(tmp_path, "deep.json",
+               '{"ring": {"kind": "int-local", "p": 2}, "t": 12, '
+               '"matrix": [["64"]]}')
+    code, out, _ = run(capsys, "ar-verify", path)
+    assert code == 0
+    assert out == (
+        "TEST s'=0 classes=4096 factored=4096 PASS\n"
+        "TEST s'=1 classes=4096 factored=4096 PASS\n"
+        "TEST s'=2 classes=4096 factored=4096 PASS\n"
+        "TEST s'=3 classes=4096 factored=4096 PASS\n"
+        "TEST s'=4 classes=4096 factored=4096 PASS\n"
+        "TEST s'=5 classes=4096 factored=4096 PASS\n"
+        "TEST s'=6 classes=4096 factored=2048 PASS\n"
+        "TEST s'=7 classes=4096 factored=4096 PASS\n"
+        "TEST s'=8 classes=4096 factored=4096 PASS\n"
+        "TEST s'=9 classes=4096 factored=4096 PASS\n"
+        "TEST s'=10 classes=4096 factored=4096 PASS\n"
+        "TEST s'=11 classes=4096 factored=4096 PASS\n"
+        "TEST s'=12 classes=4096 factored=4096 PASS\n"
+        "ARSS 6 12 PASS\n")
+
+
 def test_internal_invariant_failure_exits_three(tmp_path, capsys, monkeypatch):
     # a broken postcondition is the library's fault, not the input's
     monkeypatch.setattr(almost_split, "_exactness_failure",
