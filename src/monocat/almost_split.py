@@ -5,26 +5,11 @@ and swaps an object with its partner when it is odd.  For a rank-one
 nonprojective object we build the almost split sequence ending at it by
 lifting the classical chain of cyclic length modules, and a brute-force
 verifier confirms the right-almost-split property: it enumerates every
-morphism class from every indecomposable test object and decides strict
-factorization with exact linear algebra over the base ring.
-
-Hom(X, Y) is free over S, with one generator per free cell of
-``sampling.morphism_from_params``.  A strict factorization through g has
-one unknown per generator of Hom(X, g.src), and its system depends on g
-and on X only, so a ``StrictFactorizer`` takes one Smith form and its
-``solve`` back-substitutes each right-hand side against it.  Every strict
-factorization goes through that ``solve``; ``factor_strictly`` is the
-entry point that takes morphisms.
-
-The verifier's end Z and test objects X have rank one, so
-Hom(X, Z) = S tau and Hom(Z, X) = S sigma, and ``morphism_from_params``
-is S-linear in its one parameter: the class c is c tau.  End(Z) is S, a
-local ring, so c tau splits exactly when c u is a unit, u being
-(tau o sigma).psi1, and it factors through g exactly when the system has
-a solution for c r, r being tau stacked.  u, r and U^-1 r are read off
-once per test object.  Both verdicts depend on the valuation of c alone,
-so one class per valuation is decided, and a split one is built as a
-morphism to check its section.
+morphism class from every indecomposable test object and decides each one
+by two valuation thresholds, with no linear system.  Hom(X, Y) is free
+over S, with one generator per free cell of
+``sampling.morphism_from_params``, and ``factor_strictly`` solves for a
+strict factorization in those coordinates.
 """
 
 from __future__ import annotations
@@ -36,8 +21,9 @@ from .category import (MonMorphism, MonObject, composes_to,
                        identity_morphism, rank_one, zero_morphism)
 from .errors import (InternalInvariantError, NotComposable, NotIndecomposable,
                      ProjectiveObject)
-from .linalg import (MatR, MatS, back_substitute, mat, residue_svals, snf,
-                     sums_equal, truncated_svals)
+from .linalg import (MatR, MatS, mat, residue_svals, solve_linear, sums_equal,
+                     truncated_svals)
+from .rings import INFINITY
 from .sampling import (all_morphism_params, cell_shifts, class_residues,
                        morphism_from_params)
 from .stable import RModuleObj, syzygy
@@ -126,48 +112,22 @@ def _check_section(h: MonMorphism, sigma: MonMorphism, u):
         raise InternalInvariantError("split section does not compose back")
 
 
-class StrictFactorizer:
-    """Strict factorizations through one morphism from one source object.
-
-    Hom(src, through.src) is free over S on the generators sigma_k, so a
-    factorization is chi = sum x_k sigma_k with through o chi == target:
-    the linear system a @ x = (target.psi1, target.psi0) over S whose
-    column k holds both components of through o sigma_k.  The matrix a
-    depends only on ``through`` and on ``src``; a target enters through
-    the right-hand side alone.  So a and its Smith form are built once,
-    and each right-hand side costs one back-substitution.
-    """
-
-    def __init__(self, through: MonMorphism, src: MonObject):
-        self.a = _columns(through.ctx, [
-            (through.psi1 @ sigma.psi1).entries
-            + (through.psi0 @ sigma.psi0).entries
-            for sigma in _hom_generators(src, through.src)])
-        self.smith = snf(self.a)
-
-    def solve(self, rhs: MatS, reduced: MatS):
-        """One x over S with a @ x == rhs, or None, given
-        reduced == U^-1 @ rhs for the Smith form of a.  The x found is
-        checked against a and rhs exactly."""
-        x = back_substitute(self.smith, reduced)
-        if x is not None and not sums_equal(rhs, [(self.a, x)]):
-            raise InternalInvariantError(
-                "strict factorization does not compose back")
-        return x
-
-
-def _stacked(h: MonMorphism) -> MatS:
-    """h as one column: psi1, then psi0."""
-    return _columns(h.ctx, [h.psi1.entries + h.psi0.entries])
-
-
 def factor_strictly(through: MonMorphism, target: MonMorphism):
-    """A morphism chi with through o chi == target exactly, or None."""
+    """A morphism chi with through o chi == target exactly, or None.
+
+    Hom(target.src, through.src) is free over S on the generators
+    sigma_k, so chi = sum x_k sigma_k solves the linear system
+    a @ x = target, each morphism taken as one column of its psi1 entries
+    then its psi0 entries, column k of a being through o sigma_k.
+    """
     if target.dst != through.dst:
         raise NotComposable("factorization endpoints disagree")
-    factorizer = StrictFactorizer(through, target.src)
-    rhs = _stacked(target)
-    x = factorizer.solve(rhs, factorizer.smith.u_inv @ rhs)
+    ctx = through.ctx
+    a = _columns(ctx, [(through.psi1 @ sigma.psi1).entries
+                       + (through.psi0 @ sigma.psi0).entries
+                       for sigma in _hom_generators(target.src, through.src)])
+    x = solve_linear(a, _columns(ctx, [target.psi1.entries
+                                       + target.psi0.entries]))
     if x is None:
         return None
     chi = morphism_from_params(target.src, through.src, x.entries)
@@ -175,6 +135,23 @@ def factor_strictly(through: MonMorphism, target: MonMorphism):
         raise InternalInvariantError(
             "strict factorization does not compose back")
     return chi
+
+
+def _factor_threshold(g: MonMorphism, test: MonObject, tau_gen: MonMorphism):
+    """The least valuation mu of the lambda_k in S with
+    g o sigma_k = lambda_k tau_gen, over the generators sigma_k of
+    Hom(test, g.src) (INFINITY when all are zero), tau_gen generating
+    Hom(test, g.dst).  lambda_k is read off psi1 and checked on psi0."""
+    ctx = g.ctx
+    mu = INFINITY
+    for sigma in _hom_generators(test, g.src):
+        lam = (g.psi1 @ sigma.psi1).at(0, 0) / tau_gen.psi1.at(0, 0)
+        if not (ctx.in_ring(lam) and sums_equal(tau_gen.psi0.scale(lam),
+                                                [(g.psi0, sigma.psi0)])):
+            raise InternalInvariantError(
+                "strict factorization does not compose back")
+        mu = min(mu, ctx.valuation(lam))
+    return mu
 
 
 def ar_sequence(f: MonObject) -> ArSequence:
@@ -239,15 +216,20 @@ def verify_right_almost_split(seq: ArSequence):
     strictly through seq.g exactly when it is not a split epimorphism.
     Split verdicts come from the generators of Hom(seq.end, test), so
     seq.end must have rank one; any other end raises NotIndecomposable
-    before a class is enumerated.  Each class is decided from its one
-    parameter c, and one class per valuation of c is decided: write
-    c = pi^v w with w a unit.  Then a x = c r is solvable exactly when
-    a x = pi^v r is (x <-> w x), and c u is a unit exactly when v = 0 and
-    u is a unit.  So the first class of each valuation (the zero class
-    has valuation INFINITY) is decided, with its section checked when it
-    splits, and the later classes of that valuation reuse its verdict:
-    at most t + 1 back-substitutions and at most one section check per
-    test object.
+    before a class is enumerated.
+
+    X = test and Z = seq.end have rank one, so Hom(X, Z) = S tau,
+    Hom(Z, X) = S sigma and the class with parameter c is c tau.  End(Z)
+    is the local ring S, so c tau splits exactly when c u is a unit,
+    u = (tau o sigma).psi1: when v = val(c) is 0 and u is a unit.  Let
+    sigma_k generate Hom(X, seq.g.src); each g o sigma_k is lambda_k tau.
+    The strict factorization system a x = c r (column k of a is
+    g o sigma_k stacked, r is tau stacked) reads a = r lambda^T with
+    r != 0, so it is solvable over S exactly when c lies in the ideal
+    (lambda_k) = pi^mu S: when v >= mu, mu the least val(lambda_k)
+    (INFINITY when all are zero, as is v for the zero class).  So each
+    test object takes one section check, when u is a unit, and one mu;
+    every class is still enumerated and counted.
 
     Returns (lines, ok): one TEST line per exponent and a final ARSS
     summary line.
@@ -269,27 +251,20 @@ def verify_right_almost_split(seq: ArSequence):
     for sp in range(ctx.t + 1):
         test = rank_one(ctx, sp)
         classes_iter = all_morphism_params(test, seq.end)
-        factorizer = StrictFactorizer(seq.g, test)
         (tau_gen,) = _hom_generators(test, seq.end)
         (sigma,) = _hom_generators(seq.end, test)
         u = (tau_gen.psi1 @ sigma.psi1).at(0, 0)
-        r = _stacked(tau_gen)
-        ur = factorizer.smith.u_inv @ r
-        verdicts = {}
+        unit = ctx.is_unit(u)
+        if unit:
+            _check_section(tau_gen, sigma, u)
+        mu = _factor_threshold(seq.g, test, tau_gen)
         classes = 0
         factored = 0
         good = True
         for (c,) in classes_iter:
             v = ctx.valuation(c)
-            if v not in verdicts:
-                scalar = c * u
-                split = ctx.is_unit(scalar)
-                if split:
-                    _check_section(morphism_from_params(test, seq.end, (c,)),
-                                   sigma, scalar)
-                verdicts[v] = split, factorizer.solve(
-                    r.scale(c), ur.scale(c)) is not None
-            split, factors = verdicts[v]
+            split = unit and v == 0
+            factors = v >= mu
             classes += 1
             factored += factors
             if factors == split:

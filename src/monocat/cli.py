@@ -73,6 +73,14 @@ def dumps_triangle(tri) -> str:
 
 
 # -- parsing ------------------------------------------------------------------
+# Work grows without limit in t and in the suites' --max-size: a one-shot
+# `mon cone` of the identity on the 2x2 Q file [[1 + x, 2], [3, x]] takes
+# 0.5 s at t = 512 and 2.3 s at t = 1024 (2-vCPU Xeon).  Values above the
+# bounds exit 2.  A file's own n is not capped: its cost is polynomial in
+# the size of the file.
+MAX_T = 512
+MAX_SIZE = 16
+
 
 def _integer(value, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
@@ -91,6 +99,8 @@ def _context_from(payload: dict) -> RingCtx:
     if not isinstance(ring, dict):
         raise ParseError("ring must be a JSON object")
     t = _integer(_field(payload, "t"), "t")
+    if t > MAX_T:
+        raise ParseError(f"t must be at most {MAX_T}")
     kind = _field(ring, "kind")
     if kind == "int-local":
         return RingCtx.int_local(_integer(_field(ring, "p"), "p"), t)
@@ -213,14 +223,19 @@ def _ar_seq(obj, _) -> tuple:
 
 
 def _require_at_least(args, bounds) -> None:
-    """Refuse (exit 2) any option below its lower bound."""
-    for option, low in bounds:
-        if getattr(args, option.replace("-", "_")) < low:
+    """Refuse (exit 2) any option below its lower bound, or above its
+    upper bound when one is given."""
+    for option, low, *high in bounds:
+        value = getattr(args, option.replace("-", "_"))
+        if value < low:
             raise ValueError(f"--{option} must be at least {low}")
+        if high and value > high[0]:
+            raise ValueError(f"--{option} must be at most {high[0]}")
 
 
 def _check(args) -> tuple:
-    _require_at_least(args, (("iters", 0), ("max-size", 1), ("max-t", 1)))
+    _require_at_least(args, (("iters", 0), ("max-size", 1, MAX_SIZE),
+                             ("max-t", 1, MAX_T)))
     names = [args.suite] if args.suite else list(SUITES)
     results = [run_suite(name, seed=args.seed, iters=args.iters,
                          max_size=args.max_size, max_t=args.max_t)
@@ -234,7 +249,7 @@ def _check(args) -> tuple:
 
 
 def _faithful(args) -> tuple:
-    _require_at_least(args, (("max-t", 2),))
+    _require_at_least(args, (("max-t", 2, MAX_T),))
     lines, all_ok = [], True
     # the largest t has the most maps: refuse it first
     check_map_budget(RingCtx.int_local(args.p, args.max_t), 1)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from monocat.almost_split import (ArSequence, StrictFactorizer,
+from monocat.almost_split import (ArSequence, _factor_threshold,
                                   _hom_generators, _iso_classes, _splits,
                                   ar_sequence, end_ring_is_local,
                                   factor_strictly, tau, tau_gp,
@@ -24,7 +24,7 @@ from monocat.errors import (InfiniteResidueField, NotComposable,
                             ProjectiveObject)
 from monocat.homotopy import is_iso_in_homotopy
 from monocat.linalg import MatS, diag_pi, mat, snf
-from monocat.rings import RingCtx
+from monocat.rings import INFINITY, RingCtx
 from monocat.sampling import (all_morphism_params, morphism_from_params,
                               random_morphism, random_object)
 from monocat.stable import RModuleObj
@@ -230,15 +230,15 @@ def test_verify_guards():
 
 
 def test_verify_refuses_before_the_test_loop_eliminates(monkeypatch):
-    # the split check on g reads Hom generators: no factorizer before the
+    # the split check on g reads Hom generators: no threshold before the
     # refusal
     sources = []
 
-    def spy(through, src):
-        sources.append(src)
-        return StrictFactorizer(through, src)
+    def spy(g, test, tau_gen):
+        sources.append(test)
+        return _factor_threshold(g, test, tau_gen)
 
-    monkeypatch.setattr("monocat.almost_split.StrictFactorizer", spy)
+    monkeypatch.setattr("monocat.almost_split._factor_threshold", spy)
     for ctx, refusal in [(RingCtx.int_local(3, 8), ParametersTooLarge),
                          (RingCtx.poly_local(2), InfiniteResidueField)]:
         seq = ar_sequence(rank_one(ctx, 1))
@@ -279,33 +279,36 @@ def test_verifier_smith_forms_do_not_grow_with_classes(monkeypatch):
         calls.append(a)
         return snf(a)
 
-    monkeypatch.setattr("monocat.almost_split.snf", counting_snf)
+    monkeypatch.setattr("monocat.category.snf", counting_snf)
+    monkeypatch.setattr("monocat.linalg.snf", counting_snf)
     lines, ok = verify_right_almost_split(seq)
     assert ok
     classes = sum(int(line.split()[2].split("=")[1]) for line in lines[:-1])
-    # one factorizer through g per test object; exactness, the split check
-    # on g and the Hom generators take none
-    assert len(calls) == ctx.t + 1 < classes
+    # the only Smith forms are the cached ones of the objects whose Hom
+    # generators are built; deciding a class takes none
+    assert len(calls) <= ctx.t + 1 < classes
 
 
 def test_verifier_solves_do_not_grow_with_classes(monkeypatch):
     ctx = RingCtx.int_local(2, 4)
     seq = ar_sequence(rank_one(ctx, 2))
-    keys = []
-    real_solve = StrictFactorizer.solve
+    thresholds = []
 
-    def counting_solve(self, rhs, reduced):
-        # rhs = c r with r != 0, so its least valuation fixes val(c)
-        keys.append((id(self), min(ctx.valuation(x) for x in rhs.entries)))
-        return real_solve(self, rhs, reduced)
+    def counting_threshold(g, test, tau_gen):
+        thresholds.append(test)
+        return _factor_threshold(g, test, tau_gen)
 
-    monkeypatch.setattr(StrictFactorizer, "solve", counting_solve)
+    def refusing_solve(a, rhs):
+        raise AssertionError("the verifier solved a linear system")
+
+    monkeypatch.setattr("monocat.almost_split._factor_threshold",
+                        counting_threshold)
+    monkeypatch.setattr("monocat.almost_split.solve_linear", refusing_solve)
     lines, ok = verify_right_almost_split(seq)
     assert ok
     classes = sum(int(line.split()[2].split("=")[1]) for line in lines[:-1])
-    # at most one back-substitution per (test object, valuation)
-    assert len(set(keys)) == len(keys) <= (ctx.t + 1) ** 2
-    assert len(keys) < classes
+    # one threshold per test object, whatever the number of classes
+    assert len(thresholds) == ctx.t + 1 < classes
 
 
 def test_verifier_builds_no_morphism_for_a_non_split_class(monkeypatch):
@@ -332,10 +335,8 @@ def test_verifier_builds_no_morphism_for_a_non_split_class(monkeypatch):
               for line in lines[:-1]]
     split = sum(classes - factored for classes, factored in counts)
     assert 0 < split < sum(classes for classes, _ in counts)
-    # one split class is built per test object that has one: the split
-    # verdict is shared by the classes of one valuation
-    assert len(built) == len(generators) + sum(
-        classes > factored for classes, factored in counts)
+    # only Hom generators are built: no class is materialized
+    assert len(built) == len(generators)
 
 
 def test_verify_refuses_rank_two_end_before_enumerating(monkeypatch):
@@ -486,7 +487,7 @@ def test_end_ring_builds_no_morphism_cone_or_smith_form(monkeypatch):
                          ("almost_split", "morphism_from_params"),
                          ("homotopy", "cone"), ("homotopy", "is_iso_in_homotopy"),
                          ("linalg", "snf"), ("category", "snf"),
-                         ("almost_split", "snf"), ("category", "check_morphism")]:
+                         ("category", "check_morphism")]:
         target = f"monocat.{module}.{name}"
         monkeypatch.setattr(target, counting(target, getattr(
             sys.modules[f"monocat.{module}"], name)))
@@ -590,6 +591,31 @@ def test_verdicts_depend_on_the_valuation_alone(ctx):
                 v = ctx.valuation(params[0])
                 assert first.setdefault(v, verdict) == verdict
             assert len(first) <= ctx.t + 1
+
+
+@pytest.mark.parametrize("ctx", VERIFIER_RINGS,
+                         ids=lambda c: f"{c.kind}-{c.residue_field_size}-t{c.t}")
+def test_factor_threshold_matches_the_stacked_reference(ctx):
+    # pi^v tau factors strictly through g exactly when v >= mu, for each
+    # v < t and for the zero target, by the stacked oracle and by
+    # factor_strictly
+    throughs = {seq.g for seq in verifier_cases(ctx)}
+    if ctx.t >= 4:  # its middle term needs exponent 4
+        throughs.add(not_almost_split(ctx).g)
+    verdicts = set()
+    for g in throughs:
+        for sp in range(ctx.t + 1):
+            test = rank_one(ctx, sp)
+            (tau_gen,) = _hom_generators(test, g.dst)
+            mu = _factor_threshold(g, test, tau_gen)
+            for v in [*range(ctx.t), INFINITY]:
+                c = ctx.zero() if v is INFINITY else ctx.pi_pow(v)
+                h = morphism_from_params(test, g.dst, (c,))
+                factors = reference_factor_strictly(g, h) is not None
+                assert factors == (v >= mu)
+                assert (factor_strictly(g, h) is not None) == factors
+                verdicts.add(factors)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("ctx", [RingCtx.int_local(2, 4),

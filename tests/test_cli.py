@@ -9,7 +9,8 @@ import time
 import pytest
 
 from monocat import almost_split, stable
-from monocat.cli import dumps_object, load_object_file, main
+from monocat.cli import (MAX_SIZE, MAX_T, dumps_object, load_object_file,
+                         main)
 from monocat.rings import MAX_INT_DIGITS, MAX_X_DEGREE
 
 CANON = ('{"ring": {"kind": "int-local", "p": 2}, "t": 2, '
@@ -413,6 +414,43 @@ def test_check_refuses_out_of_range_bounds(capsys, option, value):
     assert err.startswith(f"error: {option} must be at least")
 
 
+Q_AT_4096 = ('{"ring": {"kind": "poly-local"}, "t": 4096, '
+             '"matrix": [["1 + x","2"],["3","x"]]}')
+Z2_AT_1E8 = ('{"ring": {"kind": "int-local", "p": 2}, "t": 100000000, '
+             '"matrix": [["2"]]}')
+Z3_AT_1E8 = ('{"ring": {"kind": "int-local", "p": 3}, "t": 100000000, '
+             '"matrix": [["3"]]}')
+
+
+@pytest.mark.parametrize("text, argv", [
+    (Q_AT_4096, ["validate"]), (Q_AT_4096, ["sigma"]),
+    (Z2_AT_1E8, ["sigma"]), (Z3_AT_1E8, ["tau"]), (Z3_AT_1E8, ["coker"]),
+    (Z3_AT_1E8, ["ar-verify"]),
+    (None, ["check", "--suite", "sigma", "--iters", "3",
+            "--max-t", "100000000"]),
+    (None, ["faithful", "--p", "3", "--max-t", "100000000"]),
+    (None, ["check", "--suite", "sigma", "--iters", "2",
+            "--max-size", "100000", "--max-t", "2"])])
+def test_oversized_inputs_are_refused_at_once(tmp_path, capsys, text, argv):
+    # unbounded, each runs past 20 s or runs out of memory
+    if text is not None:
+        argv = [argv[0], put(tmp_path, "big.json", text)]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_bounds_accept_their_largest_values(tmp_path, capsys):
+    path = put(tmp_path, "f.json", '{"ring": {"kind": "int-local", "p": 2}, '
+               f'"t": {MAX_T}, "matrix": [["2"]]}}')
+    assert run(capsys, "validate", path) == (0, "OK n=1 svals=[1]\n", "")
+    code, _, err = run(capsys, "check", "--suite", "sigma", "--iters", "1",
+                       "--max-size", str(MAX_SIZE), "--max-t", str(MAX_T))
+    assert code == 0 and err == ""
+
+
 def test_output_caps_the_digits_of_an_integer(tmp_path, capsys):
     # valid, but the partner's entry 8/N^2 has a 4,400-digit denominator
     big = "1" * 2200
@@ -433,11 +471,11 @@ def test_output_caps_the_digits_of_an_integer(tmp_path, capsys):
     target = tmp_path / "partner.json"
     code, out, _ = run(capsys, "sigma", path, "-o", str(target))
     assert code == 1 and out == "" and not target.exists()
-    # residues modulo 2^15000 reach 4,516 digits: d0 formats, d1 does not,
-    # and stdout stays empty
+    # residues modulo 1000000007^512 reach 4,608 digits: d0 formats, d1
+    # does not, and stdout stays empty
     path = put(tmp_path, "long_t.json",
-               '{"ring": {"kind": "int-local", "p": 2}, "t": 15000, '
-               '"matrix": [["3","0"],["0","2"]]}')
+               '{"ring": {"kind": "int-local", "p": 1000000007}, "t": 512, '
+               '"matrix": [["3","0"],["0","1000000007"]]}')
     code, out, err = run(capsys, "resolve", path)
     assert code == 1 and out == ""
     assert err.startswith("violation: ParametersTooLarge")
