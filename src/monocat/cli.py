@@ -16,6 +16,7 @@ is formatted, so a command that fails leaves both untouched.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -333,7 +334,12 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `mon` parser, built on the first call and shared by every later
+    one in the process, so no caller may mutate it.  ``parse_args`` returns a
+    fresh namespace each time, and help width is read when help is printed.
+    """
     ap = argparse.ArgumentParser(
         prog="mon",
         description="exact monomorphism-category calculator")

@@ -708,7 +708,7 @@ class PolyLocal(RingCtx):
 # scalar text form
 
 
-_INT_RE = re.compile(r"\d+")
+_INT_RE = re.compile(r"[0-9]+")  # ASCII only; str.isdigit also takes "²"
 MAX_X_DEGREE = 4096  # largest k in x^k; the parser allocates k + 1 coefficients
 MAX_INT_DIGITS = 4300  # longest digit run; Python's default int() limit
 # below 2^_MAX_INT_BITS an integer has at most MAX_INT_DIGITS digits
@@ -724,7 +724,7 @@ def _tokenize(text: str):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             m = _INT_RE.match(text, pos)
             if m.end() - pos > MAX_INT_DIGITS:
                 raise ParseError(f"integer of more than {MAX_INT_DIGITS} digits "

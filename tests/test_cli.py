@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from monocat import almost_split, stable
-from monocat.cli import (MAX_SIZE, MAX_T, dumps_object, load_object_file,
-                         main)
+from monocat.cli import (COMMANDS, MAX_SIZE, MAX_T, build_parser, dumps_object,
+                         load_object_file, main)
 from monocat.rings import MAX_INT_DIGITS, MAX_X_DEGREE
 
 CANON = ('{"ring": {"kind": "int-local", "p": 2}, "t": 2, '
@@ -530,3 +534,96 @@ def test_validate_a_twenty_by_twenty_rational_file(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", path)
     assert code == 0
     assert out == f"OK n=20 svals=[{','.join(['0'] * 12 + ['1'] * 8)}]\n"
+
+
+@pytest.mark.parametrize("scalar", ["\u00b2", "x^\u00b2", "3\u00b2", "\u0663"])
+def test_validate_reads_ascii_digits_only(tmp_path, capsys, scalar):
+    # "²" passes str.isdigit but not a digit pattern; "٣" (Arabic-Indic 3)
+    # is refused too, so a scalar's digits are always 0-9
+    path = put(tmp_path, "f.json", json.dumps(
+        {"ring": {"kind": "int-local", "p": 2}, "t": 2,
+         "matrix": [[scalar]]}))
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad character in scalar")
+
+
+# -- one parser per process ----------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _help_texts(parser):
+    subparsers = parser._subparsers._group_actions[0].choices
+    return [parser.format_help(), parser.format_usage()] + [
+        p.format_help() for p in subparsers.values()]
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+    # a fresh process builds nothing on import, and one parser for all calls
+    code = ("import contextlib, io\n"
+            "from monocat import cli\n"
+            "print(cli.build_parser.cache_info().misses)\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    cli.main(['--help']); cli.main(['check', '--iters', '0'])\n"
+            "info = cli.build_parser.cache_info()\n"
+            "print(info.misses, info.hits)\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "0\n1 1\n", "")
+
+
+def test_shared_parser_survives_every_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    obj = rank_one_file(tmp_path)
+    files = {"object": obj, "source": obj, "target": obj,
+             "morphism": put(tmp_path, "m.json", json.dumps({
+                 "source": "f.json", "target": "f.json",
+                 "psi1": [["2"]], "psi0": [["2"]]}))}
+    options = {"check": ["--suite", "sigma", "--iters", "1"],
+               "faithful": ["--max-t", "2"]}
+    for name, positionals, *_ in COMMANDS:
+        argv = [name, *(files[arg] for arg in positionals),
+                *options.get(name, [])]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1) and not err.startswith("error"), argv
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "sigma", obj, "--bogus")[0] == 2
+    assert _help_texts(build_parser()) == _help_texts(
+        build_parser.__wrapped__())
+
+
+def test_option_values_do_not_reach_the_next_call(tmp_path, capsys):
+    path = put(tmp_path, "g.json",
+               '{"ring": {"kind": "int-local", "p": 2}, "t": 3, '
+               '"matrix": [["2"]]}')
+    target = tmp_path / "tau.json"
+    assert run(capsys, "tau", path, "--dim", "3", "-o", str(target)) == (
+        0, "", "")
+    assert target.read_text() == ('{"ring": {"kind": "int-local", "p": 2}, '
+                                  '"t": 3, "matrix": [["4"]]}\n')
+    target.unlink()
+    assert run(capsys, "tau", path) == (
+        0, '{"ring": {"kind": "int-local", "p": 2}, "t": 3, '
+           '"matrix": [["2"]]}\n', "")
+    assert not target.exists()
+    assert run(capsys, "check", "--suite", "tr1", "--iters", "1") == (
+        0, "TR1 1/1 PASS\n", "")
+    code, out, err = run(capsys, "check", "--iters", "0")
+    assert (code, err) == (0, "")
+    assert out == ("SIGMA 0/0 PASS\nTR1 0/0 PASS\nNULLITY 0/0 PASS\n"
+                   "TR2 0/0 PASS\nTR3 0/0 PASS\nTR4 0/0 PASS\nINV 0/0 PASS\n"
+                   "FACTOR 0/0 PASS\nPERIODIC 0/0 PASS\nTAU 6/6 PASS\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sigma", "--bogus"]])
+def test_one_shot_mon_matches_in_process_main(capsys, monkeypatch, argv):
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "monocat.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    monkeypatch.setenv("COLUMNS", "80")
+    build_parser()
+    assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)

@@ -21,6 +21,7 @@ Z2 = RingCtx.int_local(2, 2)
 Z3 = RingCtx.int_local(3, 3)
 KX = RingCtx.poly_local(2)        # rationals as coefficients
 F2X = RingCtx.poly_local(2, q=2)
+F3X = RingCtx.poly_local(2, q=3)
 
 
 def test_context_validation():
@@ -155,6 +156,18 @@ def test_format_parse_round_trip_int():
     for text in ["0", "-3", "7/5", "12"]:
         a = Z2.parse_scalar(text)
         assert Z2.parse_scalar(Z2.format_scalar(a)) == a
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.text(alphabet="0123456789x*^+-/() ²٣", max_size=24))
+def test_parse_scalar_returns_a_ring_element_or_a_parse_error(text):
+    # "²" and "٣" are non-ASCII characters that str.isdigit accepts
+    for ctx in (Z2, F3X, KX):
+        try:
+            value = ctx.parse_scalar(text)
+        except ParseError:
+            continue
+        assert ctx.in_ring(value)
 
 
 @given(st.integers(-200, 200), st.integers(-200, 200))
