@@ -1,79 +1,208 @@
 """Exact matrices over the base ring, Smith normal form, and linear solvers.
 
-Everything here works entrywise with the exact scalar types from
-:mod:`monocat.rings`.  ``MatS`` holds fraction-field entries; membership in
-S is an extra property checked where the caller needs it.  ``MatR`` holds
-canonical residues and computes modulo omega.
+``MatS`` holds fraction-field entries; membership in S is an extra property
+checked where the caller needs it.  Over Z_(p) the arithmetic of ``MatS``
+runs on integer numerators over one shared denominator (the cleared form,
+below); over k[x]_(x) it works entrywise with the exact scalar types from
+:mod:`monocat.rings`.  ``MatR`` holds canonical residues and computes
+modulo omega.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import chain
-from operator import mul
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import add, mul
 from typing import Sequence
 
 from .errors import ContextMismatch, InternalInvariantError, SingularMatrix
 from .rings import INFINITY, Residue, RingCtx, Scalar
 
+_set = object.__setattr__
+_UNSET = object()  # a cleared form not yet computed
 
-@dataclass(frozen=True)
+
 class MatS:
-    """Immutable matrix with entries in Frac(S), stored row-major."""
+    """Immutable matrix with entries in Frac(S), stored row-major.
 
-    ctx: RingCtx
-    rows: int
-    cols: int
-    entries: tuple
+    Over Z_(p) a matrix also has a cleared form, the layout of FLINT's
+    ``fmpq_mat``: a tuple of integer numerators over one positive
+    denominator den, with gcd(den, *nums) = 1, so den is the lcm of the
+    entry denominators and the form is unique.  Products, sums, negation,
+    scaling, ``sums_equal``, ``in_ring`` (den prime to p), ``is_zero`` and
+    the reductions modulo pi^e run on those ints, with no Fraction per
+    entry.  A matrix built from entries keeps them and is cleared on first
+    need (``RingCtx._clear``); a matrix computed in cleared form builds
+    ``entries``, a tuple of Fractions, on first read.  Each form is built
+    at most once.  Over k[x]_(x) ``_clear`` gives None and every operation
+    works on the entries.
+    """
+
+    __slots__ = ("ctx", "rows", "cols", "_entries", "_cleared")
+
+    def __init__(self, ctx: RingCtx, rows: int, cols: int, entries: tuple):
+        _set(self, "ctx", ctx)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_entries", entries)
+        _set(self, "_cleared", _UNSET)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def entries(self) -> tuple:
+        e = self._entries
+        if e is None:
+            nums, den = self._cleared
+            norm = self.ctx._normalize
+            e = tuple(map(norm, nums) if den == 1 else map(norm, nums, repeat(den)))
+            _set(self, "_entries", e)
+        return e
+
+    def _ints(self):
+        """The cleared form (nums, den), or None over k[x]_(x)."""
+        c = self._cleared
+        if c is _UNSET:
+            c = self.ctx._clear(self._entries)
+            _set(self, "_cleared", c)
+        return c
+
+    def __eq__(self, other):
+        if type(other) is not MatS:
+            return NotImplemented
+        if (self.ctx, self.rows, self.cols) != (other.ctx, other.rows, other.cols):
+            return False
+        if self._entries is None or other._entries is None:
+            return self._ints() == other._ints()
+        return self._entries == other._entries
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return (f"MatS(ctx={self.ctx!r}, rows={self.rows!r}, cols={self.cols!r}, "
+                f"entries={self.entries!r})")
 
     def at(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
 
     def to_rows(self) -> list[list[Scalar]]:
-        return [[self.at(i, j) for j in range(self.cols)] for i in range(self.rows)]
+        e, c = self.entries, self.cols
+        return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        e = self._entries
+        return not any(self._cleared[0] if e is None else e)
 
     def in_ring(self) -> bool:
-        return all(self.ctx.in_ring(e) for e in self.entries)
+        c = self._ints()
+        if c is None:
+            return all(self.ctx.in_ring(e) for e in self.entries)
+        return self.ctx._valuation(c[1]) == 0
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def _check(self, other: "MatS"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch("matrices over different ring contexts")
 
     def __add__(self, other: "MatS") -> "MatS":
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        return MatS(self.ctx, self.rows, self.cols,
-                    tuple(a + b for a, b in zip(self.entries, other.entries)))
+        a = self._ints()
+        if a is None:
+            return MatS(self.ctx, self.rows, self.cols,
+                        tuple(x + y for x, y in zip(self.entries, other.entries)))
+        return _reduced(self.ctx, self.rows, self.cols, *_add_cleared(a, other._ints()))
 
     def __sub__(self, other: "MatS") -> "MatS":
         return self + (-other)
 
     def __neg__(self) -> "MatS":
-        return MatS(self.ctx, self.rows, self.cols, tuple(-e for e in self.entries))
+        a = self._ints()
+        if a is None:
+            return MatS(self.ctx, self.rows, self.cols, tuple(-e for e in self.entries))
+        return _reduced(self.ctx, self.rows, self.cols, [-n for n in a[0]], a[1])
 
     def __matmul__(self, other: "MatS") -> "MatS":
-        ctx = self.ctx
-        return MatS(ctx, self.rows, other.cols,
-                    tuple(_dot(e, ctx) for e in _product_pairs(self, other)))
+        _check_product(self, other)
+        return _sum_of_products(self.ctx, self.rows, other.cols, [(self, other)])
 
     def scale(self, c: Scalar) -> "MatS":
-        return MatS(self.ctx, self.rows, self.cols, tuple(c * e for e in self.entries))
+        a = self._ints()
+        if a is None:
+            return MatS(self.ctx, self.rows, self.cols,
+                        tuple(c * e for e in self.entries))
+        k = c.numerator
+        return _reduced(self.ctx, self.rows, self.cols,
+                        [k * n for n in a[0]], a[1] * c.denominator)
+
+
+def _reduced(ctx: RingCtx, rows: int, cols: int, nums: list, den: int) -> MatS:
+    """The matrix nums / den, for any positive den, in canonical cleared
+    form: one gcd over the whole matrix.  Its entries are built on first
+    read."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [n // g for n in nums], den // g
+    m = MatS(ctx, rows, cols, None)
+    _set(m, "_cleared", (tuple(nums), den))
+    return m
+
+
+def _add_cleared(a: tuple, b: tuple) -> tuple:
+    """The sum of two cleared forms over the lcm of their denominators,
+    unreduced."""
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return list(map(add, an, bn)), ad
+    den = lcm(ad, bd)
+    ka, kb = den // ad, den // bd
+    return [x * ka + y * kb for x, y in zip(an, bn)], den
+
+
+def _cleared_sum(products) -> tuple | None:
+    """A sum of products a @ b in cleared form, each product over the
+    product of its factors' denominators and the sum over their lcm,
+    unreduced; or None over k[x]_(x)."""
+    total = None
+    for a, b in products:
+        x = a._ints()
+        if x is None:
+            return None
+        (an, ad), (bn, bd), n, m = x, b._ints(), a.cols, b.cols
+        cols = [bn[j::m] for j in range(m)]
+        term = ([sum(map(mul, an[i * n:(i + 1) * n], col))
+                 for i in range(a.rows) for col in cols], ad * bd)
+        total = term if total is None else _add_cleared(total, term)
+    return total
+
+
+def _sum_of_products(ctx: RingCtx, rows: int, cols: int, products) -> MatS:
+    """A checked sum of products a @ b, each entry normalized once: over
+    Z_(p) one gcd over the cleared sum, over k[x]_(x) one _dot per entry
+    over the pairs of every product chained."""
+    total = _cleared_sum(products)
+    if total is None:
+        return MatS(ctx, rows, cols, tuple(_dot(e, ctx) for e in _entry_pairs(products)))
+    return _reduced(ctx, rows, cols, *total)
 
 
 def add_products(a: MatS, b: MatS, c: MatS, d: MatS) -> MatS:
-    """a @ b + c @ d, each entry normalized once: one _dot over the pairs
-    of both products chained."""
-    ctx, (rows, cols), entries = _entry_pairs([(a, b), (c, d)])
-    return MatS(ctx, rows, cols, tuple(_dot(e, ctx) for e in entries))
+    """a @ b + c @ d, each entry normalized once."""
+    products = [(a, b), (c, d)]
+    ctx, (rows, cols) = _sum_shape(products)
+    return _sum_of_products(ctx, rows, cols, products)
 
 
 def _accumulate(pairs):
@@ -103,45 +232,69 @@ def _dot(pairs, ctx: RingCtx) -> Scalar:
     return ctx.zero() if acc is None else ctx._normalize(*acc)
 
 
-def _product_pairs(a: MatS, b: MatS) -> list:
-    """For each entry of a @ b, row-major, the pairs of scalars whose
-    products sum to it; the contexts and inner dimensions are checked."""
+def _check_product(a: MatS, b: MatS):
+    """Raise unless a @ b is defined: the contexts first, then the inner
+    dimensions."""
     a._check(b)
     if a.cols != b.rows:
         raise ValueError(
             f"shape mismatch in matrix product: {a.rows}x{a.cols} times "
             f"{b.rows}x{b.cols}")
+
+
+def _product_pairs(a: MatS, b: MatS) -> list:
+    """For each entry of a @ b, row-major, the pairs of scalars whose
+    products sum to it."""
     n, m = a.cols, b.cols
     cols = [b.entries[j::m] for j in range(m)]
     return [zip(a.entries[i * n:(i + 1) * n], col)
             for i in range(a.rows) for col in cols]
 
 
-def _entry_pairs(products) -> tuple:
+def _sum_shape(products) -> tuple:
     """The ring context and shape of a sum of products a @ b, given as a
-    nonempty sequence of pairs (a, b), and for each entry, row-major, the
-    pairs of scalars whose products sum to it."""
+    nonempty sequence of pairs (a, b), each product and term checked."""
     a0, b0 = products[0]
     shape = (a0.rows, b0.cols)
-    if len(products) == 1:
-        return a0.ctx, shape, _product_pairs(a0, b0)
-    per_product = []
     for a, b in products:
-        per_product.append(_product_pairs(a, b))
+        _check_product(a, b)
         a0._check(a)
         if (a.rows, b.cols) != shape:
             raise ValueError("shape mismatch in matrix addition")
-    return a0.ctx, shape, [chain.from_iterable(e) for e in zip(*per_product)]
+    return a0.ctx, shape
 
 
-def _unreduced(side) -> tuple:
-    """The ring context, shape and entries of a side of ``sums_equal``,
-    each entry an unreduced (numerator, denominator), or None for zero."""
+def _entry_pairs(products) -> list:
+    """For each entry of a checked sum of products, row-major, the pairs of
+    scalars whose products sum to it."""
+    if len(products) == 1:
+        return _product_pairs(*products[0])
+    return [chain.from_iterable(e)
+            for e in zip(*(_product_pairs(a, b) for a, b in products))]
+
+
+def _side_shape(side) -> tuple:
+    """The ring context and shape of a side of ``sums_equal``."""
     if isinstance(side, MatS):
-        return side.ctx, (side.rows, side.cols), (
-            (x.numerator, x.denominator) if x else None for x in side.entries)
-    ctx, shape, entries = _entry_pairs(side)
-    return ctx, shape, map(_accumulate, entries)
+        return side.ctx, (side.rows, side.cols)
+    return _sum_shape(side)
+
+
+def _unreduced(side):
+    """The entries of a side of ``sums_equal``, each an unreduced
+    (numerator, denominator), or None for zero: the cleared form's
+    numerators over its one denominator over Z_(p), per entry over
+    k[x]_(x)."""
+    if isinstance(side, MatS):
+        cleared = side._ints()
+        if cleared is None:
+            return ((x.numerator, x.denominator) if x else None for x in side.entries)
+    else:
+        cleared = _cleared_sum(side)
+        if cleared is None:
+            return map(_accumulate, _entry_pairs(side))
+    nums, den = cleared
+    return zip(nums, repeat(den))
 
 
 def _same(x, y) -> bool:
@@ -161,19 +314,21 @@ def sums_equal(left, right) -> bool:
 
     A sum of products is a nonempty sequence of pairs of matrices (a, b),
     standing for the sum of the a @ b.  No entry is brought to lowest
-    terms.  Each entry of a sum accumulates as an unreduced numerator over
-    a denominator, as ``_dot`` does before it normalizes.  Equal
-    denominators compare their numerators, and others compare n1 * d2
-    with n2 * d1, which is exact because S is an integral domain.  An
-    entry with no nonzero term is zero.
+    terms.  Over Z_(p) each side is an unreduced cleared form: integer
+    numerators over one denominator.  Over k[x]_(x) each entry of a sum
+    accumulates as an unreduced numerator over a denominator, as ``_dot``
+    does before it normalizes.  Equal denominators compare their
+    numerators, and others compare n1 * d2 with n2 * d1, which is exact
+    because S is an integral domain.  An entry with no nonzero term is
+    zero.
     """
-    lctx, lshape, lvals = _unreduced(left)
-    rctx, rshape, rvals = _unreduced(right)
+    lctx, lshape = _side_shape(left)
+    rctx, rshape = _side_shape(right)
     if lctx != rctx:
         raise ContextMismatch("matrices over different ring contexts")
     if lshape != rshape:
         raise ValueError("shape mismatch in matrix comparison")
-    return all(map(_same, lvals, rvals))
+    return all(map(_same, _unreduced(left), _unreduced(right)))
 
 
 def coerce_scalar(ctx: RingCtx, value) -> Scalar:
@@ -229,7 +384,7 @@ def hstack(blocks: Sequence[MatS]) -> MatS:
     entries = []
     for i in range(rows):
         for b in blocks:
-            entries.extend(b.at(i, j) for j in range(b.cols))
+            entries.extend(b.entries[i * b.cols:(i + 1) * b.cols])
     return MatS(ctx, rows, sum(b.cols for b in blocks), tuple(entries))
 
 
@@ -443,11 +598,17 @@ def truncated_svals(a: MatS, e: int) -> tuple:
     least valuation v, so pivot = pi^v * u with u a unit; scaling its row
     by u^-1 makes it pi^v, and every entry below is pi^v * c, cleared by
     row_i -= c * row_pivot.  Clearing the pivot row would then touch only
-    that row, so the row and column are dropped instead.
+    that row, so the row and column are dropped instead.  Over Z_(p) the
+    residues come from the cleared form, with one inverse of its
+    denominator modulo p^e.
     """
     ctx = a.ctx
-    return _residue_svals(ctx, [[ctx._reduce(x, e) for x in row]
-                                for row in a.to_rows()], e)
+    cleared = a._ints()
+    if cleared is None:
+        return _residue_svals(ctx, [[ctx._reduce(x, e) for x in row]
+                                    for row in a.to_rows()], e)
+    values, c = _cleared_residues(ctx, cleared, e), a.cols
+    return _residue_svals(ctx, [values[i * c:(i + 1) * c] for i in range(a.rows)], e)
 
 
 def _residue_svals(ctx: RingCtx, rows: list, e: int) -> tuple:
@@ -618,6 +779,20 @@ def residue_svals(a: MatR) -> tuple:
 
 
 def reduce_mat(a: MatS) -> MatR:
-    """Entrywise reduction of an S-matrix modulo omega."""
+    """Entrywise reduction of an S-matrix modulo omega; over Z_(p) one
+    inverse of the shared denominator serves every entry.  An entry
+    outside S raises DivisionLeavesRing, naming the first such entry."""
     ctx = a.ctx
-    return MatR(ctx, a.rows, a.cols, tuple(ctx.reduce_mod_omega(e) for e in a.entries))
+    cleared = a._ints()
+    if cleared is None or not a.in_ring():
+        return MatR(ctx, a.rows, a.cols,
+                    tuple(ctx.reduce_mod_omega(e) for e in a.entries))
+    return MatR(ctx, a.rows, a.cols, tuple(_cleared_residues(ctx, cleared, ctx.t)))
+
+
+def _cleared_residues(ctx: RingCtx, cleared: tuple, e: int) -> list:
+    """The canonical residues modulo pi^e of the entries of a cleared
+    form whose denominator is a unit: one inverse for them all."""
+    nums, den = cleared
+    inv, mod = ctx._inverse_den(den, e), ctx._mod
+    return [mod(n * inv, e) for n in nums]

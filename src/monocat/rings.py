@@ -19,10 +19,12 @@ every method whose body both rings share once.  A subclass supplies
 private primitives on an int or a Poly: ``_valuation``, ``_mod``
 (reduction modulo pi^e), ``_pi_quotient`` (exact division by pi^k),
 ``_inverse_den`` (of a unit, such as a denominator, modulo pi^e),
-``_pi_pow``, ``_normalize`` (lowest terms), ``_scalar_text`` and ``_term``
-(the text form), and the seeded draws ``_random_unit`` and
-``_random_scalar``.  It overrides no method of RingCtx, so a wrapper on a
-RingCtx method sees every call of it.
+``_pi_pow``, ``_normalize`` (lowest terms), ``_clear`` (a matrix's
+entries as integer numerators over one denominator, or None where
+matrices work entrywise), ``_scalar_text`` and ``_term`` (the text form),
+and the seeded draws ``_random_unit`` and ``_random_scalar``.  It
+overrides no method of RingCtx, so a wrapper on a RingCtx method sees
+every call of it.
 
 Normalization policy.  Every scalar, residue and Poly is stored in
 canonical form, so field equality is value equality: exact values compare
@@ -37,8 +39,10 @@ remainder sequence that keeps the primitive part of each member: on Z[x]
 over Q, made monic once at the end, and the monic associate over F_q, so
 no pseudo-scaling step fires there.  A :class:`PolyFrac` or Fraction is
 brought to lowest terms once per result: a matrix product accumulates each
-entry as an unreduced numerator over a denominator and normalizes it once,
-and a comparison of products (``linalg.sums_equal``) normalizes none.
+entry as an unreduced numerator over a denominator and normalizes it once
+(over Z_(p) the whole matrix shares one denominator and one gcd, and its
+Fractions are built when read), and a comparison of products
+(``linalg.sums_equal``) normalizes none.
 Lowest terms divide by the monic gcd with ``_pseudo_divmod`` directly, and
 multiplying by the constant 1 returns the other factor.
 """
@@ -572,6 +576,16 @@ class IntLocal(RingCtx):
     from_int = lift  # an integer is its own lift
     _normalize = staticmethod(Fraction)
 
+    @staticmethod
+    def _clear(entries) -> tuple:
+        """The cleared form of a matrix's entries (see ``linalg.MatS``):
+        integer numerators over their least common denominator."""
+        pairs = [x.as_integer_ratio() for x in entries]
+        den = math.lcm(*[d for _, d in pairs])
+        if den == 1:
+            return tuple([n for n, _ in pairs]), 1
+        return tuple([n * (den // d) for n, d in pairs]), den
+
     def _pi_pow(self, k: int) -> Fraction:
         return Fraction(self.p ** k)
 
@@ -666,6 +680,11 @@ class PolyLocal(RingCtx):
     @staticmethod
     def _normalize(num: Poly, den: Poly) -> PolyFrac:
         return PolyFrac.make(num, den)  # looked up per call, as tracers wrap it
+
+    @staticmethod
+    def _clear(entries) -> None:
+        """No cleared form: matrices over k[x]_(x) work entrywise."""
+        return None
 
     def residue_elements(self) -> Iterator[Poly]:
         """All of R in a fixed order; requires a finite residue field."""

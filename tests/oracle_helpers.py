@@ -292,6 +292,48 @@ def naive_matmul(a: MatS, b: MatS) -> MatS:
     return MatS(ctx, a.rows, b.cols, tuple(out))
 
 
+# Matrix operations one Fraction at a time, on the entries alone: the
+# reference for the cleared form of linalg.MatS over Z_(p).
+
+def entrywise(ctx, rows: int, cols: int, values) -> MatS:
+    """A matrix built from its entries, never from a cleared form."""
+    return MatS(ctx, rows, cols, tuple(values))
+
+
+def entrywise_add(a: MatS, b: MatS) -> MatS:
+    return entrywise(a.ctx, a.rows, a.cols, (x + y for x, y in zip(a.entries, b.entries)))
+
+
+def entrywise_neg(a: MatS) -> MatS:
+    return entrywise(a.ctx, a.rows, a.cols, (-x for x in a.entries))
+
+
+def entrywise_scale(a: MatS, c: Scalar) -> MatS:
+    return entrywise(a.ctx, a.rows, a.cols, (c * x for x in a.entries))
+
+
+def entrywise_in_ring(a: MatS) -> bool:
+    return all(a.ctx.in_ring(x) for x in a.entries)
+
+
+def entrywise_reduce(a: MatS) -> MatR:
+    ctx = a.ctx
+    return MatR(ctx, a.rows, a.cols, tuple(ctx.reduce_mod_omega(x) for x in a.entries))
+
+
+def capped_svals(a: MatS, e: int) -> tuple:
+    """The Smith exponents of a capped at e, from the eager Smith form."""
+    return tuple(min(s, e) for s in eager_snf(a).svals)
+
+
+def is_canonical_cleared(a: MatS) -> bool:
+    """Whether a's cleared form is integer numerators, one per entry, over
+    a positive denominator sharing no factor with all of them."""
+    nums, den = a._ints()
+    return (len(nums) == a.rows * a.cols and den > 0
+            and all(type(n) is int for n in nums) and math.gcd(den, *nums) == 1)
+
+
 def per_term_residue_matmul(a: MatR, b: MatR) -> MatR:
     """Residue matrix product reducing modulo omega after every multiply
     and every add."""

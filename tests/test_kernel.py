@@ -4,13 +4,15 @@ Matrix products normalize once per entry and the polynomial operations keep
 coefficients canonical inline; both must give exactly what one normalized
 operation at a time gives (``oracle_helpers``).  Equality of sums of
 products, decided without normalizing, must agree with ``==`` of the
-normalized products.  One Smith form reused for many right-hand sides must
-answer exactly as a fresh solve does.  The Smith transforms, replayed on
-first read, must equal those of the eager elimination, and callers that
-need only part of them must build no more.  Exponents read modulo pi^e
-must be the exact ones capped at e.  The polynomial kernel must also agree
-with Euclid on plain lists, which share no code with ``Poly``: Fraction
-lists over Q, integer lists mod q over F_q.
+normalized products.  Over Z_(p) every matrix operation on the cleared form
+(integer numerators over one denominator) must give, in canonical form,
+what entrywise Fraction arithmetic gives.  One Smith form reused for many
+right-hand sides must answer exactly as a fresh solve does.  The Smith
+transforms, replayed on first read, must equal those of the eager
+elimination, and callers that need only part of them must build no more.
+Exponents read modulo pi^e must be the exact ones capped at e.  The
+polynomial kernel must also agree with Euclid on plain lists, which share
+no code with ``Poly``: Fraction lists over Q, integer lists mod q over F_q.
 """
 
 import random
@@ -22,18 +24,22 @@ from hypothesis import given, settings, strategies as st
 from monocat import almost_split, category, linalg, rings, stable
 from monocat.almost_split import _exactness_failure, ar_sequence, factor_strictly
 from monocat.category import MonObject, identity_morphism, rank_one
-from monocat.errors import CokernelNotOmegaTorsion, NotMono
+from monocat.errors import CokernelNotOmegaTorsion, DivisionLeavesRing, NotMono
 from monocat.homotopy import is_iso_in_homotopy, null_homotopy
 from monocat.linalg import (MatS, SnfResult, back_substitute, snf,
                             solve_linear, truncated_svals)
 from monocat.rings import Poly, PolyFrac, RingCtx
 from monocat.sampling import (morphism_from_params, random_morphism,
                               random_null_homotopic, random_object)
-from oracle_helpers import (eager_snf, fq_list_divmod, fq_list_gcd,
+from oracle_helpers import (capped_svals, eager_snf, entrywise_add,
+                            entrywise_in_ring, entrywise_neg,
+                            entrywise_reduce, entrywise_scale,
+                            fq_list_divmod, fq_list_gcd,
                             fq_list_lowest_terms, fq_list_mul,
                             frac_list_divmod, frac_list_gcd,
                             frac_list_lowest_terms, frac_list_mul,
-                            frac_list_trim, is_canonical_poly, naive_matmul,
+                            frac_list_trim, is_canonical_cleared,
+                            is_canonical_poly, naive_matmul,
                             poly_add_ref, poly_divmod_ref, poly_gcd_ref,
                             poly_mul_ref, poly_neg_ref, polyfrac_ref)
 
@@ -168,6 +174,113 @@ def test_sums_equal_takes_both_denominator_paths(ctx, monkeypatch):
     assert linalg.sums_equal(one[0], [square])
     assert not linalg.sums_equal(one[0], [square, one])
     assert paths == [True, False, False]
+
+
+CLEARED_RINGS = [RingCtx.int_local(2, 2), RingCtx.int_local(3, 1)]
+
+
+def cleared_scalars(ctx):
+    """Elements of Q, a third of them zero; the denominators 2, 3, 4 and 9
+    put p in some of them, so results may leave S."""
+    value = st.builds(Fraction, st.integers(-12, 12).filter(bool),
+                      st.sampled_from([1, 1, 2, 3, 4, 5, 9]))
+    return st.one_of(value, value, st.just(ctx.zero()))
+
+
+@st.composite
+def cleared_operands(draw):
+    """A ring, matrices a, c (r x k), b, d (k x c) and e (r x c), and a
+    scalar s.  Sizes start at 0, so 0 x n and n x 0 shapes occur, and a
+    quarter of the matrices are zero."""
+    ctx = draw(st.sampled_from(CLEARED_RINGS))
+    r, k, c = (draw(st.integers(0, 3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        if draw(st.integers(0, 3)) == 0:
+            return linalg.zeros(ctx, rows, cols)
+        return MatS(ctx, rows, cols,
+                    tuple(draw(cleared_scalars(ctx)) for _ in range(rows * cols)))
+
+    mats = [matrix(*shape) for shape in ((r, k), (k, c), (r, k), (k, c), (r, c))]
+    return ctx, mats, draw(cleared_scalars(ctx))
+
+
+def assert_cleared_equals(got, want):
+    """got, computed in cleared form, against want, computed one Fraction
+    at a time: every reader on the cleared form first, then ==, hash and
+    the Fraction view."""
+    assert is_canonical_cleared(got)
+    assert got.is_zero() == (not any(want.entries))
+    inside = entrywise_in_ring(want)
+    assert got.in_ring() == inside
+    if inside:
+        assert linalg.reduce_mat(got) == entrywise_reduce(want)
+        t = got.ctx.t
+        capped = capped_svals(want, t + 1)
+        for e in (1, t, t + 1):
+            assert truncated_svals(got, e) == tuple(min(s, e) for s in capped)
+    else:
+        errors = []
+        for reduce in (lambda: linalg.reduce_mat(got), lambda: entrywise_reduce(want)):
+            with pytest.raises(DivisionLeavesRing) as info:
+                reduce()
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert got.entries == want.entries
+    assert got._ints() == want._ints()
+
+
+@settings(max_examples=80, deadline=None)
+@given(cleared_operands())
+def test_cleared_form_equals_entrywise_fractions(operands):
+    ctx, (a, b, c, d, e), s = operands
+    ab, cd = naive_matmul(a, b), naive_matmul(c, d)
+    cases = [(a @ b, ab),
+             (linalg.add_products(a, b, c, d), entrywise_add(ab, cd)),
+             (a + c, entrywise_add(a, c)),
+             (a - c, entrywise_add(a, entrywise_neg(c))),
+             (-a, entrywise_neg(a)),
+             (a.scale(s), entrywise_scale(a, s)),
+             # operands that are themselves in cleared form
+             ((a @ b) + e, entrywise_add(ab, e)),
+             ((a @ b).scale(s) - e, entrywise_add(entrywise_scale(ab, s),
+                                                  entrywise_neg(e))),
+             (-(c @ d), entrywise_neg(cd))]
+    for got, want in cases:
+        assert_cleared_equals(got, want)
+    # matrices in cleared form, none with a Fraction view yet, equal and not
+    x, y = a @ b, linalg.add_products(a, b, c, d) - c @ d
+    third = x.scale(Fraction(1, 3))
+    assert x == y and (third == x) == x.is_zero()
+    assert hash(x) == hash(y)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cleared_operands(), st.data())
+def test_cleared_sums_equal_matches_entrywise_values(operands, data):
+    ctx, (a, b, c, d, e), s = operands
+    value = entrywise_add(naive_matmul(a, b), naive_matmul(c, d))
+    one = linalg.identity(ctx, value.cols)
+    sides = [([(a, b), (c, d)], value),
+             ([(c, d), (a, b)], value),
+             (value, value),
+             (linalg.add_products(a, b, c, d), value),
+             ([(value, one)], value),
+             (e, e),
+             ([(e, one), (a, b)], entrywise_add(e, naive_matmul(a, b)))]
+    if value.entries:
+        moved = list(value.entries)
+        moved[data.draw(st.integers(0, len(moved) - 1))] += data.draw(
+            cleared_scalars(ctx).filter(bool))
+        moved = MatS(ctx, value.rows, value.cols, tuple(moved))
+        sides.append((moved, moved))
+    for i, (left, lvalue) in enumerate(sides):
+        for right, rvalue in sides[i:]:
+            equal = lvalue.entries == rvalue.entries
+            assert linalg.sums_equal(left, right) == equal
+            assert linalg.sums_equal(right, left) == equal
 
 
 @settings(deadline=None)

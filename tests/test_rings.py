@@ -244,6 +244,27 @@ def ring_id(ctx):
     return f"{ctx.kind}-{field}-t{ctx.t}"
 
 
+JUXTAPOSED = [("3x", "3*x"), ("2x^2", "2*x^2"), ("1/2x", "1/2*x")]
+
+
+@pytest.mark.parametrize("ctx", [RingCtx.poly_local(2, q=2), RingCtx.poly_local(2, q=3),
+                                 RingCtx.poly_local(2)], ids=ring_id)
+@pytest.mark.parametrize("texts", JUXTAPOSED, ids="=".join)
+def test_juxtaposed_coefficient_reads_as_a_product(ctx, texts):
+    """A coefficient written next to x means coefficient times x, as the
+    grammar's '*'? says; where the coefficient is not in k (1/2 over F_2)
+    both spellings fail alike."""
+    def read(text):
+        try:
+            return ctx.parse_scalar(text)
+        except ParseError as exc:
+            return f"ParseError: {exc}"
+
+    juxtaposed, starred = texts
+    assert read(juxtaposed) == read(starred)
+    assert ctx.parse_scalar("3x") == ctx.from_int(3) * ctx.pi()
+
+
 @pytest.mark.parametrize("ctx", SPLIT_RINGS, ids=ring_id)
 def test_reduce_inverts_lift_and_pi_powers_have_their_valuation(ctx):
     assert isinstance(ctx, IntLocal if ctx.kind == "int-local" else PolyLocal)
