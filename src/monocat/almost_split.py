@@ -97,19 +97,13 @@ def _splits(h: MonMorphism, generators: list) -> bool:
     for sigma in generators:
         u = (h.psi1 @ sigma.psi1).at(0, 0)
         if ctx.is_unit(u):
-            _check_section(h, sigma, u)
+            inv = ctx.one() / u
+            section = MonMorphism(sigma.src, sigma.dst, sigma.psi1.scale(inv),
+                                  sigma.psi0.scale(inv))
+            if not composes_to(h, section, identity_morphism(h.dst)):
+                raise InternalInvariantError("split section does not compose back")
             return True
     return False
-
-
-def _check_section(h: MonMorphism, sigma: MonMorphism, u):
-    """Raise unless sigma / u is a section of h, where u, the scalar of
-    h o sigma, is a unit."""
-    inv = h.ctx.one() / u
-    section = MonMorphism(sigma.src, sigma.dst, sigma.psi1.scale(inv),
-                          sigma.psi0.scale(inv))
-    if not composes_to(h, section, identity_morphism(h.dst)):
-        raise InternalInvariantError("split section does not compose back")
 
 
 def factor_strictly(through: MonMorphism, target: MonMorphism):
@@ -228,8 +222,8 @@ def verify_right_almost_split(seq: ArSequence):
     r != 0, so it is solvable over S exactly when c lies in the ideal
     (lambda_k) = pi^mu S: when v >= mu, mu the least val(lambda_k)
     (INFINITY when all are zero, as is v for the zero class).  So each
-    test object takes one section check, when u is a unit, and one mu;
-    every class is still enumerated and counted.
+    test object takes one ``_splits`` test, whose section check runs when
+    u is a unit, and one mu; every class is still enumerated and counted.
 
     Returns (lines, ok): one TEST line per exponent and a final ARSS
     summary line.
@@ -252,11 +246,7 @@ def verify_right_almost_split(seq: ArSequence):
         test = rank_one(ctx, sp)
         classes_iter = all_morphism_params(test, seq.end)
         (tau_gen,) = _hom_generators(test, seq.end)
-        (sigma,) = _hom_generators(seq.end, test)
-        u = (tau_gen.psi1 @ sigma.psi1).at(0, 0)
-        unit = ctx.is_unit(u)
-        if unit:
-            _check_section(tau_gen, sigma, u)
+        unit = _splits(tau_gen, _hom_generators(seq.end, test))
         mu = _factor_threshold(seq.g, test, tau_gen)
         classes = 0
         factored = 0

@@ -74,12 +74,17 @@ class InfiniteResidueField(MonocatError):
     polynomial ring over a prime field)."""
 
 
-# Enumeration budgets, checked before anything is enumerated.  A morphism
-# class costs a linear solve over S, a vector of R^n one residue
-# matrix-vector product, some sixty times cheaper; so vectors get the larger
-# budget.  2^16 admits the 27^3 vectors `mon check` draws at its default
-# sizes and refuses 27^4.  Brute-force stable Hom enumerates |R|^(k*g) maps
-# into R^k under the same budget: 31^3 passes, 101^3 is refused.
+# Enumeration budgets, checked before anything is enumerated.  The
+# verifier decides a morphism class by one valuation and
+# `almost_split._iso_classes` by one residue elimination of a 2n x 2n
+# matrix; a vector of R^n costs one residue matrix-vector product.  On a
+# 2-vCPU host an `_iso_classes` class took about 18 us and a
+# `stable.resolution_is_exact` vector about 10 us (n = 2 and 4), so the
+# 16x gap between the budgets is not a cost ratio (CHANGES.md, FOUND on
+# CLASS_BUDGET).  2^16 admits the 27^3 vectors `mon check` draws at its
+# default sizes and refuses 27^4.  Brute-force stable Hom enumerates
+# |R|^(k*g) maps into R^k under the same budget: 31^3 passes, 101^3 is
+# refused.
 CLASS_BUDGET = 4096    # morphism classes per all_morphism_params call
 VECTOR_BUDGET = 2 ** 16  # vectors of R^n, or maps into R^k, per enumeration
 

@@ -33,12 +33,13 @@ class MatS:
     denominator den, with gcd(den, *nums) = 1, so den is the lcm of the
     entry denominators and the form is unique.  Products, sums, negation,
     scaling, ``sums_equal``, ``in_ring`` (den prime to p), ``is_zero`` and
-    the reductions modulo pi^e run on those ints, with no Fraction per
-    entry.  A matrix built from entries keeps them and is cleared on first
-    need (``RingCtx._clear``); a matrix computed in cleared form builds
-    ``entries``, a tuple of Fractions, on first read.  Each form is built
-    at most once.  Over k[x]_(x) ``_clear`` gives None and every operation
-    works on the entries.
+    ``==`` (when a side has no entries) run on those ints, with no
+    Fraction per entry; residues, the Smith form and blocks read
+    ``entries``.  A matrix built from entries keeps them and is cleared on
+    first need (``RingCtx._clear``); a matrix computed in cleared form
+    builds ``entries``, a tuple of Fractions, on first read.  Each form is
+    built at most once.  Over k[x]_(x) ``_clear`` gives None and every
+    operation works on the entries.
     """
 
     __slots__ = ("ctx", "rows", "cols", "_entries", "_cleared")
@@ -401,8 +402,10 @@ def vstack(blocks: Sequence[MatS]) -> MatS:
 
 
 def block(ctx: RingCtx, grid: Sequence[Sequence[MatS | None]]) -> MatS:
-    """Assemble a block matrix; None cells become zero blocks with the
-    height of their row and the width of their column."""
+    """Assemble a block matrix in one pass over its entries; None cells
+    become zero blocks with the height of their row and the width of their
+    column.  A ragged grid is refused as an inconsistent block shape, and
+    a row made only of 0 x 0 blocks as ``hstack of nothing``."""
     heights = []
     for brow in grid:
         h = next((b.rows for b in brow if b is not None), None)
@@ -410,22 +413,23 @@ def block(ctx: RingCtx, grid: Sequence[Sequence[MatS | None]]) -> MatS:
             raise ValueError("block row with no blocks to infer height from")
         heights.append(h)
     widths = []
-    for j in range(len(grid[0])):
-        w = next((grid[i][j].cols for i in range(len(grid)) if grid[i][j] is not None), None)
+    for bcol in zip(*grid):
+        w = next((b.cols for b in bcol if b is not None), None)
         if w is None:
             raise ValueError("block column with no blocks to infer width from")
         widths.append(w)
-    rows = []
-    for i, brow in enumerate(grid):
-        filled = []
-        for j, b in enumerate(brow):
-            if b is None:
-                b = zeros(ctx, heights[i], widths[j])
-            elif b.rows != heights[i] or b.cols != widths[j]:
-                raise ValueError("inconsistent block shape")
-            filled.append(b)
-        rows.append(hstack(filled))
-    return vstack(rows)
+    zero = ctx.zero()
+    entries = []
+    for brow, h in zip(grid, heights):
+        if len(brow) != len(widths) or any(b is not None and (b.rows, b.cols) != (h, w)
+                                           for b, w in zip(brow, widths)):
+            raise ValueError("inconsistent block shape")
+        if not (h or any(widths)):
+            raise ValueError("hstack of nothing")
+        for i in range(h):
+            for b, w in zip(brow, widths):
+                entries.extend(repeat(zero, w) if b is None else b.entries[i * w:(i + 1) * w])
+    return MatS(ctx, sum(heights), sum(widths), tuple(entries))
 
 
 def inverse_frac(a: MatS) -> MatS:
@@ -598,17 +602,11 @@ def truncated_svals(a: MatS, e: int) -> tuple:
     least valuation v, so pivot = pi^v * u with u a unit; scaling its row
     by u^-1 makes it pi^v, and every entry below is pi^v * c, cleared by
     row_i -= c * row_pivot.  Clearing the pivot row would then touch only
-    that row, so the row and column are dropped instead.  Over Z_(p) the
-    residues come from the cleared form, with one inverse of its
-    denominator modulo p^e.
+    that row, so the row and column are dropped instead.
     """
     ctx = a.ctx
-    cleared = a._ints()
-    if cleared is None:
-        return _residue_svals(ctx, [[ctx._reduce(x, e) for x in row]
-                                    for row in a.to_rows()], e)
-    values, c = _cleared_residues(ctx, cleared, e), a.cols
-    return _residue_svals(ctx, [values[i * c:(i + 1) * c] for i in range(a.rows)], e)
+    return _residue_svals(ctx, [[ctx._reduce(x, e) for x in row]
+                                for row in a.to_rows()], e)
 
 
 def _residue_svals(ctx: RingCtx, rows: list, e: int) -> tuple:
@@ -663,38 +661,24 @@ def solve_sandwich_congruence(dl: Sequence, dr: Sequence, b: MatS,
 def solve_linear(a: MatS, rhs: MatS) -> MatS | None:
     """One solution X of a @ X = rhs over S, or None.
 
-    Solves through the Smith form: free coordinates are set to zero, so the
-    answer is deterministic.  ``rhs`` may have several columns.
+    Solves through the Smith form a = U @ D @ V: D @ Y = U^-1 @ rhs is
+    solved entrywise, free coordinates set to zero so the answer is
+    deterministic, and X = V^-1 @ Y.  ``rhs`` may have several columns.
     """
     if a.rows != rhs.rows:
         raise ValueError("shape mismatch in linear solve")
     s = snf(a)
-    return back_substitute(s, s.u_inv @ rhs)
-
-
-def back_substitute(s: SnfResult, c: MatS) -> MatS | None:
-    """``solve_linear`` for the a whose Smith form is ``s``, given the
-    right-hand side already multiplied by U^-1: D @ y = c is solved
-    entrywise, and the answer is V^-1 @ y, or None.  One Smith form
-    serves every right-hand side of the same a."""
-    ctx = s.d.ctx
-    rows, cols = s.d.rows, s.d.cols
-    ncols = c.cols
-    y = [[ctx.zero() for _ in range(ncols)] for _ in range(cols)]
-    for i in range(rows):
-        sval = s.svals[i] if i < len(s.svals) else INFINITY
-        for j in range(ncols):
-            target = c.at(i, j)
-            if sval is INFINITY or i >= cols:
-                if target:
-                    return None
-                continue
-            if ctx.valuation(target) < sval:
+    c = s.u_inv @ rhs
+    ctx = a.ctx
+    k = rhs.cols
+    y = [ctx.zero()] * (a.cols * k)
+    for i, sval in enumerate(s.svals + (INFINITY,) * (a.rows - len(s.svals))):
+        for j, x in enumerate(c.entries[i * k:(i + 1) * k]):
+            if ctx.valuation(x) < sval:
                 return None
-            if target:
-                y[i][j] = ctx.div_exact(target, ctx.pi_pow(int(sval)))
-    y_mat = MatS(ctx, cols, ncols, tuple(v for row in y for v in row))
-    return s.v_inv @ y_mat
+            if x:
+                y[i * k + j] = ctx.div_exact(x, ctx.pi_pow(sval))
+    return s.v_inv @ MatS(ctx, a.cols, k, tuple(y))
 
 
 def random_unimodular(n: int, seed: int, ctx: RingCtx) -> MatS:
@@ -779,20 +763,6 @@ def residue_svals(a: MatR) -> tuple:
 
 
 def reduce_mat(a: MatS) -> MatR:
-    """Entrywise reduction of an S-matrix modulo omega; over Z_(p) one
-    inverse of the shared denominator serves every entry.  An entry
-    outside S raises DivisionLeavesRing, naming the first such entry."""
-    ctx = a.ctx
-    cleared = a._ints()
-    if cleared is None or not a.in_ring():
-        return MatR(ctx, a.rows, a.cols,
-                    tuple(ctx.reduce_mod_omega(e) for e in a.entries))
-    return MatR(ctx, a.rows, a.cols, tuple(_cleared_residues(ctx, cleared, ctx.t)))
-
-
-def _cleared_residues(ctx: RingCtx, cleared: tuple, e: int) -> list:
-    """The canonical residues modulo pi^e of the entries of a cleared
-    form whose denominator is a unit: one inverse for them all."""
-    nums, den = cleared
-    inv, mod = ctx._inverse_den(den, e), ctx._mod
-    return [mod(n * inv, e) for n in nums]
+    """Entrywise reduction of an S-matrix modulo omega.  An entry outside
+    S raises DivisionLeavesRing, naming the first such entry."""
+    return MatR(a.ctx, a.rows, a.cols, tuple(map(a.ctx.reduce_mod_omega, a.entries)))

@@ -321,6 +321,17 @@ def entrywise_reduce(a: MatS) -> MatR:
     return MatR(ctx, a.rows, a.cols, tuple(ctx.reduce_mod_omega(x) for x in a.entries))
 
 
+def block_by_entries(ctx, grid, heights, widths) -> MatS:
+    """The block matrix with the given row heights and column widths, read
+    one entry at a time with ``at``; None cells are zero."""
+    out = []
+    for brow, h in zip(grid, heights):
+        for i in range(h):
+            for b, w in zip(brow, widths):
+                out.extend(ctx.zero() if b is None else b.at(i, j) for j in range(w))
+    return entrywise(ctx, sum(heights), sum(widths), out)
+
+
 def capped_svals(a: MatS, e: int) -> tuple:
     """The Smith exponents of a capped at e, from the eager Smith form."""
     return tuple(min(s, e) for s in eager_snf(a).svals)

@@ -26,8 +26,7 @@ from monocat.almost_split import _exactness_failure, ar_sequence, factor_strictl
 from monocat.category import MonObject, identity_morphism, rank_one
 from monocat.errors import CokernelNotOmegaTorsion, DivisionLeavesRing, NotMono
 from monocat.homotopy import is_iso_in_homotopy, null_homotopy
-from monocat.linalg import (MatS, SnfResult, back_substitute, snf,
-                            solve_linear, truncated_svals)
+from monocat.linalg import MatS, SnfResult, snf, solve_linear, truncated_svals
 from monocat.rings import Poly, PolyFrac, RingCtx
 from monocat.sampling import (morphism_from_params, random_morphism,
                               random_null_homotopic, random_object)
@@ -572,11 +571,11 @@ def linear_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(linear_systems())
 def test_one_smith_form_serves_every_rhs(system):
+    """Several right-hand sides of one a: ``solve_linear`` solves each
+    consistent system and gives None on each inconsistent one."""
     a, rhss = system
-    s = snf(a)
     for rhs, consistent in rhss:
-        x = back_substitute(s, s.u_inv @ rhs)
-        assert x == solve_linear(a, rhs)
+        x = solve_linear(a, rhs)
         if x is None:
             assert not consistent
         else:

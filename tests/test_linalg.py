@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monocat.errors import ContextMismatch, SingularMatrix
 from monocat.linalg import (INFINITY, MatR, MatS, add_products, block, diag_pi,
@@ -18,7 +19,8 @@ from monocat.linalg import (INFINITY, MatR, MatS, add_products, block, diag_pi,
                             solve_linear, solve_sandwich_congruence,
                             sums_equal, truncated_svals, vstack, zeros)
 from monocat.rings import Poly, RingCtx
-from oracle_helpers import adjugate, det, per_term_residue_matmul, submatrix
+from oracle_helpers import (adjugate, block_by_entries, det,
+                            per_term_residue_matmul, submatrix)
 
 Z2 = RingCtx.int_local(2, 2)
 Z2_3 = RingCtx.int_local(2, 3)
@@ -264,6 +266,111 @@ def test_block_assembly():
     assert m.at(2, 0) == 0 and m.at(2, 2) == 1
     assert hstack([a, b]).cols == 3
     assert vstack([a, mat(Z2, [[5, 6]])]).rows == 3
+
+
+F3X = RingCtx.poly_local(2, q=3)
+BLOCK_RINGS = [
+    (Z2, [Fraction(n, d) for n in (-3, 0, 1, 2, 5) for d in (1, 2, 3)]),
+    (F3X, [F3X.parse_scalar(s) for s in
+           ("0", "1", "2", "x", "1 + x", "2*x^2", "(1 + x)/(1 - x)", "x/(1 + 2*x)")])]
+
+
+@st.composite
+def blocks(draw, ctx, pool, rows, cols):
+    """A rows x cols block in one of two layouts: a product (over Z_(2)
+    still in cleared form, with no entries yet) or a matrix built from
+    entries."""
+    def entries(r, c):
+        return MatS(ctx, r, c, tuple(draw(st.sampled_from(pool)) for _ in range(r * c)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2))
+        return entries(rows, k) @ entries(k, cols)
+    return entries(rows, cols)
+
+
+@st.composite
+def block_grids(draw):
+    """A ring, a grid of blocks and None cells, its row heights and its
+    column widths.  Heights and widths start at 0, so 0-row and 0-col
+    blocks occur; every row and every column holds a block."""
+    ctx, pool = draw(st.sampled_from(BLOCK_RINGS))
+    heights = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    filled = [[draw(st.integers(0, 2)) > 0 for _ in widths] for _ in heights]
+    for row in filled:
+        if not any(row):
+            row[draw(st.integers(0, len(widths) - 1))] = True
+    for j in range(len(widths)):
+        if not any(row[j] for row in filled):
+            filled[draw(st.integers(0, len(heights) - 1))][j] = True
+    grid = [[draw(blocks(ctx, pool, h, w)) if f else None for f, w in zip(row, widths)]
+            for row, h in zip(filled, heights)]
+    return ctx, grid, heights, widths
+
+
+def assert_same_matrix(got: MatS, want: MatS):
+    assert (got.ctx, got.rows, got.cols) == (want.ctx, want.rows, want.cols)
+    assert got.entries == want.entries and got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_grids(), st.data())
+def test_block_hstack_vstack_match_entry_by_entry(case, data):
+    """``block`` on the grid, ``hstack`` on each block row and ``vstack``
+    on each block column, None cells filled with zeros, against a
+    reference that reads every entry with ``at``.  A 0 x 0 block joins
+    some of the stacks, which drop it.  A row made only of 0 x 0 blocks
+    is refused as ``hstack of nothing``."""
+    ctx, grid, heights, widths = case
+    empty_row = not any(widths)
+    if empty_row and 0 in heights:
+        with pytest.raises(ValueError, match="^hstack of nothing$"):
+            block(ctx, grid)
+    else:
+        assert_same_matrix(block(ctx, grid), block_by_entries(ctx, grid, heights, widths))
+    nothing = zeros(ctx, 0, 0)
+    for brow, h in zip(grid, heights):
+        row = [zeros(ctx, h, w) if b is None else b for b, w in zip(brow, widths)]
+        row.insert(data.draw(st.integers(0, len(row))), nothing)
+        if empty_row and not h:
+            with pytest.raises(ValueError, match="^hstack of nothing$"):
+                hstack(row)
+        else:
+            assert_same_matrix(hstack(row), block_by_entries(
+                ctx, [row], [h], [b.cols for b in row]))
+    for j, w in enumerate(widths):
+        col = [zeros(ctx, h, w) if brow[j] is None else brow[j]
+               for brow, h in zip(grid, heights)]
+        if not w:
+            col.insert(data.draw(st.integers(0, len(col))), nothing)
+        assert_same_matrix(vstack(col), block_by_entries(
+            ctx, [[b] for b in col], [b.rows for b in col], [w]))
+
+
+def test_block_errors_keep_their_messages():
+    a, b = identity(Z2, 2), mat(Z2, [[1, 2, 3]])
+    cases = [(lambda: hstack([]), "hstack of nothing"),
+             (lambda: hstack([zeros(Z2, 0, 0)] * 2), "hstack of nothing"),
+             (lambda: hstack([a, b]), "hstack blocks disagree on row count"),
+             (lambda: vstack([]), "vstack of nothing"),
+             (lambda: vstack([a, b]), "vstack blocks disagree on column count"),
+             (lambda: block(Z2, [[a, None], [None, None]]),
+              "block row with no blocks to infer height from"),
+             (lambda: block(Z2, [[a, None], [b, None]]),
+              "block column with no blocks to infer width from"),
+             (lambda: block(Z2, [[a, b], [b, None]]), "inconsistent block shape")]
+    for assemble, message in cases:
+        with pytest.raises(ValueError) as info:
+            assemble()
+        assert str(info.value) == message
+
+
+def test_block_refuses_a_ragged_grid():
+    a, z = identity(Z2, 2), zeros(Z2, 2, 0)
+    for grid in ([[a, a], [a]], [[a], [a, a]], [[a, z], [a]], [[a, None], [a]]):
+        with pytest.raises(ValueError) as info:
+            block(Z2, grid)
+        assert str(info.value) == "inconsistent block shape"
 
 
 def test_reduce_mat():
