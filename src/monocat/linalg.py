@@ -206,18 +206,18 @@ def add_products(a: MatS, b: MatS, c: MatS, d: MatS) -> MatS:
     return _sum_of_products(ctx, rows, cols, products)
 
 
-def _accumulate(pairs):
-    """Sum of a * b over the pairs as an unreduced (numerator, denominator)
-    over a common denominator, or None when no term is nonzero."""
+def _terms(pairs) -> list:
+    """The pairs whose two factors are both nonzero."""
+    return [(a, b) for a, b in pairs if a.numerator and b.numerator]
+
+
+def _accumulate(terms):
+    """Sum of a * b over terms of nonzero factors as an unreduced
+    (numerator, denominator) over a common denominator, or None when there
+    is no term."""
     num = den = None
-    for a, b in pairs:
-        an = a.numerator
-        if not an:
-            continue
-        bn = b.numerator
-        if not bn:
-            continue
-        tn, td = an * bn, a.denominator * b.denominator
+    for a, b in terms:
+        tn, td = a.numerator * b.numerator, a.denominator * b.denominator
         if num is None:
             num, den = tn, td
         elif td == den:
@@ -228,8 +228,13 @@ def _accumulate(pairs):
 
 
 def _dot(pairs, ctx: RingCtx) -> Scalar:
-    """Sum of a * b over the pairs, normalized once."""
-    acc = _accumulate(pairs)
+    """Sum of a * b over the pairs, normalized once; a single nonzero term
+    is the product itself."""
+    terms = _terms(pairs)
+    if len(terms) == 1:
+        a, b = terms[0]
+        return a * b
+    acc = _accumulate(terms)
     return ctx.zero() if acc is None else ctx._normalize(*acc)
 
 
@@ -293,7 +298,7 @@ def _unreduced(side):
     else:
         cleared = _cleared_sum(side)
         if cleared is None:
-            return map(_accumulate, _entry_pairs(side))
+            return (_accumulate(_terms(e)) for e in _entry_pairs(side))
     nums, den = cleared
     return zip(nums, repeat(den))
 

@@ -33,18 +33,26 @@ integer coefficients ``ints`` over one denominator ``den``.  Over F_q the
 ints lie in [0, q), kept there by ``% q`` inline, and den is 1.  Over Q
 den > 0, gcd(den, *ints) = 1 and no trailing zero is stored; each
 operation works on the ints and brings its result to that form with one
-``math.gcd(den, *ints)``, never a gcd per coefficient.  Both fields share
-one division, ``_pseudo_divmod`` on integer lists, and one gcd, a
-remainder sequence that keeps the primitive part of each member: on Z[x]
-over Q, made monic once at the end, and the monic associate over F_q, so
-no pseudo-scaling step fires there.  A :class:`PolyFrac` or Fraction is
-brought to lowest terms once per result: a matrix product accumulates each
-entry as an unreduced numerator over a denominator and normalizes it once
-(over Z_(p) the whole matrix shares one denominator and one gcd, and its
-Fractions are built when read), and a comparison of products
-(``linalg.sums_equal``) normalizes none.
-Lowest terms divide by the monic gcd with ``_pseudo_divmod`` directly, and
-multiplying by the constant 1 returns the other factor.
+``math.gcd(den, *ints)``, never a gcd per coefficient.  Over Q the
+division is ``_pseudo_divmod`` on integer lists and the gcd a remainder
+sequence that keeps the primitive part of each member on Z[x], made monic
+once at the end.  Over F_q three kernels on integer lists do the work: a
+product of len(a) * len(b) >= ``PACKED_MIN`` coefficient products packs
+each operand into one int (Kronecker substitution, one slot per
+coefficient, wider than min(len) * (q - 1)^2 so no slot carries) and
+multiplies in C; the gcd is Euclid in place, each remainder made monic
+once; and lowest terms divide by the monic gcd with a loop that forms the
+quotient only.  A :class:`PolyFrac` or Fraction is brought to lowest terms
+once per result: a matrix product accumulates each entry as an unreduced
+numerator over a denominator and normalizes it once (over Z_(p) the whole
+matrix shares one denominator and one gcd, and its Fractions are built
+when read; an entry of one nonzero term is that term's product), and a
+comparison of products (``linalg.sums_equal``) normalizes none.  A
+PolyFrac product or quotient of two fractions in lowest terms cancels
+across: gcd(an * bn, ad * bd) = gcd(an, bd) * gcd(bn, ad), two small gcds
+in place of one large one, each skipped when a side is constant, and the
+denominator is then made monic.  ``+`` still takes one full gcd.
+Multiplying by the constant 1 returns the other factor.
 """
 
 from __future__ import annotations
@@ -198,6 +206,8 @@ class Poly:
             return self
         if not a or not b:
             return _poly((), 1, self.q)
+        if self.q is not None and len(a) * len(b) >= PACKED_MIN:
+            return _canon(_packed_mul(a, b, self.q), self.q)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -229,15 +239,17 @@ class Poly:
         return _canon([c * f for c in quo], q, den), _canon(rem, q, den)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor: one remainder sequence for both
-        fields that keeps the primitive part of each pseudo-remainder (on
-        Z[x] over Q, the monic associate over F_q)."""
+        """Monic greatest common divisor: over F_q Euclid in place on the
+        integer lists (``_fq_gcd``), over Q a remainder sequence that keeps
+        the primitive part of each pseudo-remainder on Z[x]."""
         self._check(other)
         q = self.q
-        a, b = _primitive(self.ints, q), _primitive(other.ints, q)
+        if q is not None:
+            return _poly(tuple(_fq_gcd(self.ints, other.ints, q)), 1, q)
+        a, b = _primitive(self.ints), _primitive(other.ints)
         while b:
-            a, b = b, _primitive(_pseudo_divmod(a, b, q)[2], q)
-        return _canon(a, q, a[-1] if a else 1)
+            a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+        return _canon(a, None, a[-1] if a else 1)
 
 
 _new = object.__new__
@@ -295,6 +307,59 @@ def _primitive(cs, q: int | None = None) -> list:
     return [c // g for c in cs] if g > 1 else list(cs)
 
 
+# len(a) * len(b) from which a product over F_q packs its operands
+PACKED_MIN = 24
+
+
+def _packed_mul(a, b, q: int):
+    """The coefficients of a * b, unreduced, for integer sequences in
+    [0, q): Kronecker substitution packs each operand into one int, one
+    slot per coefficient, and Python's C multiplication does the rest.  A
+    slot of the product holds at most min(len) * (q - 1)^2, so it never
+    carries into the next when the slot exceeds that: a byte when it fits,
+    else as many bits as it needs, packed by shifts."""
+    n, top = len(a) + len(b) - 1, min(len(a), len(b)) * (q - 1) ** 2
+    if top < 1 << 8:
+        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        return list(prod.to_bytes(n, "little"))
+    w = top.bit_length()
+    pa, pb = (sum(c << w * i for i, c in enumerate(cs)) for cs in (a, b))
+    prod, mask = pa * pb, (1 << w) - 1
+    return [prod >> w * i & mask for i in range(n)]
+
+
+def _fq_gcd(a, b, q: int) -> list:
+    """Monic gcd of two reduced integer sequences over F_q: Euclid in
+    place on lists, each remainder made monic once."""
+    a, b = list(a), _primitive(b, q)
+    while b:
+        db = len(b) - 1
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = a[i + db] % q
+            if c:
+                for j in range(db):
+                    a[i + j] -= c * b[j]
+        a = [c % q for c in a[:db]]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, _primitive(a, q)
+    return _primitive(a, q)
+
+
+def _fq_quotient(a, b, q: int) -> tuple:
+    """a / b over F_q for reduced a and monic b dividing it exactly: only
+    the coefficients that later steps read are updated, so no remainder is
+    formed."""
+    r, db = list(a), len(b) - 1
+    quo = [0] * (len(r) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = r[i + db] % q
+        if c:
+            for j in range(max(0, db - i), db):
+                r[i + j] -= c * b[j]
+    return tuple(quo)
+
+
 def _pseudo_divmod(a, b, q: int | None = None) -> tuple[int, list, list]:
     """Pseudo-division: (s, quo, rem) with s*a = quo*b + rem, s > 0 and
     deg rem < deg b, for integer lists a and b (b nonzero), rem with no
@@ -346,20 +411,9 @@ class PolyFrac:
         num._check(den)
         if not num:
             return PolyFrac(num, _unit_poly(num.q))
-        if len(den.ints) == 1:
-            if den.ints[0] == den.den == 1:
-                return PolyFrac(num, den)
-        elif len(num.ints) > 1:
-            # a constant on either side has gcd 1 with the other
-            g = num.gcd(den)
-            if len(g.ints) > 1:
-                # g divides both, so no pseudo-scaling step fires (s = 1);
-                # dividing by g.ints alone scales both quotients alike
-                num, den = (_canon(_pseudo_divmod(p.ints, g.ints, p.q)[1], p.q, p.den)
-                            for p in (num, den))
-        lead, q = den.ints[-1], num.q
-        lead_inv = pow(lead, -1, q) if q is not None else Fraction(den.den, lead)
-        return PolyFrac(num.scale(lead_inv), den.scale(lead_inv))
+        if den.ints == (1,) and den.den == 1:
+            return PolyFrac(num, den)
+        return _monic_den(*_cancel(num, den))
 
     def __bool__(self) -> bool:
         return bool(self.numerator.ints)
@@ -376,14 +430,51 @@ class PolyFrac:
         return PolyFrac(-self.numerator, self.denominator)
 
     def __mul__(self, other: "PolyFrac") -> "PolyFrac":
-        return PolyFrac.make(self.numerator * other.numerator,
-                             self.denominator * other.denominator)
+        return _product(self.numerator, self.denominator,
+                        other.numerator, other.denominator)
 
     def __truediv__(self, other: "PolyFrac") -> "PolyFrac":
         if not other:
             raise ZeroDivisionError("division by zero polynomial fraction")
-        return PolyFrac.make(self.numerator * other.denominator,
-                             self.denominator * other.numerator)
+        return _product(self.numerator, self.denominator,
+                        other.denominator, other.numerator)
+
+
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """a and b divided by their monic gcd, both scaled alike; a constant
+    on either side has gcd 1 with the other, and no gcd is taken."""
+    if len(a.ints) > 1 and len(b.ints) > 1:
+        g = a.gcd(b)
+        if len(g.ints) > 1:
+            q = a.q
+            if q is not None:
+                return tuple(_poly(_fq_quotient(p.ints, g.ints, q), 1, q) for p in (a, b))
+            # g divides both, so no pseudo-scaling step fires (s = 1);
+            # dividing by g.ints alone scales both quotients alike
+            return tuple(_canon(_pseudo_divmod(p.ints, g.ints)[1], None, p.den)
+                         for p in (a, b))
+    return a, b
+
+
+def _monic_den(num: Poly, den: Poly) -> PolyFrac:
+    """num / den, already in lowest terms, over a monic denominator."""
+    lead, q = den.ints[-1], num.q
+    if lead == den.den:
+        return PolyFrac(num, den)
+    lead_inv = pow(lead, -1, q) if q is not None else Fraction(den.den, lead)
+    return PolyFrac(num.scale(lead_inv), den.scale(lead_inv))
+
+
+def _product(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> PolyFrac:
+    """(an / ad) * (bn / bd) for two fractions in lowest terms, in lowest
+    terms: gcd(an * bn, ad * bd) = gcd(an, bd) * gcd(bn, ad), two small
+    gcds in place of one large one (Knuth, TAOCP 4.5.1)."""
+    an._check(bn)
+    if not an or not bn:
+        return PolyFrac(_poly((), 1, an.q), _unit_poly(an.q))
+    an, bd = _cancel(an, bd)
+    bn, ad = _cancel(bn, ad)
+    return _monic_den(an * bn, ad * bd)
 
 
 # ---------------------------------------------------------------------------

@@ -516,3 +516,16 @@ def is_canonical_poly(p: Poly) -> bool:
     if p.q is not None:
         return p.den == 1 and all(0 <= c < p.q for c in p.ints)
     return p.den > 0 and math.gcd(p.den, *p.ints) == 1
+
+
+def dot_ref(pairs, ctx) -> PolyFrac:
+    """Sum of a * b over pairs of PolyFracs, the numerators and
+    denominators multiplied and added by the references above and the sum
+    brought to lowest terms once, through ``polyfrac_ref``."""
+    num, den = Poly.make([], ctx.coeff_q), Poly.make([1], ctx.coeff_q)
+    for a, b in pairs:
+        tn = poly_mul_ref(a.numerator, b.numerator)
+        td = poly_mul_ref(a.denominator, b.denominator)
+        num = poly_add_ref(poly_mul_ref(num, td), poly_mul_ref(tn, den))
+        den = poly_mul_ref(den, td)
+    return polyfrac_ref(num, den)

@@ -12,7 +12,11 @@ transforms, replayed on first read, must equal those of the eager
 elimination, and callers that need only part of them must build no more.
 Exponents read modulo pi^e must be the exact ones capped at e.  The
 polynomial kernel must also agree with Euclid on plain lists, which share
-no code with ``Poly``: Fraction lists over Q, integer lists mod q over F_q.
+no code with ``Poly``: Fraction lists over Q, integer lists mod q over F_q,
+the packed F_q product at every slot-width edge included.  PolyFrac
+products and quotients, which cancel across, must equal the fraction of
+the full products brought to lowest terms with one gcd, and two spies keep
+the packed product and the single-term product entry from being dropped.
 """
 
 import random
@@ -32,7 +36,7 @@ from monocat.sampling import (morphism_from_params, random_morphism,
                               random_null_homotopic, random_object)
 from oracle_helpers import (capped_svals, eager_snf, entrywise_add,
                             entrywise_in_ring, entrywise_neg,
-                            entrywise_reduce, entrywise_scale,
+                            dot_ref, entrywise_reduce, entrywise_scale,
                             fq_list_divmod, fq_list_gcd,
                             fq_list_lowest_terms, fq_list_mul,
                             frac_list_divmod, frac_list_gcd,
@@ -580,3 +584,219 @@ def test_one_smith_form_serves_every_rhs(system):
             assert not consistent
         else:
             assert a @ x == rhs
+
+
+# ---------------------------------------------------------------------------
+# Products, gcds and lowest terms against plain lists, at every packing edge
+
+KERNEL_FIELDS = [2, 3, 5, 7, 257, 65537, 2 ** 61 - 1]
+# the least min(len) at which min(len) * (q - 1)^2, the largest coefficient
+# of an unreduced product, needs more than 8 bits (q <= 7); 257, 65537 and
+# 2^61 - 1 need more than 8 bits at every length
+SLOT_EDGES = {2: 256, 3: 64, 5: 16, 7: 8, 257: 1, 65537: 1, 2 ** 61 - 1: 1}
+
+
+def fq_operand(rng, q, n, kind):
+    """n coefficients mod q with a nonzero leading one: all q - 1, random,
+    sparse, or random under a leading q - 1."""
+    if kind == "full":
+        return [q - 1] * n
+    if kind == "sparse":
+        cs = [0] * n
+        for i in rng.sample(range(n), min(n, 3)):
+            cs[i] = rng.randrange(1, q)
+    else:
+        cs = [rng.randrange(q) for _ in range(n)]
+    cs[-1] = q - 1 if kind == "top" else rng.randrange(1, q)
+    return cs
+
+
+def length_pairs(rng, q):
+    """Lengths around the slot edge of q, around a crossover of a few
+    dozen coefficient products, and drawn from 1-300."""
+    e = SLOT_EDGES[q]
+    edge = [(m, n) for m in (e - 1, e) if m for n in (m, m + 1, 300)]
+    small = [(1, 1), (1, 23), (1, 24), (2, 12), (3, 8), (4, 6), (5, 5), (4, 7), (6, 6)]
+    return edge + small + [(rng.randint(1, 300), rng.randint(1, 40)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_fq_products_match_list_products_at_every_slot_edge(q):
+    rng = random.Random(q)
+    zero, const = Poly.make([], q), Poly.make([q - 1], q)
+    for m, n in length_pairs(rng, q):
+        for kind in ("full", "random", "sparse", "top"):
+            f, g = fq_operand(rng, q, m, kind), fq_operand(rng, q, n, kind)
+            F, G = Poly.make(f, q), Poly.make(g, q)
+            want = tuple(fq_list_mul(f, g, q))
+            assert (F * G).ints == (G * F).ints == want
+            assert is_canonical_poly(F * G)
+        for p in (F, G):
+            assert (p * zero).ints == (zero * p).ints == ()
+            assert (p * const).ints == (const * p).ints == tuple(fq_list_mul(p.ints, [q - 1], q))
+
+
+def test_rational_products_match_fraction_list_products():
+    rng = random.Random(11)
+
+    def operand(n):
+        cs = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+        cs[-1] = cs[-1] or Fraction(6)
+        return cs
+
+    for m, n in [(1, 1), (1, 300), (4, 6), (5, 5), (24, 24), (300, 3), (60, 70)]:
+        f, g = operand(m), operand(n)
+        # content: every integer numerator divisible by 6
+        for f in (f, [6 * c for c in f]):
+            F, G = Poly.make(f, None), Poly.make(g, None)
+            assert (F * G).coeffs == (G * F).coeffs == tuple(frac_list_mul(f, g))
+            assert is_canonical_poly(F * G)
+
+
+def fq_gcd_pairs(rng, q):
+    """Pairs of coefficient lists mod q: a planted common factor, coprime
+    (f and f + c), one dividing the other both ways round, equal inputs,
+    and a zero side."""
+    def poly(n, kind="random"):
+        return fq_operand(rng, q, n, kind)
+
+    pairs = []
+    for n in (1, 2, 3, 5, 8, 20):
+        g, h1, h2 = poly(n, "top"), poly(rng.randint(1, 8)), poly(rng.randint(1, 8))
+        f = poly(n + 2)
+        pairs += [(fq_list_mul(g, h1, q), fq_list_mul(g, h2, q)),
+                  (f, frac_list_trim([(f[0] + rng.randrange(1, q)) % q] + f[1:])),
+                  (g, fq_list_mul(g, h1, q)), (fq_list_mul(g, h1, q), g),
+                  (f, list(f)), (poly(n, "sparse"), poly(n + 3, "full")), ([], f)]
+    return pairs
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 257, 65537])
+def test_fq_gcd_and_lowest_terms_match_list_euclid(q):
+    rng = random.Random(q + 1)
+    for f, k in fq_gcd_pairs(rng, q):
+        F, K = Poly.make(f, q), Poly.make(k, q)
+        ref = tuple(fq_list_gcd(f, k, q))
+        assert F.gcd(K).ints == K.gcd(F).ints == ref
+        if k:
+            frac = PolyFrac.make(F, K)
+            num, den = fq_list_lowest_terms(f, k, q)
+            assert (frac.numerator.ints, frac.denominator.ints) == (tuple(num), tuple(den))
+            assert is_canonical_poly(frac.numerator) and is_canonical_poly(frac.denominator)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two PolyFracs in lowest terms over F_2, F_3 or Q whose cross pairs
+    (numerator of one, denominator of the other) share planted factors;
+    over Q the factors are not monic on the integers (2x - 1, 3x + 2) and
+    numerators carry content."""
+    q = draw(st.sampled_from(FIELDS))
+    if q is None:
+        factor = st.sampled_from([[-1, 2], [2, 3], [Fraction(1, 2), 1], [0, 1], [5]])
+        plant = factor.map(lambda cs: Poly.make(cs, None))
+    else:
+        plant = nonzero_polys(q, 3)
+    g1, g2 = draw(plant), draw(plant)
+    n1, d1, n2, d2 = (draw(nonzero_polys(q, 2)) for _ in range(4))
+    if q is None:
+        n1, n2 = (poly_mul_ref(n, Poly.make([draw(st.sampled_from([1, 6, -4]))], None))
+                  for n in (n1, n2))
+    if draw(st.booleans()):  # quotient shapes: b's numerator gets g1
+        a = polyfrac_ref(poly_mul_ref(g1, n1), poly_mul_ref(g2, d1))
+        b = polyfrac_ref(poly_mul_ref(g2, n2), poly_mul_ref(g1, d2))
+    else:  # product shapes: a's numerator and b's denominator share g1
+        a = polyfrac_ref(poly_mul_ref(g1, n1), d1)
+        b = polyfrac_ref(poly_mul_ref(g2, n2), poly_mul_ref(g1, d2))
+    if draw(st.integers(0, 7)) == 0:
+        a = polyfrac_ref(Poly.make([], q), d1)
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_pairs())
+def test_polyfrac_products_equal_the_full_gcd_reference(pair):
+    a, b = pair
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    products = [(a * b, polyfrac_ref(poly_mul_ref(an, bn), poly_mul_ref(ad, bd))),
+                (b * a, polyfrac_ref(poly_mul_ref(bn, an), poly_mul_ref(bd, ad))),
+                (a / b, polyfrac_ref(poly_mul_ref(an, bd), poly_mul_ref(ad, bn)))]
+    if a:
+        products.append((b / a, polyfrac_ref(poly_mul_ref(bn, ad), poly_mul_ref(bd, an))))
+    for got, want in products:
+        # the fields, so a non-monic denominator of the same value fails
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got.denominator.coeffs[-1] == 1
+        assert is_canonical_poly(got.numerator) and is_canonical_poly(got.denominator)
+
+
+PRODUCT_RINGS = [RingCtx.poly_local(2, 2), RingCtx.poly_local(2, 3), RingCtx.poly_local(2)]
+
+
+def random_nonzero_scalar(rng, q):
+    def poly(n):
+        cs = [rng.randrange(q) if q else Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+              for _ in range(n)]
+        return Poly.make(cs + [rng.randrange(1, q) if q else rng.choice([1, -2, 3])], q)
+
+    return PolyFrac.make(poly(rng.randint(0, 2)), poly(rng.randint(0, 1)))
+
+
+@pytest.mark.parametrize("ctx", PRODUCT_RINGS, ids=str)
+def test_poly_local_product_entries_equal_the_summed_reference(ctx):
+    """Rows of a with 1, 2 and 0 nonzero entries give product entries of
+    1, 2 and 0 nonzero terms, each against the terms summed through
+    ``polyfrac_ref``."""
+    rng, zero = random.Random(str(ctx)), ctx.zero()
+    for _ in range(12):
+        x, y, z, u, v, w, s = (random_nonzero_scalar(rng, ctx.coeff_q) for _ in range(7))
+        a = MatS(ctx, 3, 2, (x, zero, y, z, zero, zero))
+        b = MatS(ctx, 2, 2, (u, v, w, s))
+        got = a @ b
+        for i in range(3):
+            for j in range(2):
+                pairs = [(a.at(i, k), b.at(k, j)) for k in range(2) if a.at(i, k)]
+                assert got.at(i, j) == dot_ref(pairs, ctx)
+        assert got == linalg.add_products(a, b, linalg.zeros(ctx, 3, 1),
+                                          linalg.zeros(ctx, 1, 2))
+
+
+def test_fq_products_pack_from_the_crossover_on(monkeypatch):
+    """Over F_3 the packed product runs exactly when len(a) * len(b)
+    reaches ``PACKED_MIN``; below it the schoolbook loop runs."""
+    packed, real = [], rings._packed_mul
+
+    def spy(a, b, q):
+        packed.append(len(a) * len(b))
+        return real(a, b, q)
+
+    monkeypatch.setattr(rings, "_packed_mul", spy)
+    n, rng = rings.PACKED_MIN, random.Random(3)
+    sizes = [(m, -(-n // m)) for m in (1, 2, 3)]
+    for m, k in sizes + [(m, k - 1) for m, k in sizes]:
+        f, g = fq_operand(rng, 3, m, "top"), fq_operand(rng, 3, k, "random")
+        assert (Poly.make(f, 3) * Poly.make(g, 3)).ints == tuple(fq_list_mul(f, g, 3))
+    assert packed == [m * k for m, k in sizes]
+    assert min(packed) == n
+
+
+def test_single_term_product_entries_skip_make(monkeypatch):
+    """A product entry with one nonzero term is that term's cross-cancelled
+    product, with no PolyFrac.make; an entry of two terms makes once."""
+    ctx = RingCtx.poly_local(2, 3)
+    zero, u = ctx.zero(), ctx.parse_scalar("(1 + x)/(1 + 2*x)")
+    v, w = ctx.parse_scalar("(2 + x^2)/(1 + x)"), ctx.parse_scalar("x/(1 + x + x^2)")
+    made, real = [], PolyFrac.make
+
+    def spy(num, den):
+        made.append((num, den))
+        return real(num, den)
+
+    monkeypatch.setattr(PolyFrac, "make", staticmethod(spy))
+    one_term = MatS(ctx, 1, 2, (u, zero)) @ MatS(ctx, 2, 1, (v, w))
+    assert one_term.entries == (polyfrac_ref(poly_mul_ref(u.numerator, v.numerator),
+                                             poly_mul_ref(u.denominator, v.denominator)),)
+    assert made == []
+    two_terms = MatS(ctx, 1, 2, (u, w)) @ MatS(ctx, 2, 1, (v, w))
+    assert two_terms.entries == (dot_ref([(u, v), (w, w)], ctx),)
+    assert len(made) == 1
