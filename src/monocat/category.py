@@ -28,8 +28,8 @@ from functools import cached_property
 
 from .errors import (CokernelNotOmegaTorsion, ContextMismatch, NotComposable,
                      NonSquare, NotMono, SquareNotCommuting)
-from .linalg import (INFINITY, MatS, SnfResult, block, identity, mat,
-                     snf, sums_equal, truncated_svals, zeros)
+from .linalg import (INFINITY, MatS, SnfResult, block, diag_pi, identity,
+                     mat, snf, sums_equal, truncated_svals, zeros)
 from .rings import RingCtx
 
 
@@ -73,15 +73,12 @@ class MonObject:
 
     @cached_property
     def partner_mat(self) -> MatS:
-        """omega f^{-1} = V^{-1} diag(pi^(t-s)) U^{-1}: the partner's matrix.
-
-        The diagonal factor is applied as a scaling of the columns of V^{-1}.
-        """
-        ctx, n, v_inv = self.ctx, self.n, self.smith.v_inv
-        scales = [ctx.pi_pow(ctx.t - s) for s in self.svals]
-        scaled = MatS(ctx, n, n, tuple(v_inv.at(i, j) * scales[j]
-                                       for i in range(n) for j in range(n)))
-        return scaled @ self.smith.u_inv
+        """omega f^{-1} = V^{-1} diag(pi^(t-s)) U^{-1}: the partner's matrix,
+        as two matrix products.  Over Z_(p) both run on integer numerators
+        (the cleared form); over k[x]_(x) an entry of V^{-1} diag(pi^(t-s))
+        has at most one nonzero term, so it is that term's product."""
+        t, smith = self.ctx.t, self.smith
+        return smith.v_inv @ diag_pi(self.ctx, [t - s for s in self.svals]) @ smith.u_inv
 
     @cached_property
     def shift(self) -> "MonObject":
@@ -116,11 +113,6 @@ def decompose(obj: MonObject) -> tuple:
     return obj.svals
 
 
-def cokernel_exponents(obj: MonObject) -> tuple:
-    """Exponents of the cyclic summands of coker(f), zeros dropped."""
-    return tuple(s for s in obj.svals if s > 0)
-
-
 @dataclass(frozen=True)
 class RModuleObj:
     """A finite module over the quotient ring R = S/(omega), recorded by
@@ -143,7 +135,8 @@ class RModuleObj:
 
 
 def cokernel(obj: MonObject) -> RModuleObj:
-    return RModuleObj(obj.ctx, cokernel_exponents(obj))
+    """coker(f): one cyclic summand per exponent, zeros dropped."""
+    return RModuleObj(obj.ctx, tuple(s for s in obj.svals if s > 0))
 
 
 @dataclass(frozen=True)

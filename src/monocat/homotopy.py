@@ -16,8 +16,8 @@ from .category import (MonMorphism, MonObject, compose, composes_to,
 from .errors import (ContextMismatch, InternalInvariantError, InvalidWitness,
                      NotComposable, NotExactTriangle,
                      SquaresNotHomotopyCommuting)
-from .linalg import (MatS, add_products, block, hstack, identity,
-                     solve_sandwich_congruence, sums_equal, vstack, zeros)
+from .linalg import (MatS, add_products, block, identity,
+                     solve_sandwich_congruence, sums_equal, zeros)
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,8 @@ def factor_through_projective(psi: MonMorphism, w: HomotopyWitness
     require_witness(psi, w)
     env, beta = projective_envelope(psi.dst)
     alpha = MonMorphism(psi.src, env,
-                        vstack([w.s1, psi.psi1]),
-                        vstack([w.s0, psi.psi0]))
+                        block(psi.ctx, [[w.s1], [psi.psi1]]),
+                        block(psi.ctx, [[w.s0], [psi.psi0]]))
     if not composes_to(beta, alpha, psi):
         raise InternalInvariantError(
             "projective factorization failed to compose back")
@@ -162,9 +162,12 @@ def cone_maps(psi: MonMorphism) -> tuple[MonObject, MonMorphism, MonMorphism]:
     ctx = psi.ctx
     c = cone(psi)
     np, n = psi.dst.n, psi.src.n
-    inc_comp = vstack([identity(ctx, np), zeros(ctx, n, np)])
+    # a zero target would make a block row of one 0 x 0 block, which
+    # ``block`` refuses; its inclusion is the n x 0 zero matrix
+    inc_comp = (block(ctx, [[identity(ctx, np)], [zeros(ctx, n, np)]]) if np
+                else zeros(ctx, n, 0))
     inc = MonMorphism(psi.dst, c, inc_comp, inc_comp)
-    prj_comp = hstack([zeros(ctx, n, np), identity(ctx, n)])
+    prj_comp = block(ctx, [[zeros(ctx, n, np), identity(ctx, n)]])
     prj = MonMorphism(c, suspend(psi.src), prj_comp, prj_comp)
     return c, inc, prj
 
@@ -223,8 +226,8 @@ def rotate(tri: Triangle) -> tuple[Triangle, MonMorphism]:
     if witnesses is None:
         raise NotExactTriangle("a composite in the triangle is not null-homotopic")
     iso = MonMorphism(cone(tri.v), tri.w.dst,
-                      hstack([tri.w.psi1, witnesses[1].s0]),
-                      hstack([tri.w.psi0, witnesses[1].s1]))
+                      block(tri.v.ctx, [[tri.w.psi1, witnesses[1].s0]]),
+                      block(tri.v.ctx, [[tri.w.psi0, witnesses[1].s1]]))
     rotated = Triangle(tri.b, tri.c, tri.w.dst,
                        tri.v, tri.w, -suspend_morphism(tri.u))
     return rotated, iso

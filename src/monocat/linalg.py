@@ -380,37 +380,13 @@ def diag_pi(ctx: RingCtx, exps: Sequence[int]) -> MatS:
     return diag(ctx, [ctx.pi_pow(e) for e in exps])
 
 
-def hstack(blocks: Sequence[MatS]) -> MatS:
-    blocks = [b for b in blocks if b.cols > 0 or b.rows > 0]
-    if not blocks:
-        raise ValueError("hstack of nothing")
-    ctx, rows = blocks[0].ctx, blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise ValueError("hstack blocks disagree on row count")
-    entries = []
-    for i in range(rows):
-        for b in blocks:
-            entries.extend(b.entries[i * b.cols:(i + 1) * b.cols])
-    return MatS(ctx, rows, sum(b.cols for b in blocks), tuple(entries))
-
-
-def vstack(blocks: Sequence[MatS]) -> MatS:
-    if not blocks:
-        raise ValueError("vstack of nothing")
-    ctx, cols = blocks[0].ctx, blocks[0].cols
-    if any(b.cols != cols for b in blocks):
-        raise ValueError("vstack blocks disagree on column count")
-    entries = []
-    for b in blocks:
-        entries.extend(b.entries)
-    return MatS(ctx, sum(b.rows for b in blocks), cols, tuple(entries))
-
-
 def block(ctx: RingCtx, grid: Sequence[Sequence[MatS | None]]) -> MatS:
-    """Assemble a block matrix in one pass over its entries; None cells
-    become zero blocks with the height of their row and the width of their
-    column.  A ragged grid is refused as an inconsistent block shape, and
-    a row made only of 0 x 0 blocks as ``hstack of nothing``."""
+    """Assemble a block matrix in one pass over its entries; the one
+    assembler, stacks included: ``[[a], [b]]`` stacks a over b, and
+    ``[[a, b]]`` puts them side by side.  None cells become zero blocks
+    with the height of their row and the width of their column.  A ragged
+    grid is refused as an inconsistent block shape, and a row made only of
+    0 x 0 blocks as ``hstack of nothing``."""
     heights = []
     for brow in grid:
         h = next((b.rows for b in brow if b is not None), None)

@@ -33,26 +33,28 @@ integer coefficients ``ints`` over one denominator ``den``.  Over F_q the
 ints lie in [0, q), kept there by ``% q`` inline, and den is 1.  Over Q
 den > 0, gcd(den, *ints) = 1 and no trailing zero is stored; each
 operation works on the ints and brings its result to that form with one
-``math.gcd(den, *ints)``, never a gcd per coefficient.  Over Q the
-division is ``_pseudo_divmod`` on integer lists and the gcd a remainder
+``math.gcd(den, *ints)``, never a gcd per coefficient.  Q alone divides
+with ``_pseudo_divmod`` on integer lists, and its gcd is a remainder
 sequence that keeps the primitive part of each member on Z[x], made monic
-once at the end.  Over F_q three kernels on integer lists do the work: a
-product of len(a) * len(b) >= ``PACKED_MIN`` coefficient products packs
-each operand into one int (Kronecker substitution, one slot per
-coefficient, wider than min(len) * (q - 1)^2 so no slot carries) and
-multiplies in C; the gcd is Euclid in place, each remainder made monic
-once; and lowest terms divide by the monic gcd with a loop that forms the
-quotient only.  A :class:`PolyFrac` or Fraction is brought to lowest terms
-once per result: a matrix product accumulates each entry as an unreduced
-numerator over a denominator and normalizes it once (over Z_(p) the whole
-matrix shares one denominator and one gcd, and its Fractions are built
-when read; an entry of one nonzero term is that term's product), and a
-comparison of products (``linalg.sums_equal``) normalizes none.  A
-PolyFrac product or quotient of two fractions in lowest terms cancels
-across: gcd(an * bn, ad * bd) = gcd(an, bd) * gcd(bn, ad), two small gcds
-in place of one large one, each skipped when a side is constant, and the
-denominator is then made monic.  ``+`` still takes one full gcd.
-Multiplying by the constant 1 returns the other factor.
+once at the end.  Over F_q three kernels on integer lists do the work,
+one product and two division loops.  A product of len(a) * len(b) >=
+``PACKED_MIN`` coefficient products packs each operand into one int
+(Kronecker substitution, one slot per coefficient, wider than min(len) *
+(q - 1)^2 so no slot carries) and multiplies in C.  The gcd
+(``_fq_gcd``) is Euclid in place, each remainder made monic once, and
+lowest terms divide by the monic gcd with a loop that forms the quotient
+only (``_fq_quotient``).  A :class:`PolyFrac` or Fraction is brought to
+lowest terms once per result: a matrix product accumulates each entry as
+an unreduced numerator over a denominator and normalizes it once (over
+Z_(p) the whole matrix shares one denominator and one gcd, and its
+Fractions are built when read; an entry of one nonzero term is that
+term's product), and a comparison of products (``linalg.sums_equal``)
+normalizes none.  A PolyFrac product or quotient of two fractions in
+lowest terms cancels across: gcd(an * bn, ad * bd) = gcd(an, bd) *
+gcd(bn, ad), two small gcds in place of one large one, each skipped when
+a side is constant, and the denominator is then made monic.  ``+`` still
+takes one full gcd.  Multiplying by the constant 1 returns the other
+factor.
 """
 
 from __future__ import annotations
@@ -226,18 +228,6 @@ class Poly:
         """Reduce modulo x^k."""
         return _canon(list(self.ints[:k]), self.q, self.den)
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._check(other)
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, b, f = self.q, other.ints, other.den
-        if q is not None:  # divide by the monic associate, scale the quotient back
-            f, b = pow(b[-1], -1, q), _primitive(b, q)
-        # s*A = quo*b + rem with self = A/da and other = b/f
-        s, quo, rem = _pseudo_divmod(self.ints, b, q)
-        den = s * self.den
-        return _canon([c * f for c in quo], q, den), _canon(rem, q, den)
-
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor: over F_q Euclid in place on the
         integer lists (``_fq_gcd``), over Q a remainder sequence that keeps
@@ -360,19 +350,19 @@ def _fq_quotient(a, b, q: int) -> tuple:
     return tuple(quo)
 
 
-def _pseudo_divmod(a, b, q: int | None = None) -> tuple[int, list, list]:
-    """Pseudo-division: (s, quo, rem) with s*a = quo*b + rem, s > 0 and
-    deg rem < deg b, for integer lists a and b (b nonzero), rem with no
-    trailing zero.  Over Q this is on Z[x].  Over F_q b must be monic, so
-    s = 1, and quo and rem are reduced into [0, q).
+def _pseudo_divmod(a, b) -> tuple[int, list, list]:
+    """Pseudo-division on Z[x], the division of Q alone: (s, quo, rem)
+    with s*a = quo*b + rem, s > 0 and deg rem < deg b, for integer lists a
+    and b (b nonzero), rem with no trailing zero.  F_q divides with
+    ``_fq_gcd``'s remainder loop and ``_fq_quotient``.
 
     A step scales the partial remainder only when lc(b) does not divide its
     leading coefficient, and then by the least factor that makes it do so;
-    so s = 1 whenever b divides a in Z[x], and always over F_q."""
+    so s = 1 whenever b divides a in Z[x]."""
     rem, dq, lead = list(a), len(b) - 1, b[-1]
     quo, s = [0] * max(0, len(rem) - dq), 1
     for i in range(len(rem) - dq - 1, -1, -1):
-        c = rem[i + dq] if q is None else rem[i + dq] % q
+        c = rem[i + dq]
         if not c:
             continue
         if c % lead:
@@ -386,7 +376,7 @@ def _pseudo_divmod(a, b, q: int | None = None) -> tuple[int, list, list]:
         quo[i] = c
         for j in range(dq):
             rem[i + j] -= c * b[j]
-    rem = rem[:dq] if q is None else [c % q for c in rem[:dq]]
+    rem = rem[:dq]
     while rem and not rem[-1]:
         rem.pop()
     return s, quo, rem

@@ -16,7 +16,7 @@ from .category import MonMorphism, MonObject, RModuleObj, cokernel, rank_one
 from .errors import (VECTOR_BUDGET, ContextMismatch, InfiniteResidueField,
                      InternalInvariantError, ParametersTooLarge)
 from .homotopy import StableHomModule, stable_hom, suspend
-from .linalg import MatR, MatS, diag, hstack, reduce_mat, truncated_svals
+from .linalg import MatR, MatS, block, diag, reduce_mat, truncated_svals
 from .rings import RingCtx
 
 
@@ -108,11 +108,6 @@ def two_periodic_resolution(f: MonObject, terms: int = 2) -> PeriodicResolution:
     return PeriodicResolution(f_bar, fsig_bar, terms)
 
 
-def _all_vectors(ctx: RingCtx, n: int):
-    pool = list(ctx.residue_elements())
-    return itertools.product(pool, repeat=n)
-
-
 def resolution_is_exact(res: PeriodicResolution, ctx: RingCtx) -> bool:
     """Full enumeration of R^n: kernel of each differential equals the
     image of the other.  Requires a finite residue field, and |R|^n at
@@ -123,7 +118,7 @@ def resolution_is_exact(res: PeriodicResolution, ctx: RingCtx) -> bool:
     ker_f, ker_g = set(), set()
     im_f, im_g = set(), set()
     zero = tuple(ctx.residue_zero() for _ in range(n))
-    for vec in _all_vectors(ctx, n):
+    for vec in itertools.product(ctx.residue_elements(), repeat=n):
         fv = res.f_bar.apply(vec)
         gv = res.fsig_bar.apply(vec)
         im_f.add(fv)
@@ -227,7 +222,7 @@ def stable_hom_R_bruteforce(m: RModuleObj, n: RModuleObj) -> StableHomModule:
         col = MatS(ctx, len(cells), 1, tuple(ctx.lift(r) for r in coords))
         cols.append(col)
     e = ctx.t + 1
-    vals = truncated_svals(hstack(cols), e)
+    vals = truncated_svals(block(ctx, [cols]), e)
     if e in vals:
         raise InternalInvariantError(
             "stable Hom presentation has an exponent above t")

@@ -17,8 +17,8 @@ from monocat.category import (MonMorphism, MonObject, compose, identity_morphism
                               rank_one)
 from monocat.errors import NotComposable, SingularMatrix
 from monocat.homotopy import homotopic
-from monocat.linalg import (INFINITY, MatR, MatS, hstack, identity,
-                            inverse_frac, solve_linear, vstack, zeros)
+from monocat.linalg import (INFINITY, MatR, MatS, identity, inverse_frac,
+                            solve_linear)
 from monocat.rings import Poly, PolyFrac, Scalar
 from monocat.sampling import all_morphism_params, morphism_from_params
 
@@ -85,7 +85,8 @@ def reference_factor_strictly(through: MonMorphism, target: MonMorphism):
     The unknowns are the entries of both components of chi; the commuting
     condition that makes chi a morphism and the two composition equations
     are stacked into one kron-built system over S, solved through its own
-    Smith form on every call.
+    Smith form on every call.  The system is assembled one entry at a
+    time (``block_by_entries``), with no assembly code of the library.
     """
     if target.dst != through.dst:
         raise NotComposable("factorization endpoints disagree")
@@ -93,9 +94,10 @@ def reference_factor_strictly(through: MonMorphism, target: MonMorphism):
     p, q, r = through.src.n, src.n, through.dst.n
     m = p * q
     iq = identity(ctx, q)
-    a = vstack([hstack(commuting_system(src, through.src)),
-                hstack([kron(through.psi1, iq), zeros(ctx, r * q, m)]),
-                hstack([zeros(ctx, r * q, m), kron(through.psi0, iq)])])
+    a = block_by_entries(ctx, [commuting_system(src, through.src),
+                               [kron(through.psi1, iq), None],
+                               [None, kron(through.psi0, iq)]],
+                         [m, r * q, r * q], [m, m])
     rhs = MatS(ctx, a.rows, 1, (ctx.zero(),) * m + target.psi1.entries
                + target.psi0.entries)
     sol = solve_linear(a, rhs)

@@ -263,6 +263,19 @@ def test_cone_of_zero_splits():
         decompose(dst) + decompose(suspend(src)))
 
 
+def test_triangles_with_a_zero_object_at_one_end():
+    """A morphism from or to the 0 x 0 object has a standard triangle and
+    a rotation; its cone is the other end or its shift."""
+    z, a = make_object(Z2, []), rank_one(Z2, 1)
+    for psi, third in ((zero_morphism(a, z), suspend(a)), (zero_morphism(z, a), a)):
+        tri = standard_triangle(psi)
+        assert tri.c == third
+        assert (tri.v.psi1.rows, tri.v.psi1.cols) == (tri.c.n, psi.dst.n)
+        assert (tri.w.psi1.rows, tri.w.psi1.cols) == (psi.src.n, tri.c.n)
+        rotated, iso = rotate(tri)
+        assert rotated.c == suspend(psi.src) and is_iso_in_homotopy(iso)
+
+
 def test_tr2_cone_of_inclusion_decomposition():
     rng = random.Random(10)
     for trial in range(25):

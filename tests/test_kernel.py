@@ -21,6 +21,7 @@ the packed product and the single-term product entry from being dropped.
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,13 +39,14 @@ from oracle_helpers import (capped_svals, eager_snf, entrywise_add,
                             entrywise_in_ring, entrywise_neg,
                             dot_ref, entrywise_reduce, entrywise_scale,
                             fq_list_divmod, fq_list_gcd,
-                            fq_list_lowest_terms, fq_list_mul,
+                            fq_list_lowest_terms, fq_list_monic, fq_list_mul,
                             frac_list_divmod, frac_list_gcd,
                             frac_list_lowest_terms, frac_list_mul,
                             frac_list_trim, is_canonical_cleared,
                             is_canonical_poly, naive_matmul,
                             poly_add_ref, poly_divmod_ref, poly_gcd_ref,
-                            poly_mul_ref, poly_neg_ref, polyfrac_ref)
+                            poly_monic_ref, poly_mul_ref, poly_neg_ref,
+                            polyfrac_ref)
 
 RINGS = [RingCtx.int_local(2, 2), RingCtx.int_local(3, 2),
          RingCtx.poly_local(2, 2), RingCtx.poly_local(2, 3),
@@ -286,6 +288,22 @@ def test_cleared_sums_equal_matches_entrywise_values(operands, data):
             assert linalg.sums_equal(right, left) == equal
 
 
+def assert_pseudo_division(a, b):
+    """``rings._pseudo_divmod`` on integer lists, the division of Q: s > 0,
+    s*a = quo*b + rem with deg rem < deg b, s = 1 when b divides a in
+    Z[x], and quo/s and rem/s are what Fraction long division gives."""
+    s, quo, rem = rings._pseudo_divmod(a, b)
+    assert s > 0 and len(rem) < len(b) and frac_list_trim(list(rem)) == rem
+    assert all(type(c) is int for c in (*quo, *rem))
+    assert frac_list_trim([Fraction(s * c) for c in a]) == frac_list_trim(
+        [x + y for x, y in zip_longest(frac_list_mul(quo, b), rem, fillvalue=0)])
+    want_quo, want_rem = frac_list_divmod([Fraction(c) for c in a], b)
+    assert frac_list_trim([Fraction(c, s) for c in quo]) == want_quo
+    assert [Fraction(c, s) for c in rem] == want_rem
+    if not want_rem and all(c.denominator == 1 for c in want_quo):
+        assert s == 1
+
+
 @settings(deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(
     lambda q: st.tuples(polys(q), polys(q), nonzero_polys(q))))
@@ -294,7 +312,12 @@ def test_poly_ops_equal_make_built(fgh):
     assert f + g == poly_add_ref(f, g)
     assert -f == poly_neg_ref(f)
     assert f * g == poly_mul_ref(f, g)
-    assert f.divmod(h) == poly_divmod_ref(f, h)
+    if f.q is None:
+        assert_pseudo_division(f.ints, h.ints)
+    else:
+        fh, monic = poly_mul_ref(f, h), poly_monic_ref(h)
+        assert (rings._fq_quotient(fh.ints, monic.ints, f.q)
+                == poly_divmod_ref(fh, monic)[0].ints)
     assert f.gcd(h) == poly_gcd_ref(f, h)
     assert h.gcd(f) == poly_gcd_ref(h, f)
     # the constant 1 returns the other factor; 1/2 over Q multiplies
@@ -338,11 +361,12 @@ def test_prime_field_kernel_matches_integer_list_euclid(args):
     F, K, G = (Poly.make(cs, q) for cs in (f, k, g))
     got = F.gcd(K)
     assert got.coeffs == K.gcd(F).coeffs == tuple(ref)
+    # the quotient kernel, by the monic planted factor and by the gcd
+    for b in (fq_list_monic(g, q), ref):
+        for a in (f, k):
+            want, rem = fq_list_divmod(a, b, q)
+            assert not rem and list(rings._fq_quotient(a, b, q)) == want
     out = [got, F, K, G]
-    for a, b in ((f, k), (k, g), (f, g), (g, k)):
-        quo, rem = Poly.make(a, q).divmod(Poly.make(b, q))
-        assert (quo.coeffs, rem.coeffs) == tuple(map(tuple, fq_list_divmod(a, b, q)))
-        out += [quo, rem]
     frac = PolyFrac.make(F, K)
     num, den = fq_list_lowest_terms(f, k, q)
     assert (frac.numerator.coeffs, frac.denominator.coeffs) == (tuple(num), tuple(den))
@@ -365,9 +389,9 @@ def test_rational_kernel_matches_fraction_euclid(g, h1, h2):
     assert len(ref) >= len(g)
     big, real = [], rings._pseudo_divmod
 
-    def spy(a, b, q=None):
+    def spy(a, b):
         big.append(max(abs(c).bit_length() for c in (*a, *b)))
-        return real(a, b, q)
+        return real(a, b)
 
     F, K, G = (Poly.make(cs, None) for cs in (f, k, g))
     with pytest.MonkeyPatch.context() as mp:
@@ -381,11 +405,9 @@ def test_rational_kernel_matches_fraction_euclid(g, h1, h2):
     n = len(f) + len(k)
     bits = max(c.bit_length() for c in F.ints + K.ints)
     assert max(big, default=0) <= n * (bits + n.bit_length())
-    out = [got, F, K, G]
     for a, b in ((f, k), (k, g), (f, g)):
-        quo, rem = Poly.make(a, None).divmod(Poly.make(b, None))
-        assert (quo.coeffs, rem.coeffs) == tuple(map(tuple, frac_list_divmod(a, b)))
-        out += [quo, rem]
+        assert_pseudo_division(Poly.make(a, None).ints, Poly.make(b, None).ints)
+    out = [got, F, K, G]
     frac = PolyFrac.make(F, K)
     num, den = frac_list_lowest_terms(f, k)
     assert (frac.numerator.coeffs, frac.denominator.coeffs) == (tuple(num), tuple(den))

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from monocat.errors import ContextMismatch, SingularMatrix
 from monocat.linalg import (INFINITY, MatR, MatS, add_products, block, diag_pi,
-                            hstack, identity, inverse_frac, mat,
-                            random_unimodular, reduce_mat, residue_svals, snf,
-                            solve_linear, solve_sandwich_congruence,
-                            sums_equal, truncated_svals, vstack, zeros)
+                            identity, inverse_frac, mat, random_unimodular,
+                            reduce_mat, residue_svals, snf, solve_linear,
+                            solve_sandwich_congruence, sums_equal,
+                            truncated_svals, zeros)
 from monocat.rings import Poly, RingCtx
 from oracle_helpers import (adjugate, block_by_entries, det,
                             per_term_residue_matmul, submatrix)
@@ -264,8 +264,6 @@ def test_block_assembly():
     assert (m.rows, m.cols) == (3, 3)
     assert m.at(0, 2) == 3 and m.at(1, 2) == 4
     assert m.at(2, 0) == 0 and m.at(2, 2) == 1
-    assert hstack([a, b]).cols == 3
-    assert vstack([a, mat(Z2, [[5, 6]])]).rows == 3
 
 
 F3X = RingCtx.poly_local(2, q=3)
@@ -314,13 +312,11 @@ def assert_same_matrix(got: MatS, want: MatS):
 
 
 @settings(max_examples=200, deadline=None)
-@given(block_grids(), st.data())
-def test_block_hstack_vstack_match_entry_by_entry(case, data):
-    """``block`` on the grid, ``hstack`` on each block row and ``vstack``
-    on each block column, None cells filled with zeros, against a
-    reference that reads every entry with ``at``.  A 0 x 0 block joins
-    some of the stacks, which drop it.  A row made only of 0 x 0 blocks
-    is refused as ``hstack of nothing``."""
+@given(block_grids())
+def test_block_matches_entry_by_entry(case):
+    """``block`` on the grid, stacks (one block row or one block column)
+    included, against a reference that reads every entry with ``at``.  A
+    row made only of 0 x 0 blocks is refused as ``hstack of nothing``."""
     ctx, grid, heights, widths = case
     empty_row = not any(widths)
     if empty_row and 0 in heights:
@@ -328,33 +324,11 @@ def test_block_hstack_vstack_match_entry_by_entry(case, data):
             block(ctx, grid)
     else:
         assert_same_matrix(block(ctx, grid), block_by_entries(ctx, grid, heights, widths))
-    nothing = zeros(ctx, 0, 0)
-    for brow, h in zip(grid, heights):
-        row = [zeros(ctx, h, w) if b is None else b for b, w in zip(brow, widths)]
-        row.insert(data.draw(st.integers(0, len(row))), nothing)
-        if empty_row and not h:
-            with pytest.raises(ValueError, match="^hstack of nothing$"):
-                hstack(row)
-        else:
-            assert_same_matrix(hstack(row), block_by_entries(
-                ctx, [row], [h], [b.cols for b in row]))
-    for j, w in enumerate(widths):
-        col = [zeros(ctx, h, w) if brow[j] is None else brow[j]
-               for brow, h in zip(grid, heights)]
-        if not w:
-            col.insert(data.draw(st.integers(0, len(col))), nothing)
-        assert_same_matrix(vstack(col), block_by_entries(
-            ctx, [[b] for b in col], [b.rows for b in col], [w]))
 
 
 def test_block_errors_keep_their_messages():
     a, b = identity(Z2, 2), mat(Z2, [[1, 2, 3]])
-    cases = [(lambda: hstack([]), "hstack of nothing"),
-             (lambda: hstack([zeros(Z2, 0, 0)] * 2), "hstack of nothing"),
-             (lambda: hstack([a, b]), "hstack blocks disagree on row count"),
-             (lambda: vstack([]), "vstack of nothing"),
-             (lambda: vstack([a, b]), "vstack blocks disagree on column count"),
-             (lambda: block(Z2, [[a, None], [None, None]]),
+    cases = [(lambda: block(Z2, [[a, None], [None, None]]),
               "block row with no blocks to infer height from"),
              (lambda: block(Z2, [[a, None], [b, None]]),
               "block column with no blocks to infer width from"),

@@ -14,7 +14,7 @@ from monocat.errors import (DivisionLeavesRing, InfiniteResidueField,
                             ParametersTooLarge, ParseError)
 from monocat.linalg import MatS
 from monocat.rings import (INFINITY, MAX_INT_DIGITS, IntLocal, Poly, PolyFrac,
-                           PolyLocal, RingCtx, _is_prime)
+                           PolyLocal, RingCtx, _is_prime, _pseudo_divmod)
 from oracle_helpers import is_canonical_poly, trial_division_is_prime
 
 Z2 = RingCtx.int_local(2, 2)
@@ -201,11 +201,11 @@ def test_poly_mul_matches_int_substitution(cs, ds):
 
 
 def test_poly_divmod():
-    f = Poly.make([2, 0, 1], None)       # x^2 + 2
-    g = Poly.make([1, 1], None)          # x + 1
-    q, r = f.divmod(g)
-    assert q * g + r == f
-    assert r.degree < g.degree
+    # pseudo-division on Z[x], the division of Q: (s, quo, rem) with
+    # s*a = quo*b + rem; x^2 + 2 = (x - 1)(x + 1) + 3
+    assert _pseudo_divmod([2, 0, 1], [1, 1]) == (1, [-1, 1], [3])
+    # lc(b) = 2 forces s = 4: 4(x^2 + 2) = (2x - 1)(2x + 1) + 9
+    assert _pseudo_divmod([2, 0, 1], [1, 2]) == (4, [-1, 2], [9])
 
 
 def test_polyfrac_normalization():
