@@ -1,7 +1,10 @@
 """Command line interface.
 
 Objects and morphisms travel as small JSON files whose scalar entries are
-strings, so every value round-trips exactly.  One subcommand exists per
+strings, so every value round-trips exactly.  They print in one canonical
+form, from one writer: ``_json_object`` puts ", " between the members of
+every object, and ``_matrix_json`` writes each matrix with no spaces.
+Parsing accepts any JSON spacing.  One subcommand exists per
 library construction, plus a deterministic property-suite runner.  Exit
 status: 0 for success or a positive decision, 1 for a property violation
 or a negative decision, 2 for malformed input, 3 for a failed internal
@@ -34,43 +37,42 @@ from .stable import (check_fully_faithful, check_map_budget, format_lengths,
 
 
 # -- canonical serialization -------------------------------------------------
-# objects and morphisms print with ", " between top-level members and no
-# spaces inside matrix arrays; parsing accepts any JSON spacing
+
+def _json_object(**members) -> str:
+    """A JSON object of members already written as JSON text, in order."""
+    return "{" + ", ".join([f'"{name}": {text}' for name, text in members.items()]) + "}"
+
 
 def _ring_json(ctx: RingCtx) -> str:
     if ctx.kind == "int-local":
-        return f'{{"kind": "int-local", "p": {ctx.p}}}'
+        return _json_object(kind='"int-local"', p=ctx.p)
     if ctx.coeff_q is not None:
-        return f'{{"kind": "poly-local", "q": {ctx.coeff_q}}}'
-    return '{"kind": "poly-local"}'
+        return _json_object(kind='"poly-local"', q=ctx.coeff_q)
+    return _json_object(kind='"poly-local"')
 
 
 def _matrix_json(m, fmt) -> str:
     """Rows of ``m`` as a JSON array of scalar strings, each entry formatted
     by ``fmt`` (``format_scalar`` over S, ``format_residue`` over R)."""
-    rows = []
-    for i in range(m.rows):
-        cells = ",".join(json.dumps(fmt(m.at(i, j))) for j in range(m.cols))
-        rows.append("[" + cells + "]")
-    return "[" + ",".join(rows) + "]"
+    return json.dumps([[fmt(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)],
+                      separators=(",", ":"))
 
 
 def dumps_object(obj: MonObject) -> str:
-    return (f'{{"ring": {_ring_json(obj.ctx)}, "t": {obj.ctx.t}, '
-            f'"matrix": {_matrix_json(obj.mat, obj.ctx.format_scalar)}}}')
+    return _json_object(ring=_ring_json(obj.ctx), t=obj.ctx.t,
+                        matrix=_matrix_json(obj.mat, obj.ctx.format_scalar))
 
 
 def dumps_morphism(psi: MonMorphism) -> str:
-    return (f'{{"source": {dumps_object(psi.src)}, '
-            f'"target": {dumps_object(psi.dst)}, '
-            f'"psi1": {_matrix_json(psi.psi1, psi.ctx.format_scalar)}, '
-            f'"psi0": {_matrix_json(psi.psi0, psi.ctx.format_scalar)}}}')
+    return _json_object(source=dumps_object(psi.src), target=dumps_object(psi.dst),
+                        psi1=_matrix_json(psi.psi1, psi.ctx.format_scalar),
+                        psi0=_matrix_json(psi.psi0, psi.ctx.format_scalar))
 
 
 def dumps_triangle(tri) -> str:
-    return (f'{{"a": {dumps_object(tri.a)}, "b": {dumps_object(tri.b)}, '
-            f'"c": {dumps_object(tri.c)}, "u": {dumps_morphism(tri.u)}, '
-            f'"v": {dumps_morphism(tri.v)}, "w": {dumps_morphism(tri.w)}}}')
+    return _json_object(a=dumps_object(tri.a), b=dumps_object(tri.b),
+                        c=dumps_object(tri.c), u=dumps_morphism(tri.u),
+                        v=dumps_morphism(tri.v), w=dumps_morphism(tri.w))
 
 
 # -- parsing ------------------------------------------------------------------
@@ -210,17 +212,15 @@ def _resolve(obj, _) -> tuple:
 
 def _rotate(psi, _) -> tuple:
     rotated, comparison = rotate(standard_triangle(psi))
-    return (f'{{"rotated": {dumps_triangle(rotated)}, '
-            f'"comparison": {dumps_morphism(comparison)}}}'), 0
+    return _json_object(rotated=dumps_triangle(rotated),
+                        comparison=dumps_morphism(comparison)), 0
 
 
 def _ar_seq(obj, _) -> tuple:
     seq = ar_sequence(obj)
-    return (f'{{"tau_f": {dumps_object(seq.tau_f)}, '
-            f'"middle": {dumps_object(seq.middle)}, '
-            f'"end": {dumps_object(seq.end)}, '
-            f'"theta": {dumps_morphism(seq.theta)}, '
-            f'"g": {dumps_morphism(seq.g)}}}'), 0
+    return _json_object(tau_f=dumps_object(seq.tau_f), middle=dumps_object(seq.middle),
+                        end=dumps_object(seq.end), theta=dumps_morphism(seq.theta),
+                        g=dumps_morphism(seq.g)), 0
 
 
 def _require_at_least(args, bounds) -> None:

@@ -135,8 +135,7 @@ class MatS:
         return _reduced(self.ctx, self.rows, self.cols, [-n for n in a[0]], a[1])
 
     def __matmul__(self, other: "MatS") -> "MatS":
-        _check_product(self, other)
-        return _sum_of_products(self.ctx, self.rows, other.cols, [(self, other)])
+        return _sum_of_products([(self, other)])
 
     def scale(self, c: Scalar) -> "MatS":
         a = self._ints()
@@ -189,10 +188,14 @@ def _cleared_sum(products) -> tuple | None:
     return total
 
 
-def _sum_of_products(ctx: RingCtx, rows: int, cols: int, products) -> MatS:
-    """A checked sum of products a @ b, each entry normalized once: over
-    Z_(p) one gcd over the cleared sum, over k[x]_(x) one _dot per entry
-    over the pairs of every product chained."""
+def _sum_of_products(products) -> MatS:
+    """The sum of products a @ b, given as a nonempty sequence of pairs
+    (a, b): the one path of ``@`` and ``add_products``.  Its context and
+    shape are read, and every product and term checked, by _sum_shape;
+    each entry is normalized once: over Z_(p) one gcd over the cleared
+    sum, over k[x]_(x) one _dot per entry over the pairs of every product
+    chained."""
+    ctx, (rows, cols) = _sum_shape(products)
     total = _cleared_sum(products)
     if total is None:
         return MatS(ctx, rows, cols, tuple(_dot(e, ctx) for e in _entry_pairs(products)))
@@ -201,9 +204,7 @@ def _sum_of_products(ctx: RingCtx, rows: int, cols: int, products) -> MatS:
 
 def add_products(a: MatS, b: MatS, c: MatS, d: MatS) -> MatS:
     """a @ b + c @ d, each entry normalized once."""
-    products = [(a, b), (c, d)]
-    ctx, (rows, cols) = _sum_shape(products)
-    return _sum_of_products(ctx, rows, cols, products)
+    return _sum_of_products([(a, b), (c, d)])
 
 
 def _terms(pairs) -> list:
@@ -238,16 +239,6 @@ def _dot(pairs, ctx: RingCtx) -> Scalar:
     return ctx.zero() if acc is None else ctx._normalize(*acc)
 
 
-def _check_product(a: MatS, b: MatS):
-    """Raise unless a @ b is defined: the contexts first, then the inner
-    dimensions."""
-    a._check(b)
-    if a.cols != b.rows:
-        raise ValueError(
-            f"shape mismatch in matrix product: {a.rows}x{a.cols} times "
-            f"{b.rows}x{b.cols}")
-
-
 def _product_pairs(a: MatS, b: MatS) -> list:
     """For each entry of a @ b, row-major, the pairs of scalars whose
     products sum to it."""
@@ -259,11 +250,17 @@ def _product_pairs(a: MatS, b: MatS) -> list:
 
 def _sum_shape(products) -> tuple:
     """The ring context and shape of a sum of products a @ b, given as a
-    nonempty sequence of pairs (a, b), each product and term checked."""
+    nonempty sequence of pairs (a, b).  Each product is checked, its
+    contexts and then its inner dimension, before its term is checked
+    against the first, by context and then by shape."""
     a0, b0 = products[0]
     shape = (a0.rows, b0.cols)
     for a, b in products:
-        _check_product(a, b)
+        a._check(b)
+        if a.cols != b.rows:
+            raise ValueError(
+                f"shape mismatch in matrix product: {a.rows}x{a.cols} times "
+                f"{b.rows}x{b.cols}")
         a0._check(a)
         if (a.rows, b.cols) != shape:
             raise ValueError("shape mismatch in matrix addition")
@@ -369,15 +366,11 @@ def identity(ctx: RingCtx, n: int) -> MatS:
     return MatS(ctx, n, n, tuple(o if i == j else z for i in range(n) for j in range(n)))
 
 
-def diag(ctx: RingCtx, values: Sequence[Scalar]) -> MatS:
-    n = len(values)
-    z = ctx.zero()
-    return MatS(ctx, n, n,
-                tuple(values[i] if i == j else z for i in range(n) for j in range(n)))
-
-
 def diag_pi(ctx: RingCtx, exps: Sequence[int]) -> MatS:
-    return diag(ctx, [ctx.pi_pow(e) for e in exps])
+    """diag(pi^e for e in exps): the one diagonal builder."""
+    n, z = len(exps), ctx.zero()
+    return MatS(ctx, n, n, tuple(ctx.pi_pow(exps[i]) if i == j else z
+                                 for i in range(n) for j in range(n)))
 
 
 def block(ctx: RingCtx, grid: Sequence[Sequence[MatS | None]]) -> MatS:

@@ -697,7 +697,9 @@ class IntLocal(RingCtx):
 @dataclass(frozen=True)
 class PolyLocal(RingCtx):
     """k[x]_(x): rational functions whose denominator has a nonzero
-    constant term, pi = x; k is F_coeff_q, or Q when coeff_q is None."""
+    constant term, pi = x; k is F_coeff_q, or Q when coeff_q is None.
+    Lifts, integers and powers of pi have the denominator 1 of
+    ``_unit_poly``, the one cache of it per coefficient field."""
 
     coeff_q: int | None = None
     kind = "poly-local"
@@ -744,19 +746,15 @@ class PolyLocal(RingCtx):
             p *= c[0]
         return _canon(ints[::-1], None, p)
 
-    @cached_property
-    def _one_poly(self) -> Poly:
-        return _unit_poly(self.coeff_q)
-
     def lift(self, f: Poly) -> PolyFrac:
         """The canonical representative of a residue as an element of S."""
-        return PolyFrac(f, self._one_poly)
+        return PolyFrac(f, _unit_poly(self.coeff_q))
 
     def from_int(self, n: int) -> PolyFrac:
-        return PolyFrac(Poly.const(n, self.coeff_q), self._one_poly)
+        return PolyFrac(Poly.const(n, self.coeff_q), _unit_poly(self.coeff_q))
 
     def _pi_pow(self, k: int) -> PolyFrac:
-        return PolyFrac(Poly.x_power(k, self.coeff_q), self._one_poly)
+        return PolyFrac(Poly.x_power(k, self.coeff_q), _unit_poly(self.coeff_q))
 
     @staticmethod
     def _normalize(num: Poly, den: Poly) -> PolyFrac:

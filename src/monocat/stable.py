@@ -16,7 +16,7 @@ from .category import MonMorphism, MonObject, RModuleObj, cokernel, rank_one
 from .errors import (VECTOR_BUDGET, ContextMismatch, InfiniteResidueField,
                      InternalInvariantError, ParametersTooLarge)
 from .homotopy import StableHomModule, stable_hom, suspend
-from .linalg import MatR, MatS, block, diag, reduce_mat, truncated_svals
+from .linalg import MatR, MatS, block, diag_pi, reduce_mat, truncated_svals
 from .rings import RingCtx
 
 
@@ -87,25 +87,25 @@ def transpose(m: RModuleObj) -> RModuleObj:
 class PeriodicResolution:
     """The 2-periodic complex ... -> R^n -f_bar-> R^n -fsig_bar-> R^n -> ...
 
-    resolving the cokernel of f over R; ``length`` counts emitted terms.
+    resolving the cokernel of f over R.  Its two differentials are its
+    whole content: ``term(k)`` reads the k-th of the infinite complex.
     """
 
     f_bar: MatR
     fsig_bar: MatR
-    length: int
 
     def term(self, k: int) -> MatR:
         """Differential number k counting from the augmentation end."""
         return self.f_bar if k % 2 == 0 else self.fsig_bar
 
 
-def two_periodic_resolution(f: MonObject, terms: int = 2) -> PeriodicResolution:
+def two_periodic_resolution(f: MonObject) -> PeriodicResolution:
     f_bar = reduce_mat(f.mat)
     fsig_bar = reduce_mat(f.partner_mat)
     if not (f_bar @ fsig_bar).is_zero() or not (fsig_bar @ f_bar).is_zero():
         raise InternalInvariantError(
             "periodic differentials do not compose to zero")
-    return PeriodicResolution(f_bar, fsig_bar, terms)
+    return PeriodicResolution(f_bar, fsig_bar)
 
 
 def resolution_is_exact(res: PeriodicResolution, ctx: RingCtx) -> bool:
@@ -175,22 +175,17 @@ def _projective_factoring_coordinates(ctx: RingCtx, m: RModuleObj,
     per element of R/pi^e.
     """
     k = len(n.exps)
-    t = ctx.t
     gens = len(m.exps)
     check_map_budget(ctx, k * gens)
+    # the pool of cell (j, i) depends on e_i alone: one per exponent of m,
+    # shared by the k rows
     pools = []
-    for _ in range(k):
-        for ei in m.exps:
-            cell = []
-            seen = set()
-            for r in ctx.residue_elements():
-                val = ctx.residue_mul(ctx.reduce_mod_omega(ctx.pi_pow(t - ei)), r)
-                if val not in seen:
-                    seen.add(val)
-                    cell.append(val)
-            pools.append(cell)
+    for ei in m.exps:
+        g = ctx.reduce_mod_omega(ctx.pi_pow(ctx.t - ei))
+        pools.append(list(dict.fromkeys(ctx.residue_mul(g, r)
+                                        for r in ctx.residue_elements())))
     out = set()
-    for combo in itertools.product(*pools):
+    for combo in itertools.product(*(pools * k)):
         # combo is a k x gens matrix of entries of psi: m -> R^k; compose
         # with the surjection: entry (j,i) of the composite is truncation
         # of psi[j,i] modulo pi^{e'_j}
@@ -217,10 +212,9 @@ def stable_hom_R_bruteforce(m: RModuleObj, n: RModuleObj) -> StableHomModule:
     # over S by [diag(pi^{c_r}) | lifted generator columns] and read the
     # invariant factors off its Smith exponents; the diagonal block keeps
     # each of them at most max(c_r) <= t
-    cols = [diag(ctx, [ctx.pi_pow(c) for c in cells])]
+    cols = [diag_pi(ctx, cells)]
     for coords in sorted(factoring, key=str):
-        col = MatS(ctx, len(cells), 1, tuple(ctx.lift(r) for r in coords))
-        cols.append(col)
+        cols.append(MatS(ctx, len(cells), 1, tuple(ctx.lift(r) for r in coords)))
     e = ctx.t + 1
     vals = truncated_svals(block(ctx, [cols]), e)
     if e in vals:

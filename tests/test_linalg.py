@@ -7,6 +7,7 @@ over the finite quotient ring.
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -411,3 +412,16 @@ def test_product_errors_keep_their_messages():
         assert str(info.value) == message
     # a zero inner dimension gives the zero matrix
     assert zeros(Z2, 2, 0) @ zeros(Z2, 0, 3) == zeros(Z2, 2, 3)
+
+
+def test_matrices_are_immutable_and_slotted():
+    m = mat(Z2, [[1, 2], [3, 4]])
+    cases = [(lambda: setattr(m, "rows", 3), "cannot assign to field 'rows'"),
+             (lambda: setattr(m, "colour", 1), "cannot assign to field 'colour'"),
+             (lambda: delattr(m, "entries"), "cannot delete field 'entries'")]
+    for change, message in cases:
+        with pytest.raises(FrozenInstanceError) as info:
+            change()
+        assert str(info.value) == message
+    assert not hasattr(m, "__dict__")
+    assert m == mat(Z2, [[1, 2], [3, 4]])

@@ -83,7 +83,7 @@ def test_transpose_examples():
 
 def test_two_periodic_resolution_frozen():
     f = rank_one(Z2, 1)
-    res = two_periodic_resolution(f, terms=4)
+    res = two_periodic_resolution(f)
     assert res.f_bar.entries == (2,)
     assert res.fsig_bar.entries == (2,)
     assert res.term(0) is res.f_bar and res.term(1) is res.fsig_bar
