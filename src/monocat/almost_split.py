@@ -21,11 +21,10 @@ from .category import (MonMorphism, MonObject, composes_to,
                        identity_morphism, rank_one, zero_morphism)
 from .errors import (InternalInvariantError, NotComposable, NotIndecomposable,
                      ProjectiveObject)
-from .linalg import (MatR, MatS, mat, residue_svals, solve_linear, sums_equal,
+from .linalg import (MatS, _residue_svals, mat, solve_linear, sums_equal,
                      truncated_svals)
 from .rings import INFINITY
-from .sampling import (all_morphism_params, cell_shifts, class_residues,
-                       morphism_from_params)
+from .sampling import cell_shifts, class_residues, morphism_from_params
 from .stable import RModuleObj, syzygy
 
 
@@ -204,26 +203,27 @@ def verify_right_almost_split(seq: ArSequence):
     """Brute-force check that seq.g is right almost split.
 
     For each indecomposable test object (one per exponent s' in [0, t]) the
-    morphisms into seq.end are enumerated by their free parameters modulo
-    omega; factorization and split-epi decisions are both invariant under
-    that reduction, so the classes cover everything.  A class must factor
-    strictly through seq.g exactly when it is not a split epimorphism.
-    Split verdicts come from the generators of Hom(seq.end, test), so
-    seq.end must have rank one; any other end raises NotIndecomposable
-    before a class is enumerated.
+    morphisms into seq.end are enumerated by the residue in R = S/(omega)
+    of their one free parameter; factorization and split-epi decisions are
+    both invariant under that reduction, so the classes cover everything.
+    A class must factor strictly through seq.g exactly when it is not a
+    split epimorphism.  Split verdicts come from the generators of
+    Hom(seq.end, test), so seq.end must have rank one; any other end raises
+    NotIndecomposable before a class is enumerated.
 
     X = test and Z = seq.end have rank one, so Hom(X, Z) = S tau,
     Hom(Z, X) = S sigma and the class with parameter c is c tau.  End(Z)
     is the local ring S, so c tau splits exactly when c u is a unit,
-    u = (tau o sigma).psi1: when v = val(c) is 0 and u is a unit.  Let
-    sigma_k generate Hom(X, seq.g.src); each g o sigma_k is lambda_k tau.
-    The strict factorization system a x = c r (column k of a is
-    g o sigma_k stacked, r is tau stacked) reads a = r lambda^T with
-    r != 0, so it is solvable over S exactly when c lies in the ideal
-    (lambda_k) = pi^mu S: when v >= mu, mu the least val(lambda_k)
-    (INFINITY when all are zero, as is v for the zero class).  So each
-    test object takes one ``_splits`` test, whose section check runs when
-    u is a unit, and one mu; every class is still enumerated and counted.
+    u = (tau o sigma).psi1: when v = val(c), read on the residue of c, is
+    0 and u is a unit.  Let sigma_k generate Hom(X, seq.g.src); each
+    g o sigma_k is lambda_k tau.  The strict factorization system
+    a x = c r (column k of a is g o sigma_k stacked, r is tau stacked)
+    reads a = r lambda^T with r != 0, so it is solvable over S exactly
+    when c lies in the ideal (lambda_k) = pi^mu S: when v >= mu, mu the
+    least val(lambda_k) (INFINITY when all are zero, as is v for the zero
+    class).  So each test object takes one ``_splits`` test, whose section
+    check runs when u is a unit, and one mu; every class is still
+    enumerated and counted.
 
     Returns (lines, ok): one TEST line per exponent and a final ARSS
     summary line.
@@ -244,15 +244,15 @@ def verify_right_almost_split(seq: ArSequence):
     ok = True
     for sp in range(ctx.t + 1):
         test = rank_one(ctx, sp)
-        classes_iter = all_morphism_params(test, seq.end)
+        residues = class_residues(test, seq.end)
         (tau_gen,) = _hom_generators(test, seq.end)
         unit = _splits(tau_gen, _hom_generators(seq.end, test))
         mu = _factor_threshold(seq.g, test, tau_gen)
         classes = 0
         factored = 0
         good = True
-        for (c,) in classes_iter:
-            v = ctx.valuation(c)
+        for r in residues:
+            v = ctx.residue_valuation(r)
             split = unit and v == 0
             factors = v >= mu
             classes += 1
@@ -301,8 +301,8 @@ def _iso_classes(f: MonObject) -> tuple:
         entries = template[:]
         for slot, cell, k in zip(slots, b0, key):
             entries[slot] = cell[k]
-        c = MatR(ctx, size, size, tuple(entries))
-        return all(v == 0 or v == t for v in residue_svals(c))
+        rows = [entries[i:i + size] for i in range(0, size * size, size)]
+        return all(v == 0 or v == t for v in _residue_svals(ctx, rows, t))
 
     return residues, {key: is_iso(key) for key in
                       product(range(len(residues)), repeat=n * n)}

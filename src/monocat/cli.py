@@ -51,11 +51,14 @@ def _ring_json(ctx: RingCtx) -> str:
     return _json_object(kind='"poly-local"')
 
 
+# json.dumps with these separators would build this encoder on every call
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _matrix_json(m, fmt) -> str:
     """Rows of ``m`` as a JSON array of scalar strings, each entry formatted
     by ``fmt`` (``format_scalar`` over S, ``format_residue`` over R)."""
-    return json.dumps([[fmt(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)],
-                      separators=(",", ":"))
+    return _compact_json([[fmt(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)])
 
 
 def dumps_object(obj: MonObject) -> str:

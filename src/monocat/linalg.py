@@ -348,7 +348,8 @@ def coerce_scalar(ctx: RingCtx, value) -> Scalar:
 
 
 def mat(ctx: RingCtx, rows: Sequence[Sequence]) -> MatS:
-    """Build a matrix from ints, scalar strings, or scalars."""
+    """Build a matrix from ints, scalar strings, scalars, or polynomials of
+    k[x] (lifted into k[x]_(x))."""
     r = len(rows)
     c = len(rows[0]) if r else 0
     if any(len(row) != c for row in rows):
@@ -661,11 +662,10 @@ def random_unimodular(n: int, seed: int, ctx: RingCtx) -> MatS:
     Deterministic in (n, seed, ctx): the same arguments always give the
     same matrix.
     """
-    rng = random.Random(seed)
-    m = identity(ctx, n).to_rows()
     if n == 0:
         return identity(ctx, 0)
-
+    rng = random.Random(seed)
+    m = identity(ctx, n).to_rows()
     for _ in range(2 * n + 4):
         op = rng.randrange(3)
         if op == 0 and n > 1:

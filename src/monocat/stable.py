@@ -4,7 +4,10 @@ The cokernel functor lands in finite R-modules described by cyclic
 exponents.  Everything needed for differential testing lives here: the
 induced map on cokernels, syzygies, 2-periodic resolutions checked by
 enumeration, and a brute-force stable Hom that knows nothing about the
-closed form used on the homotopy side.
+closed form used on the homotopy side.  The brute-force side works on
+residues of R throughout: map coordinates come from the ring's residue
+quotient and reduction, and the stable Hom group from one residue
+elimination of its presentation, with no scalar of S.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .category import MonMorphism, MonObject, RModuleObj, cokernel, rank_one
 from .errors import (VECTOR_BUDGET, ContextMismatch, InfiniteResidueField,
                      InternalInvariantError, ParametersTooLarge)
 from .homotopy import StableHomModule, stable_hom, suspend
-from .linalg import MatR, MatS, block, diag_pi, reduce_mat, truncated_svals
+from .linalg import MatR, _residue_svals, reduce_mat
 from .rings import RingCtx
 
 
@@ -134,29 +137,16 @@ def resolution_is_exact(res: PeriodicResolution, ctx: RingCtx) -> bool:
 # brute-force stable Hom over R
 
 
-def _hom_cell_lengths(m: RModuleObj, n: RModuleObj) -> list:
-    return [min(ei, ej) for ej in n.exps for ei in m.exps]
-
-
 def _map_coordinates(ctx: RingCtx, m: RModuleObj, n: RModuleObj,
                      entries: tuple) -> tuple:
     """Coordinates of a map in the cyclic decomposition of the Hom group:
-    cell (j,i) holds entry / pi^{max(ej-ei,0)} modulo pi^{min(ei,ej)}."""
-    coords = []
-    idx = 0
-    for ej in n.exps:
-        for ei in m.exps:
-            r = entries[idx]
-            idx += 1
-            shift = max(ej - ei, 0)
-            lifted = ctx.lift(r)
-            if not r:
-                coords.append(ctx.residue_zero())
-            else:
-                q = ctx.div_exact(lifted, ctx.pi_pow(shift))
-                coords.append(ctx.residue_truncate(ctx.reduce_mod_omega(q),
-                                                   min(ei, ej)))
-    return tuple(coords)
+    cell (j,i) holds entry / pi^{max(ej-ei,0)} modulo pi^{min(ei,ej)},
+    read on the residue itself.  Each entry must have valuation at least
+    max(ej-ei, 0), as ``RModuleMap`` checks of a map and as every
+    composite through R^k has, so the quotient is exact."""
+    return tuple(ctx._mod(ctx._pi_quotient(entries[j * len(m.exps) + i],
+                                           max(ej - ei, 0)), min(ei, ej))
+                 for j, ej in enumerate(n.exps) for i, ei in enumerate(m.exps))
 
 
 def check_map_budget(ctx: RingCtx, cells: int):
@@ -184,17 +174,11 @@ def _projective_factoring_coordinates(ctx: RingCtx, m: RModuleObj,
         g = ctx.reduce_mod_omega(ctx.pi_pow(ctx.t - ei))
         pools.append(list(dict.fromkeys(ctx.residue_mul(g, r)
                                         for r in ctx.residue_elements())))
-    out = set()
-    for combo in itertools.product(*(pools * k)):
-        # combo is a k x gens matrix of entries of psi: m -> R^k; compose
-        # with the surjection: entry (j,i) of the composite is truncation
-        # of psi[j,i] modulo pi^{e'_j}
-        entries = []
-        for j, ej in enumerate(n.exps):
-            for i in range(gens):
-                entries.append(ctx.residue_truncate(combo[j * gens + i], ej))
-        out.add(_map_coordinates(ctx, m, n, tuple(entries)))
-    return out
+    # combo is a k x gens matrix of entries of psi: m -> R^k; its composite
+    # with the surjection truncates entry (j,i) modulo pi^{e'_j}, which the
+    # coordinates' own reduction modulo pi^{min(e_i, e'_j)} subsumes
+    return {_map_coordinates(ctx, m, n, combo)
+            for combo in itertools.product(*(pools * k))}
 
 
 def stable_hom_R_bruteforce(m: RModuleObj, n: RModuleObj) -> StableHomModule:
@@ -206,17 +190,19 @@ def stable_hom_R_bruteforce(m: RModuleObj, n: RModuleObj) -> StableHomModule:
         raise InfiniteResidueField("brute-force Hom needs a finite quotient")
     if not m.exps or not n.exps:
         return StableHomModule(())
-    cells = _hom_cell_lengths(m, n)
-    factoring = _projective_factoring_coordinates(ctx, m, n)
-    # quotient of the cyclic product by the factoring subgroup: present
-    # over S by [diag(pi^{c_r}) | lifted generator columns] and read the
-    # invariant factors off its Smith exponents; the diagonal block keeps
-    # each of them at most max(c_r) <= t
-    cols = [diag_pi(ctx, cells)]
-    for coords in sorted(factoring, key=str):
-        cols.append(MatS(ctx, len(cells), 1, tuple(ctx.lift(r) for r in coords)))
+    cells = [min(ei, ej) for ej in n.exps for ei in m.exps]
+    # quotient of the cyclic product by the factoring subgroup: present it
+    # by the rows [diag(pi^{c_r}) | generator coordinates], residues modulo
+    # pi^{t+1} (those of R already are), and read the invariant factors off
+    # its Smith exponents; the diagonal block keeps each at most
+    # max(c_r) <= t, and column order does not change them
     e = ctx.t + 1
-    vals = truncated_svals(block(ctx, [cols]), e)
+    zero = ctx.residue_zero()
+    factoring = list(zip(*_projective_factoring_coordinates(ctx, m, n)))
+    rows = [[ctx._reduce(ctx.pi_pow(c), e) if i == r else zero
+             for i in range(len(cells))] + list(factoring[r])
+            for r, c in enumerate(cells)]
+    vals = _residue_svals(ctx, rows, e)
     if e in vals:
         raise InternalInvariantError(
             "stable Hom presentation has an exponent above t")

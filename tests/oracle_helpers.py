@@ -531,3 +531,23 @@ def dot_ref(pairs, ctx) -> PolyFrac:
         num = poly_add_ref(poly_mul_ref(num, td), poly_mul_ref(tn, den))
         den = poly_mul_ref(den, td)
     return polyfrac_ref(num, den)
+
+
+def map_coordinates_ref(ctx, m, n, entries: tuple) -> tuple:
+    """Coordinates of a map of R-modules m -> n in the cyclic decomposition
+    of the Hom group, by the scalar route: lift each entry to S, divide
+    exactly by pi^(max(e'_j - e_i, 0)) in Frac(S), reduce modulo omega and
+    truncate modulo pi^(min(e_i, e'_j))."""
+    coords = []
+    idx = 0
+    for ej in n.exps:
+        for ei in m.exps:
+            r = entries[idx]
+            idx += 1
+            if not r:
+                coords.append(ctx.residue_zero())
+                continue
+            q = ctx.div_exact(ctx.lift(r), ctx.pi_pow(max(ej - ei, 0)))
+            coords.append(ctx.residue_truncate(ctx.reduce_mod_omega(q),
+                                               min(ei, ej)))
+    return tuple(coords)

@@ -25,8 +25,9 @@ from monocat.errors import (InfiniteResidueField, NotComposable,
 from monocat.homotopy import is_iso_in_homotopy
 from monocat.linalg import MatS, diag_pi, mat, snf
 from monocat.rings import INFINITY, RingCtx
-from monocat.sampling import (all_morphism_params, morphism_from_params,
-                              random_morphism, random_object)
+from monocat.sampling import (all_morphism_params, class_residues,
+                              morphism_from_params, random_morphism,
+                              random_object)
 from monocat.stable import RModuleObj
 from oracle_helpers import (is_split_epi, per_class_verify,
                             reference_factor_strictly)
@@ -344,9 +345,9 @@ def test_verify_refuses_rank_two_end_before_enumerating(monkeypatch):
 
     def spy(src, dst):
         enumerated.append((src, dst))
-        return all_morphism_params(src, dst)
+        return class_residues(src, dst)
 
-    monkeypatch.setattr("monocat.almost_split.all_morphism_params", spy)
+    monkeypatch.setattr("monocat.almost_split.class_residues", spy)
     a = rank_one(Z22, 1)
     end = direct_sum(a, a)
     middle = direct_sum(a, end)

@@ -1,21 +1,26 @@
 """The cokernel functor and the module-side Hom oracle."""
 
+import itertools
 import random
 
 import pytest
 
 from monocat.category import (RModuleObj, cokernel, identity_morphism,
                               make_object, rank_one)
-from monocat.errors import InfiniteResidueField, ParametersTooLarge
+from monocat.errors import (VECTOR_BUDGET, InfiniteResidueField,
+                            ParametersTooLarge)
 from monocat.homotopy import null_homotopy, stable_hom
 from monocat.rings import RingCtx
 from monocat.sampling import (random_morphism, random_null_homotopic,
                               random_object)
-from monocat.stable import (check_fully_faithful, coker_functor, cosyzygy,
+from monocat.stable import (RModuleMap, _map_coordinates,
+                            _projective_factoring_coordinates,
+                            check_fully_faithful, coker_functor, cosyzygy,
                             format_lengths, intertwine_suspension_check,
                             resolution_is_exact, stable_class_is_zero,
                             stable_hom_R_bruteforce, syzygy, transpose,
                             two_periodic_resolution)
+from oracle_helpers import map_coordinates_ref
 
 Z2 = RingCtx.int_local(2, 2)
 Z2_3 = RingCtx.int_local(2, 3)
@@ -168,6 +173,94 @@ def test_closed_form_matches_bruteforce_on_random_objects():
         mon = stable_hom(a, b).lengths
         oracle = stable_hom_R_bruteforce(cokernel(a), cokernel(b)).lengths
         assert mon == oracle
+
+
+def test_closed_form_matches_bruteforce_on_every_finite_ring():
+    # the oracle's F_q path and odd p: F_2[x]_(x), F_3[x]_(x) and Z_(3),
+    # t <= 3, rank <= 2; a pair beyond VECTOR_BUDGET is refused, not compared
+    rng = random.Random(61)
+    compared = refused = nonzero = 0
+    for make in (lambda t: RingCtx.poly_local(t, 2),
+                 lambda t: RingCtx.poly_local(t, 3),
+                 lambda t: RingCtx.int_local(3, t)):
+        for t in (1, 2, 3):
+            ctx = make(t)
+            for _ in range(6):
+                a = random_object(ctx, rng, 2)
+                b = random_object(ctx, rng, 2)
+                try:
+                    oracle = stable_hom_R_bruteforce(cokernel(a), cokernel(b))
+                except ParametersTooLarge:
+                    refused += 1
+                    continue
+                assert stable_hom(a, b).lengths == oracle.lengths, (a, b)
+                compared += 1
+                nonzero += bool(oracle.lengths)
+    assert compared >= 45 and refused <= 5 and nonzero >= 5
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_stable_zero_over_finite_poly_rings(q):
+    rng = random.Random(q)
+    for t in (1, 2, 3):
+        ctx = RingCtx.poly_local(t, q)
+        # rank 2 both ways enumerates q^(4t) maps; F_3 at t = 3 exceeds that
+        size = 2 if q ** (4 * t) <= VECTOR_BUDGET else 1
+        for _ in range(4):
+            src = random_object(ctx, rng, size)
+            dst = random_object(ctx, rng, size)
+            psi, _ = random_null_homotopic(src, dst, rng)
+            assert stable_class_is_zero(coker_functor(psi))
+    # the identity of pi^1 at t = 2 is not stably zero: R/pi is not free
+    assert not stable_class_is_zero(coker_functor(identity_morphism(
+        rank_one(RingCtx.poly_local(2, q), 1))))
+
+
+def random_module_map(ctx, rng, src_exps, tgt_exps) -> RModuleMap:
+    """A well-defined map of cyclic R-modules: entry (j, i) is a random
+    residue times pi^(max(e'_j - e_i, 0)), truncated modulo pi^(e'_j)."""
+    elements = list(ctx.residue_elements())
+    entries = []
+    for ej in tgt_exps:
+        for ei in src_exps:
+            shift = ctx.reduce_mod_omega(ctx.pi_pow(max(ej - ei, 0)))
+            r = ctx.residue_mul(rng.choice(elements), shift)
+            entries.append(ctx.residue_truncate(r, ej))
+    return RModuleMap(RModuleObj(ctx, tuple(src_exps)),
+                      RModuleObj(ctx, tuple(tgt_exps)), tuple(entries))
+
+
+@pytest.mark.parametrize("ctx", [RingCtx.int_local(2, 4), RingCtx.int_local(3, 3),
+                                 RingCtx.poly_local(4, 2), RingCtx.poly_local(3, 3)],
+                         ids=repr)
+def test_map_coordinates_match_the_scalar_route(ctx):
+    rng = random.Random(ctx.t)
+    exps = list(range(1, ctx.t + 1))
+    for _ in range(60):
+        src = [rng.choice(exps) for _ in range(rng.randint(1, 2))]
+        tgt = [rng.choice(exps) for _ in range(rng.randint(1, 2))]
+        h = random_module_map(ctx, rng, src, tgt)
+        assert _map_coordinates(ctx, h.src, h.tgt, h.entries) == \
+            map_coordinates_ref(ctx, h.src, h.tgt, h.entries)
+
+
+@pytest.mark.parametrize("ctx", [RingCtx.int_local(2, 3), RingCtx.int_local(3, 3),
+                                 RingCtx.poly_local(3, 2)], ids=repr)
+def test_factoring_coordinates_match_the_scalar_route(ctx):
+    # every composite m -> R^k -> n, truncated modulo pi^(e'_j) before its
+    # coordinates are read; with e_i < e'_j < t the coordinates' own
+    # reduction modulo pi^(e_i) is what drops the terms that truncation drops
+    elements = list(ctx.residue_elements())
+    for src, tgt in (((1,), (2,)), ((1, 2), (2,)), ((2,), (1, 2)), ((1,), (1, 2))):
+        m, n = RModuleObj(ctx, src), RModuleObj(ctx, tgt)
+        pools = [[ctx.residue_mul(ctx.reduce_mod_omega(ctx.pi_pow(ctx.t - ei)), r)
+                  for r in elements] for ei in src]
+        want = set()
+        for combo in itertools.product(*(pools * len(tgt))):
+            entries = tuple(ctx.residue_truncate(combo[j * len(src) + i], ej)
+                            for j, ej in enumerate(tgt) for i in range(len(src)))
+            want.add(map_coordinates_ref(ctx, m, n, entries))
+        assert _projective_factoring_coordinates(ctx, m, n) == want
 
 
 def test_fully_faithful_report():
