@@ -270,7 +270,7 @@ def verify_right_almost_split(seq: ArSequence):
 def _iso_classes(f: MonObject) -> tuple:
     """R in its class order, and whether each class of End(f) is
     invertible in the homotopy category, keyed by the indices into R of
-    its parameters (the order of ``all_morphism_params``).
+    its parameters, the keys in ``itertools.product`` order.
 
     Each class is decided in the Smith coordinates of f = U D V, with
     D = diag(pi^s) and D_sigma = diag(pi^(t-s)).  The class with

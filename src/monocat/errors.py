@@ -85,7 +85,7 @@ class InfiniteResidueField(MonocatError):
 # default sizes and refuses 27^4.  Brute-force stable Hom enumerates
 # |R|^(k*g) maps into R^k under the same budget: 31^3 passes, 101^3 is
 # refused.
-CLASS_BUDGET = 4096    # morphism classes per all_morphism_params call
+CLASS_BUDGET = 4096    # morphism classes per sampling.class_residues call
 VECTOR_BUDGET = 2 ** 16  # vectors of R^n, or maps into R^k, per enumeration
 
 

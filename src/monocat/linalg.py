@@ -32,9 +32,10 @@ class MatS:
     ``fmpq_mat``: a tuple of integer numerators over one positive
     denominator den, with gcd(den, *nums) = 1, so den is the lcm of the
     entry denominators and the form is unique.  Products, sums, negation,
-    scaling, ``sums_equal``, ``in_ring`` (den prime to p), ``is_zero`` and
-    ``==`` (when a side has no entries) run on those ints, with no
-    Fraction per entry; residues, the Smith form and blocks read
+    scaling, ``sums_equal``, ``in_ring`` (den prime to p), ``is_zero``,
+    ``==`` (when a side has no entries), the Smith form, its transforms
+    and ``truncated_svals`` run on those ints, with no Fraction per entry;
+    residues modulo omega, the congruence solver and blocks read
     ``entries``.  A matrix built from entries keeps them and is cleared on
     first need (``RingCtx._clear``); a matrix computed in cleared form
     builds ``entries``, a tuple of Fractions, on first read.  Each form is
@@ -181,9 +182,9 @@ def _cleared_sum(products) -> tuple | None:
         if x is None:
             return None
         (an, ad), (bn, bd), n, m = x, b._ints(), a.cols, b.cols
+        rows = [an[i * n:(i + 1) * n] for i in range(a.rows)]
         cols = [bn[j::m] for j in range(m)]
-        term = ([sum(map(mul, an[i * n:(i + 1) * n], col))
-                 for i in range(a.rows) for col in cols], ad * bd)
+        term = ([sum(map(mul, row, col)) for row in rows for col in cols], ad * bd)
         total = term if total is None else _add_cleared(total, term)
     return total
 
@@ -454,7 +455,8 @@ class SnfResult:
     line a times the unit b; c is its inverse).  ``u``, ``v`` and their
     inverses ``u_inv``, ``v_inv`` are built on first read by replaying
     that record onto an identity matrix, so callers that need only
-    ``svals`` never pay for them.
+    ``svals`` never pay for them.  Over Z_(p) D and the four transforms
+    are built in cleared form, their ``entries`` only on first read.
     """
 
     d: MatS
@@ -490,8 +492,13 @@ def _replay(ctx: RingCtx, size: int, ops: tuple, *, inverse: bool,
     With ``inverse`` the steps apply as recorded: row steps give U^-1, and
     column steps, on columns, give V^-1.  Without it each step is undone on
     the other side: U on columns, V on rows.  Lines are rows, or columns
-    when ``transpose``.  Zero source entries are skipped.
+    when ``transpose``.  Over Z_(p) (a ring with a cleared form) each line
+    is integer numerators over its own positive denominator, and the
+    result is one cleared form; over k[x]_(x) lines hold scalars and zero
+    source entries are skipped.
     """
+    if ctx._clear(()) is not None:
+        return _replay_ints(ctx, size, ops, inverse, transpose)
     lines = identity(ctx, size).to_rows()
     for kind, a, b, c in ops:
         if kind == "swap":
@@ -508,6 +515,43 @@ def _replay(ctx: RingCtx, size: int, ops: tuple, *, inverse: bool,
     return MatS(ctx, size, size, tuple(x for line in lines for x in line))
 
 
+def _replay_ints(ctx: RingCtx, size: int, ops: tuple, inverse: bool,
+                 transpose: bool) -> MatS:
+    """``_replay`` over Z_(p): the same steps on integer lines, each over
+    its own positive denominator, brought to one denominator at the end."""
+    lines = [[int(i == j) for j in range(size)] for i in range(size)]
+    dens = [1] * size
+    for kind, a, b, c in ops:
+        if kind == "swap":
+            lines[a], lines[b] = lines[b], lines[a]
+            dens[a], dens[b] = dens[b], dens[a]
+        elif kind == "scale":
+            f = c if inverse else b
+            k = f.numerator
+            lines[a] = [x * k for x in lines[a]]
+            dens[a] *= f.denominator
+        else:  # line a -= c * line b, or line b += c * line a
+            dst, src, cn = (a, b, -c.numerator) if inverse else (b, a, c.numerator)
+            dens[dst] = _axpy(lines, dens, dst, src, cn, c.denominator)
+    den = lcm(*dens)
+    lines = [[x * (den // d) for x in line] if d != den else line
+             for line, d in zip(lines, dens)]
+    if transpose:
+        lines = zip(*lines)
+    return _reduced(ctx, size, size, [x for line in lines for x in line], den)
+
+
+def _axpy(lines: list, dens: list, dst: int, src: int, cn: int, cd: int) -> int:
+    """Line dst += (cn / cd) * line src, on integer lines over the
+    denominators dens; the new line is over the lcm of its two
+    denominators (one gcd), which is returned."""
+    d, e = dens[dst], cd * dens[src]
+    g = gcd(d, e)
+    ka, kb = e // g, cn * (d // g)
+    lines[dst] = [x * ka + y * kb for x, y in zip(lines[dst], lines[src])]
+    return d // g * e
+
+
 def snf(a: MatS) -> SnfResult:
     """Deterministic Smith normal form over S.
 
@@ -518,7 +562,79 @@ def snf(a: MatS) -> SnfResult:
     steps and zeroing the row, as the pivot is then alone in its column.
     Only the work matrix is eliminated; the transforms are replayed from
     the recorded steps when first read.
+
+    Over Z_(p), for a matrix over S, the work rows are integer numerators
+    from the cleared form, each row over its own positive p-unit
+    denominator, so the valuation of an entry is that of its numerator:
+    the same steps in the same order, with no scalar built per entry, and
+    D in cleared form.  Over k[x]_(x), and for a Z_(p) matrix outside S
+    (refused as a negative pi power), the work rows hold scalars.
     """
+    c = a._ints()
+    if c is None or a.ctx._valuation(c[1]):
+        return _snf_entries(a)
+    ctx, (m, n), (nums, den) = a.ctx, (a.rows, a.cols), c
+    val, frac = ctx._valuation, ctx._normalize
+    work = [list(nums[i * n:(i + 1) * n]) for i in range(m)]
+    dens = [den] * m
+    diag = [0] * (m * n)
+    row_ops: list = []
+    col_ops: list = []
+    svals: list = []
+    for k in range(min(m, n)):
+        best = min(((val(x), i, j) for i in range(k, m)
+                    for j, x in enumerate(work[i][k:], k) if x), default=None)
+        if best is None:
+            break
+        sval, bi, bj = best
+        if bi != k:
+            work[k], work[bi] = work[bi], work[k]
+            dens[k], dens[bi] = dens[bi], dens[k]
+            row_ops.append(("swap", k, bi, None))
+        if bj != k:
+            for row in work:
+                row[k], row[bj] = row[bj], row[k]
+            col_ops.append(("swap", k, bj, None))
+        prow, pden = work[k], dens[k]
+        piv = prow[k]
+        # clear the pivot column: row_i -= q * row_k, q = n_ik d_k / (d_i n_kk)
+        for i in range(k + 1, m):
+            x = work[i][k]
+            if x:
+                q = _quotient(ctx, x, dens[i], piv, pden)
+                dens[i] = _axpy(work, dens, i, k, -q.numerator, q.denominator)
+                row_ops.append(("add", i, k, q))
+        # clear the pivot row: col_j -= q * col_k, q = n_kj / n_kk; row k is
+        # never read again, so it is not zeroed
+        for j in range(k + 1, n):
+            x = prow[j]
+            if x:
+                col_ops.append(("add", j, k, _quotient(ctx, x, pden, piv, pden)))
+        # normalize the pivot to a plain pi power: the unit is un / pden
+        un = ctx._pi_quotient(piv, sval)
+        if val(un) or val(pden):
+            raise InternalInvariantError("pivot unit part is not a unit")
+        if un != pden:
+            row_ops.append(("scale", k, frac(un, pden), frac(pden, un)))
+        diag[k * (n + 1)] = piv // un  # pi^sval
+        svals.append(sval)
+    svals += [INFINITY] * (min(m, n) - len(svals))
+    return SnfResult(_reduced(ctx, m, n, diag, 1), tuple(svals), tuple(row_ops),
+                     tuple(col_ops))
+
+
+def _quotient(ctx: RingCtx, n: int, d: int, pn: int, pd: int) -> Scalar:
+    """The scalar (n/d) / (pn/pd) from integers, checked to lie in S as
+    ``div_exact`` checks it, and refused with its error."""
+    q = ctx._normalize(n * pd, d * pn)
+    if not ctx.in_ring(q):
+        ctx.div_exact(ctx._normalize(n, d), ctx._normalize(pn, pd))
+    return q
+
+
+def _snf_entries(a: MatS) -> SnfResult:
+    """``snf`` on scalar work rows: over k[x]_(x), and over Z_(p) for a
+    matrix outside S."""
     ctx = a.ctx
     m, n = a.rows, a.cols
     work = a.to_rows()
@@ -573,15 +689,23 @@ def truncated_svals(a: MatS, e: int) -> tuple:
 
     The entries of a must lie in S.  Exponents below e depend only on a
     modulo pi^e, so the elimination runs on residues in S/(pi^e): no
-    fraction-field scalars, no gcd, no record of steps.  The pivot has
-    least valuation v, so pivot = pi^v * u with u a unit; scaling its row
-    by u^-1 makes it pi^v, and every entry below is pi^v * c, cleared by
-    row_i -= c * row_pivot.  Clearing the pivot row would then touch only
-    that row, so the row and column are dropped instead.
+    fraction-field scalars, no gcd, no record of steps.  Over Z_(p) the
+    residues are read from the cleared form, nums / den, with one inverse
+    of den modulo p^e per matrix; over k[x]_(x) each entry is reduced.
+    The pivot has least valuation v, so pivot = pi^v * u with u a unit;
+    scaling its row by u^-1 makes it pi^v, and every entry below is
+    pi^v * c, cleared by row_i -= c * row_pivot.  Clearing the pivot row
+    would then touch only that row, so the row and column are dropped
+    instead.
     """
-    ctx = a.ctx
-    return _residue_svals(ctx, [[ctx._reduce(x, e) for x in row]
-                                for row in a.to_rows()], e)
+    ctx, c = a.ctx, a._ints()
+    if c is None:
+        return _residue_svals(ctx, [[ctx._reduce(x, e) for x in row]
+                                    for row in a.to_rows()], e)
+    (nums, den), n, mod = c, a.cols, ctx._mod
+    inv = ctx._inverse_den(den, e)
+    return _residue_svals(ctx, [[mod(x * inv, e) for x in nums[i * n:(i + 1) * n]]
+                                for i in range(a.rows)], e)
 
 
 def _residue_svals(ctx: RingCtx, rows: list, e: int) -> tuple:
@@ -728,12 +852,6 @@ class MatR:
 def _row_times(ctx: RingCtx, row, col) -> Residue:
     """Sum of the products row[k] * col[k], reduced modulo omega once."""
     return ctx.residue_truncate(sum(map(mul, row, col), ctx.residue_zero()), ctx.t)
-
-
-def residue_svals(a: MatR) -> tuple:
-    """The Smith exponents of a residue matrix capped at t, as
-    ``truncated_svals(lift, t)`` reads them for any lift of it."""
-    return _residue_svals(a.ctx, [list(row) for row in a._rows()], a.ctx.t)
 
 
 def reduce_mat(a: MatS) -> MatR:

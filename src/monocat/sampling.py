@@ -9,7 +9,6 @@ reaches every homotopy class, which the enumeration-based verifiers rely on.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .category import MonMorphism, MonObject
@@ -68,13 +67,6 @@ def class_residues(src: MonObject, dst: MonObject) -> list:
     if ctx.residue_field_size ** (ctx.t * src.n * dst.n) > CLASS_BUDGET:
         raise ParametersTooLarge(f"more than {CLASS_BUDGET} morphism classes")
     return list(ctx.residue_elements())
-
-
-def all_morphism_params(src: MonObject, dst: MonObject):
-    """Parameter tuples covering every homotopy class once lifted; refused
-    over Q and beyond CLASS_BUDGET classes before any tuple exists."""
-    pool = [src.ctx.lift(r) for r in class_residues(src, dst)]
-    return itertools.product(pool, repeat=src.n * dst.n)
 
 
 def random_morphism(src: MonObject, dst: MonObject,

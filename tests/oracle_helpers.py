@@ -3,8 +3,9 @@
 Everything here decides by exhaustive enumeration over the finite quotient
 ring, or recomputes by the plainest method (trial division, one normalized
 operation at a time, a Smith form that carries its four transforms through
-every step); slow on purpose and independent of the library's solvers and
-kernels.
+every step, a Smith form and replay on scalar rows); slow on purpose and
+independent of the library's solvers and kernels.  The library-dead
+``all_morphism_params`` and ``residue_svals`` live here too.
 """
 
 import itertools
@@ -15,12 +16,25 @@ from typing import NamedTuple
 from monocat.almost_split import _exactness_failure
 from monocat.category import (MonMorphism, MonObject, compose, identity_morphism,
                               rank_one)
-from monocat.errors import NotComposable, SingularMatrix
+from monocat.errors import InternalInvariantError, NotComposable, SingularMatrix
 from monocat.homotopy import homotopic
-from monocat.linalg import (INFINITY, MatR, MatS, identity, inverse_frac,
-                            solve_linear)
-from monocat.rings import Poly, PolyFrac, Scalar
-from monocat.sampling import all_morphism_params, morphism_from_params
+from monocat.linalg import (INFINITY, MatR, MatS, SnfResult, _residue_svals,
+                            identity, inverse_frac, solve_linear)
+from monocat.rings import Poly, PolyFrac, RingCtx, Scalar
+from monocat.sampling import class_residues, morphism_from_params
+
+
+def all_morphism_params(src: MonObject, dst: MonObject):
+    """Parameter tuples covering every homotopy class once lifted; refused
+    over Q and beyond CLASS_BUDGET classes before any tuple exists."""
+    pool = [src.ctx.lift(r) for r in class_residues(src, dst)]
+    return itertools.product(pool, repeat=src.n * dst.n)
+
+
+def residue_svals(a: MatR) -> tuple:
+    """The Smith exponents of a residue matrix capped at t, as
+    ``truncated_svals(lift, t)`` reads them for any lift of it."""
+    return _residue_svals(a.ctx, [list(row) for row in a._rows()], a.ctx.t)
 
 
 def exhaustive_null_homotopy(psi: MonMorphism) -> bool:
@@ -332,6 +346,108 @@ def block_by_entries(ctx, grid, heights, widths) -> MatS:
             for b, w in zip(brow, widths):
                 out.extend(ctx.zero() if b is None else b.at(i, j) for j in range(w))
     return entrywise(ctx, sum(heights), sum(widths), out)
+
+
+def reference_replay(ctx: RingCtx, size: int, ops: tuple, *, inverse: bool,
+                     transpose: bool) -> MatS:
+    """A Smith transform, built by replaying recorded steps on the identity.
+
+    With ``inverse`` the steps apply as recorded: row steps give U^-1, and
+    column steps, on columns, give V^-1.  Without it each step is undone on
+    the other side: U on columns, V on rows.  Lines are rows, or columns
+    when ``transpose``.  Zero source entries are skipped.  The replay on
+    scalar lines, for every ring: the reference for ``linalg._replay``.
+    """
+    lines = identity(ctx, size).to_rows()
+    for kind, a, b, c in ops:
+        if kind == "swap":
+            lines[a], lines[b] = lines[b], lines[a]
+        elif kind == "scale":
+            f = c if inverse else b
+            lines[a] = [x * f for x in lines[a]]
+        elif inverse:  # line a -= c * line b
+            lines[a] = [x - c * y if y else x for x, y in zip(lines[a], lines[b])]
+        else:  # line b += c * line a
+            lines[b] = [x + c * y if y else x for x, y in zip(lines[b], lines[a])]
+    if transpose:
+        lines = zip(*lines)
+    return MatS(ctx, size, size, tuple(x for line in lines for x in line))
+
+
+def reference_transforms(s: SnfResult) -> dict:
+    """U, V, U^-1 and V^-1 of a Smith form, each by ``reference_replay``."""
+    ctx, m, n = s.d.ctx, s.d.rows, s.d.cols
+    return {"u": reference_replay(ctx, m, s.row_ops, inverse=False, transpose=True),
+            "u_inv": reference_replay(ctx, m, s.row_ops, inverse=True, transpose=False),
+            "v": reference_replay(ctx, n, s.col_ops, inverse=False, transpose=False),
+            "v_inv": reference_replay(ctx, n, s.col_ops, inverse=True, transpose=True)}
+
+
+def reference_snf(a: MatS) -> SnfResult:
+    """Deterministic Smith normal form over S.
+
+    Pivoting picks the entry of minimal valuation, ties broken by smallest
+    (row, col).  Because the pivot divides every entry of its submatrix,
+    one elimination pass per pivot suffices and the diagonal exponents come
+    out weakly increasing.  The pivot row is cleared by recording column
+    steps and zeroing the row, as the pivot is then alone in its column.
+    Only the work matrix is eliminated on scalar work rows, for every ring:
+    the reference for ``linalg.snf``.
+    """
+    ctx = a.ctx
+    m, n = a.rows, a.cols
+    work = a.to_rows()
+    row_ops: list = []
+    col_ops: list = []
+    svals: list = []
+    for k in range(min(m, n)):
+        best = min(((ctx.valuation(work[i][j]), i, j) for i in range(k, m)
+                    for j in range(k, n) if work[i][j]), default=None)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != k:
+            work[k], work[bi] = work[bi], work[k]
+            row_ops.append(("swap", k, bi, None))
+        if bj != k:
+            for r in range(m):
+                work[r][k], work[r][bj] = work[r][bj], work[r][k]
+            col_ops.append(("swap", k, bj, None))
+        piv = work[k][k]
+        # clear the pivot column: row_i -= q * row_k
+        for i in range(k + 1, m):
+            if not work[i][k]:
+                continue
+            q = ctx.div_exact(work[i][k], piv)
+            for j in range(k, n):
+                work[i][j] = work[i][j] - q * work[k][j]
+            row_ops.append(("add", i, k, q))
+        # clear the pivot row: col_j -= q * col_k, which changes only row k
+        for j in range(k + 1, n):
+            if work[k][j]:
+                col_ops.append(("add", j, k, ctx.div_exact(work[k][j], piv)))
+                work[k][j] = ctx.zero()
+        # normalize the pivot to a plain pi power
+        sval = int(ctx.valuation(piv))
+        work[k][k] = ctx.pi_pow(sval)
+        unit = ctx.div_exact(piv, work[k][k])
+        if not ctx.is_unit(unit):
+            raise InternalInvariantError("pivot unit part is not a unit")
+        if unit != ctx.one():
+            row_ops.append(("scale", k, unit, ctx.one() / unit))
+        svals.append(sval)
+    while len(svals) < min(m, n):
+        svals.append(INFINITY)
+    return SnfResult(MatS(ctx, m, n, tuple(x for row in work for x in row)),
+                     tuple(svals), tuple(row_ops), tuple(col_ops))
+
+
+def entrywise_truncated_svals(a: MatS, e: int) -> tuple:
+    """The Smith exponents of a capped at e, from residues reduced one
+    entry at a time with ``RingCtx._reduce``."""
+    ctx = a.ctx
+    return _residue_svals(ctx, [[ctx._reduce(x, e) for x in row]
+                                for row in a.to_rows()], e)
 
 
 def capped_svals(a: MatS, e: int) -> tuple:

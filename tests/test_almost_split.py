@@ -25,11 +25,10 @@ from monocat.errors import (InfiniteResidueField, NotComposable,
 from monocat.homotopy import is_iso_in_homotopy
 from monocat.linalg import MatS, diag_pi, mat, snf
 from monocat.rings import INFINITY, RingCtx
-from monocat.sampling import (all_morphism_params, class_residues,
-                              morphism_from_params, random_morphism,
-                              random_object)
+from monocat.sampling import (class_residues, morphism_from_params,
+                              random_morphism, random_object)
 from monocat.stable import RModuleObj
-from oracle_helpers import (is_split_epi, per_class_verify,
+from oracle_helpers import (all_morphism_params, is_split_epi, per_class_verify,
                             reference_factor_strictly)
 
 Z22 = RingCtx.int_local(2, 2)

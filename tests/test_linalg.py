@@ -16,12 +16,12 @@ from hypothesis import given, settings, strategies as st
 from monocat.errors import ContextMismatch, SingularMatrix
 from monocat.linalg import (INFINITY, MatR, MatS, add_products, block, diag_pi,
                             identity, inverse_frac, mat, random_unimodular,
-                            reduce_mat, residue_svals, snf, solve_linear,
+                            reduce_mat, snf, solve_linear,
                             solve_sandwich_congruence, sums_equal,
                             truncated_svals, zeros)
 from monocat.rings import Poly, RingCtx
 from oracle_helpers import (adjugate, block_by_entries, det,
-                            per_term_residue_matmul, submatrix)
+                            per_term_residue_matmul, residue_svals, submatrix)
 
 Z2 = RingCtx.int_local(2, 2)
 Z2_3 = RingCtx.int_local(2, 3)
