@@ -734,17 +734,16 @@ class PolyLocal(RingCtx):
                     acc += c[i] * out[k - i]
                 out.append(-acc * c0inv % q)
             return _canon(out, q)
-        # den = D/d and d/D = sum_k u_k x^k / D_0^(k+1), where u_0 = d and
-        # u_k = -sum_(i>=1) D_i D_0^(i-1) u_(k-i) are integers
-        w = [c[i] * c[0] ** (i - 1) for i in range(1, len(c))]
-        u = [den.den]
-        for k in range(1, n):
-            u.append(-sum(w[i] * u[k - 1 - i] for i in range(min(k, len(w)))))
-        ints, p = [], 1
-        for x in reversed(u):
-            ints.append(x * p)
-            p *= c[0]
-        return _canon(ints[::-1], None, p)
+        # Newton's iteration g -> g (2 - den g) doubles the precision of
+        # g = 1/den.  Each product is brought to lowest terms, so the
+        # coefficients keep the size of the inverse's own.  An integer
+        # recurrence over D_0^(k+1) grows them by the bits of D_0 per term:
+        # it took 5.4 s on the residue of (1 - x)/(2 + x) at e = 462
+        g, k, two = _canon([den.den], None, c[0]), 1, Poly.const(2)
+        while k < n:
+            k = min(2 * k, n)
+            g = (g * (two - (den.truncate(k) * g).truncate(k))).truncate(k)
+        return g
 
     def lift(self, f: Poly) -> PolyFrac:
         """The canonical representative of a residue as an element of S."""
