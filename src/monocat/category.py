@@ -74,9 +74,10 @@ class MonObject:
     @cached_property
     def partner_mat(self) -> MatS:
         """omega f^{-1} = V^{-1} diag(pi^(t-s)) U^{-1}: the partner's matrix,
-        as two matrix products.  Over Z_(p) both run on integer numerators
-        (the cleared form); over k[x]_(x) an entry of V^{-1} diag(pi^(t-s))
-        has at most one nonzero term, so it is that term's product."""
+        as two matrix products.  Over Z_(p) the transforms and ``diag_pi``
+        come in cleared form, so both products run on integer numerators;
+        over k[x]_(x) an entry of V^{-1} diag(pi^(t-s)) has at most one
+        nonzero term, so it is that term's product."""
         t, smith = self.ctx.t, self.smith
         return smith.v_inv @ diag_pi(self.ctx, [t - s for s in self.svals]) @ smith.u_inv
 

@@ -4,8 +4,11 @@
 checked where the caller needs it.  Over Z_(p) the arithmetic of ``MatS``
 runs on integer numerators over one shared denominator (the cleared form,
 below); over k[x]_(x) it works entrywise with the exact scalar types from
-:mod:`monocat.rings`.  ``MatR`` holds canonical residues and computes
-modulo omega.
+:mod:`monocat.rings`.  The Smith form is one elimination for both rings:
+its work rows, and the lines its transforms are replayed on, are
+numerators over one denominator per line, ints or Polys, and one finisher
+(``_from_lines``) turns lines into a ``MatS``.  ``MatR`` holds canonical
+residues and computes modulo omega.
 """
 
 from __future__ import annotations
@@ -33,14 +36,14 @@ class MatS:
     denominator den, with gcd(den, *nums) = 1, so den is the lcm of the
     entry denominators and the form is unique.  Products, sums, negation,
     scaling, ``sums_equal``, ``in_ring`` (den prime to p), ``is_zero``,
-    ``==`` (when a side has no entries), the Smith form, its transforms
-    and ``truncated_svals`` run on those ints, with no Fraction per entry;
-    residues modulo omega, the congruence solver and blocks read
+    ``==`` (when a side has no entries), the Smith form, its transforms,
+    ``diag_pi`` and ``truncated_svals`` run on those ints, with no Fraction
+    per entry; residues modulo omega, the congruence solver and blocks read
     ``entries``.  A matrix built from entries keeps them and is cleared on
     first need (``RingCtx._clear``); a matrix computed in cleared form
     builds ``entries``, a tuple of Fractions, on first read.  Each form is
     built at most once.  Over k[x]_(x) ``_clear`` gives None and every
-    operation works on the entries.
+    operation reads the entries; the Smith form seeds its rows from them.
     """
 
     __slots__ = ("ctx", "rows", "cols", "_entries", "_cleared")
@@ -369,10 +372,11 @@ def identity(ctx: RingCtx, n: int) -> MatS:
 
 
 def diag_pi(ctx: RingCtx, exps: Sequence[int]) -> MatS:
-    """diag(pi^e for e in exps): the one diagonal builder."""
-    n, z = len(exps), ctx.zero()
-    return MatS(ctx, n, n, tuple(ctx.pi_pow(exps[i]) if i == j else z
-                                 for i in range(n) for j in range(n)))
+    """diag(pi^e for e in exps): the one diagonal builder, on lines of
+    numerators through ``_from_lines``, so in cleared form over Z_(p)."""
+    n, zero, one = len(exps), ctx.zero().numerator, ctx.one().numerator
+    return _from_lines(ctx, n, n, [[ctx._pi_num(e) if i == j else zero for j in range(n)]
+                                   for i, e in enumerate(exps)], [one] * n)
 
 
 def block(ctx: RingCtx, grid: Sequence[Sequence[MatS | None]]) -> MatS:
@@ -455,8 +459,9 @@ class SnfResult:
     line a times the unit b; c is its inverse).  ``u``, ``v`` and their
     inverses ``u_inv``, ``v_inv`` are built on first read by replaying
     that record onto an identity matrix, so callers that need only
-    ``svals`` never pay for them.  Over Z_(p) D and the four transforms
-    are built in cleared form, their ``entries`` only on first read.
+    ``svals`` never pay for them.  D and the four transforms are finished
+    by ``_from_lines``: over Z_(p) in cleared form, their ``entries`` built
+    only on first read.
     """
 
     d: MatS
@@ -492,35 +497,12 @@ def _replay(ctx: RingCtx, size: int, ops: tuple, *, inverse: bool,
     With ``inverse`` the steps apply as recorded: row steps give U^-1, and
     column steps, on columns, give V^-1.  Without it each step is undone on
     the other side: U on columns, V on rows.  Lines are rows, or columns
-    when ``transpose``.  Over Z_(p) (a ring with a cleared form) each line
-    is integer numerators over its own positive denominator, and the
-    result is one cleared form; over k[x]_(x) lines hold scalars and zero
-    source entries are skipped.
+    when ``transpose``.  Each line is numerators over its own denominator,
+    as in ``snf``, and ``_from_lines`` finishes the matrix.
     """
-    if ctx._clear(()) is not None:
-        return _replay_ints(ctx, size, ops, inverse, transpose)
-    lines = identity(ctx, size).to_rows()
-    for kind, a, b, c in ops:
-        if kind == "swap":
-            lines[a], lines[b] = lines[b], lines[a]
-        elif kind == "scale":
-            f = c if inverse else b
-            lines[a] = [x * f for x in lines[a]]
-        elif inverse:  # line a -= c * line b
-            lines[a] = [x - c * y if y else x for x, y in zip(lines[a], lines[b])]
-        else:  # line b += c * line a
-            lines[b] = [x + c * y if y else x for x, y in zip(lines[b], lines[a])]
-    if transpose:
-        lines = zip(*lines)
-    return MatS(ctx, size, size, tuple(x for line in lines for x in line))
-
-
-def _replay_ints(ctx: RingCtx, size: int, ops: tuple, inverse: bool,
-                 transpose: bool) -> MatS:
-    """``_replay`` over Z_(p): the same steps on integer lines, each over
-    its own positive denominator, brought to one denominator at the end."""
-    lines = [[int(i == j) for j in range(size)] for i in range(size)]
-    dens = [1] * size
+    zero, one = ctx.zero().numerator, ctx.one().numerator
+    lines = [[one if i == j else zero for j in range(size)] for i in range(size)]
+    dens = [one] * size
     for kind, a, b, c in ops:
         if kind == "swap":
             lines[a], lines[b] = lines[b], lines[a]
@@ -529,27 +511,66 @@ def _replay_ints(ctx: RingCtx, size: int, ops: tuple, inverse: bool,
             f = c if inverse else b
             k = f.numerator
             lines[a] = [x * k for x in lines[a]]
-            dens[a] *= f.denominator
+            dens[a] = dens[a] * f.denominator
         else:  # line a -= c * line b, or line b += c * line a
             dst, src, cn = (a, b, -c.numerator) if inverse else (b, a, c.numerator)
-            dens[dst] = _axpy(lines, dens, dst, src, cn, c.denominator)
-    den = lcm(*dens)
-    lines = [[x * (den // d) for x in line] if d != den else line
-             for line, d in zip(lines, dens)]
+            dens[dst] = _axpy(ctx, lines, dens, dst, src, cn, c.denominator)
+    return _from_lines(ctx, size, size, lines, dens, transpose)
+
+
+def _from_lines(ctx: RingCtx, rows: int, cols: int, lines: list, dens: list,
+                transpose: bool = False) -> MatS:
+    """The matrix whose line i is lines[i] / dens[i]; lines are its rows,
+    or its columns when ``transpose``.  The one finisher of lines of
+    numerators: over Z_(p) the lines are brought to the lcm of dens, one
+    cleared form; over k[x]_(x) each entry is normalized once."""
+    cleared = type(ctx.one().numerator) is int  # Z_(p)
+    if cleared:
+        den = lcm(*dens)
+        lines = [[x * (den // d) for x in line] if d != den else line
+                 for line, d in zip(lines, dens)]
+    else:
+        norm, zero = ctx._normalize, ctx.zero()
+        lines = [[norm(x, d) if x else zero for x in line] for line, d in zip(lines, dens)]
     if transpose:
         lines = zip(*lines)
-    return _reduced(ctx, size, size, [x for line in lines for x in line], den)
+    flat = [x for line in lines for x in line]
+    if cleared:
+        return _reduced(ctx, rows, cols, flat, den)
+    return MatS(ctx, rows, cols, tuple(flat))
 
 
-def _axpy(lines: list, dens: list, dst: int, src: int, cn: int, cd: int) -> int:
-    """Line dst += (cn / cd) * line src, on integer lines over the
+def _axpy(ctx: RingCtx, lines: list, dens: list, dst: int, src: int, cn, cd):
+    """Line dst += (cn / cd) * line src, on lines of numerators over the
     denominators dens; the new line is over the lcm of its two
-    denominators (one gcd), which is returned."""
+    denominators, up to a unit (one ``_cancel``), which is returned."""
     d, e = dens[dst], cd * dens[src]
-    g = gcd(d, e)
-    ka, kb = e // g, cn * (d // g)
-    lines[dst] = [x * ka + y * kb for x, y in zip(lines[dst], lines[src])]
-    return d // g * e
+    dg, eg = ctx._cancel(d, e)
+    kb = cn * dg
+    lines[dst] = [x * eg + y * kb if y else x * eg
+                  for x, y in zip(lines[dst], lines[src])]
+    return d * eg
+
+
+def _work_rows(a: MatS) -> tuple:
+    """The rows of a as lines of numerators and their denominators, one
+    per row: over Z_(p) the cleared form's, over k[x]_(x) the entries'
+    denominators combined by ``_cancel`` (their lcm, up to a unit)."""
+    ctx, n, c = a.ctx, a.cols, a._ints()
+    if c is not None:
+        nums, den = c
+        return [list(nums[i * n:(i + 1) * n]) for i in range(a.rows)], [den] * a.rows
+    one, lines, dens = ctx.one().numerator, [], []
+    for row in a.to_rows():
+        line, den = [], one
+        for x in row:
+            k, e = ctx._cancel(den, x.denominator)  # den / g, d / g
+            if e != one:
+                line, den = [y * e for y in line], den * e
+            line.append(x.numerator * k)
+        lines.append(line)
+        dens.append(den)
+    return lines, dens
 
 
 def snf(a: MatS) -> SnfResult:
@@ -559,25 +580,28 @@ def snf(a: MatS) -> SnfResult:
     (row, col).  Because the pivot divides every entry of its submatrix,
     one elimination pass per pivot suffices and the diagonal exponents come
     out weakly increasing.  The pivot row is cleared by recording column
-    steps and zeroing the row, as the pivot is then alone in its column.
-    Only the work matrix is eliminated; the transforms are replayed from
-    the recorded steps when first read.
+    steps, as the pivot is then alone in its column.  Only the work matrix
+    is eliminated; the transforms are replayed from the recorded steps when
+    first read.
 
-    Over Z_(p), for a matrix over S, the work rows are integer numerators
-    from the cleared form, each row over its own positive p-unit
-    denominator, so the valuation of an entry is that of its numerator:
-    the same steps in the same order, with no scalar built per entry, and
-    D in cleared form.  Over k[x]_(x), and for a Z_(p) matrix outside S
-    (refused as a negative pi power), the work rows hold scalars.
+    One elimination serves both rings.  Each work row is numerators over
+    its own denominator (``_work_rows``): ints over Z_(p), Polys over
+    k[x]_(x).  A matrix outside S is refused first, as the negative pi
+    power its first pivot would be.  Otherwise every denominator is a unit,
+    so the valuation of an entry is that of its numerator, and the loop
+    needs only the ring operations on numerators (``_valuation``,
+    ``_pi_quotient``, ``_cancel``, ``_normalize``, ``*``, ``+``, ``-``).
+    The steps, pivots, quotients and unit scalings are exact values, and D
+    is finished by ``_from_lines``.
     """
-    c = a._ints()
-    if c is None or a.ctx._valuation(c[1]):
-        return _snf_entries(a)
-    ctx, (m, n), (nums, den) = a.ctx, (a.rows, a.cols), c
+    ctx, m, n = a.ctx, a.rows, a.cols
+    work, dens = _work_rows(a)
     val, frac = ctx._valuation, ctx._normalize
-    work = [list(nums[i * n:(i + 1) * n]) for i in range(m)]
-    dens = [den] * m
-    diag = [0] * (m * n)
+    worst = max(map(val, dens), default=0)
+    if worst:  # outside S: the first pivot would be pi^-worst
+        ctx.pi_pow(-worst)
+    zero, one = ctx.zero().numerator, ctx.one().numerator
+    diag = [[zero] * n for _ in range(m)]
     row_ops: list = []
     col_ops: list = []
     svals: list = []
@@ -602,7 +626,7 @@ def snf(a: MatS) -> SnfResult:
             x = work[i][k]
             if x:
                 q = _quotient(ctx, x, dens[i], piv, pden)
-                dens[i] = _axpy(work, dens, i, k, -q.numerator, q.denominator)
+                dens[i] = _axpy(ctx, work, dens, i, k, -q.numerator, q.denominator)
                 row_ops.append(("add", i, k, q))
         # clear the pivot row: col_j -= q * col_k, q = n_kj / n_kk; row k is
         # never read again, so it is not zeroed
@@ -615,72 +639,22 @@ def snf(a: MatS) -> SnfResult:
         if val(un) or val(pden):
             raise InternalInvariantError("pivot unit part is not a unit")
         if un != pden:
-            row_ops.append(("scale", k, frac(un, pden), frac(pden, un)))
-        diag[k * (n + 1)] = piv // un  # pi^sval
+            unit = frac(un, pden)
+            row_ops.append(("scale", k, unit, ctx.one() / unit))
+        diag[k][k] = ctx._pi_num(sval)
         svals.append(sval)
     svals += [INFINITY] * (min(m, n) - len(svals))
-    return SnfResult(_reduced(ctx, m, n, diag, 1), tuple(svals), tuple(row_ops),
-                     tuple(col_ops))
+    return SnfResult(_from_lines(ctx, m, n, diag, [one] * m), tuple(svals),
+                     tuple(row_ops), tuple(col_ops))
 
 
-def _quotient(ctx: RingCtx, n: int, d: int, pn: int, pd: int) -> Scalar:
-    """The scalar (n/d) / (pn/pd) from integers, checked to lie in S as
-    ``div_exact`` checks it, and refused with its error."""
+def _quotient(ctx: RingCtx, n, d, pn, pd) -> Scalar:
+    """The scalar (n/d) / (pn/pd) from numerators and denominators, checked
+    to lie in S as ``div_exact`` checks it, and refused with its error."""
     q = ctx._normalize(n * pd, d * pn)
     if not ctx.in_ring(q):
         ctx.div_exact(ctx._normalize(n, d), ctx._normalize(pn, pd))
     return q
-
-
-def _snf_entries(a: MatS) -> SnfResult:
-    """``snf`` on scalar work rows: over k[x]_(x), and over Z_(p) for a
-    matrix outside S."""
-    ctx = a.ctx
-    m, n = a.rows, a.cols
-    work = a.to_rows()
-    row_ops: list = []
-    col_ops: list = []
-    svals: list = []
-    for k in range(min(m, n)):
-        best = min(((ctx.valuation(work[i][j]), i, j) for i in range(k, m)
-                    for j in range(k, n) if work[i][j]), default=None)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != k:
-            work[k], work[bi] = work[bi], work[k]
-            row_ops.append(("swap", k, bi, None))
-        if bj != k:
-            for r in range(m):
-                work[r][k], work[r][bj] = work[r][bj], work[r][k]
-            col_ops.append(("swap", k, bj, None))
-        piv = work[k][k]
-        # clear the pivot column: row_i -= q * row_k
-        for i in range(k + 1, m):
-            if not work[i][k]:
-                continue
-            q = ctx.div_exact(work[i][k], piv)
-            for j in range(k, n):
-                work[i][j] = work[i][j] - q * work[k][j]
-            row_ops.append(("add", i, k, q))
-        # clear the pivot row: col_j -= q * col_k, which changes only row k
-        for j in range(k + 1, n):
-            if work[k][j]:
-                col_ops.append(("add", j, k, ctx.div_exact(work[k][j], piv)))
-                work[k][j] = ctx.zero()
-        # normalize the pivot to a plain pi power
-        sval = int(ctx.valuation(piv))
-        work[k][k] = ctx.pi_pow(sval)
-        unit = ctx.div_exact(piv, work[k][k])
-        if not ctx.is_unit(unit):
-            raise InternalInvariantError("pivot unit part is not a unit")
-        if unit != ctx.one():
-            row_ops.append(("scale", k, unit, ctx.one() / unit))
-        svals.append(sval)
-    while len(svals) < min(m, n):
-        svals.append(INFINITY)
-    return SnfResult(MatS(ctx, m, n, tuple(x for row in work for x in row)),
-                     tuple(svals), tuple(row_ops), tuple(col_ops))
 
 
 def truncated_svals(a: MatS, e: int) -> tuple:

@@ -19,12 +19,14 @@ every method whose body both rings share once.  A subclass supplies
 private primitives on an int or a Poly: ``_valuation``, ``_mod``
 (reduction modulo pi^e), ``_pi_quotient`` (exact division by pi^k),
 ``_inverse_den`` (of a unit, such as a denominator, modulo pi^e),
-``_pi_pow``, ``_normalize`` (lowest terms), ``_clear`` (a matrix's
-entries as integer numerators over one denominator, or None where
-matrices work entrywise), ``_scalar_text`` and ``_term`` (the text form),
-and the seeded draws ``_random_unit`` and ``_random_scalar``.  It
-overrides no method of RingCtx, so a wrapper on a RingCtx method sees
-every call of it.
+``_pi_pow`` (pi^k as an int or a Poly, which ``pi_pow`` lifts),
+``_normalize`` (lowest terms), ``_cancel`` (a and b divided by their
+gcd, for the Smith form's lines of numerators over one denominator each),
+``_clear`` (a matrix's entries as integer numerators over one
+denominator, or None where matrices work entrywise), ``_scalar_text``
+and ``_term`` (the text form), and the seeded draws ``_random_unit`` and
+``_random_scalar``.  It overrides no method of RingCtx, so a wrapper on a
+RingCtx method sees every call of it.
 
 Normalization policy.  Every scalar, residue and Poly is stored in
 canonical form, so field equality is value equality: exact values compare
@@ -516,9 +518,14 @@ class RingCtx:
         return self._one
 
     def pi(self) -> Scalar:
-        return self._pi_pow(1)
+        return self.pi_pow(1)
 
     def pi_pow(self, k: int) -> Scalar:
+        return self.lift(self._pi_num(k))
+
+    def _pi_num(self, k: int):
+        """pi^k as a numerator, an int or a Poly: the entry that matrices
+        built on numerators (``linalg._from_lines``) read."""
         if k < 0:
             raise ValueError("pi_pow takes a nonnegative exponent")
         return self._pi_pow(k)
@@ -667,8 +674,13 @@ class IntLocal(RingCtx):
             return tuple([n for n, _ in pairs]), 1
         return tuple([n * (den // d) for n, d in pairs]), den
 
-    def _pi_pow(self, k: int) -> Fraction:
-        return Fraction(self.p ** k)
+    def _pi_pow(self, k: int) -> int:
+        return self.p ** k
+
+    @staticmethod
+    def _cancel(a: int, b: int) -> tuple:
+        g = math.gcd(a, b)
+        return a // g, b // g
 
     def residue_elements(self) -> Iterator[int]:
         """All of R in a fixed order."""
@@ -735,14 +747,14 @@ class PolyLocal(RingCtx):
                 out.append(-acc * c0inv % q)
             return _canon(out, q)
         # Newton's iteration g -> g (2 - den g) doubles the precision of
-        # g = 1/den.  Each product is brought to lowest terms, so the
-        # coefficients keep the size of the inverse's own.  An integer
-        # recurrence over D_0^(k+1) grows them by the bits of D_0 per term:
-        # it took 5.4 s on the residue of (1 - x)/(2 + x) at e = 462
-        g, k, two = _canon([den.den], None, c[0]), 1, Poly.const(2)
+        # g = 1/den, each product in lowest terms, so the coefficients keep
+        # the size of the inverse's own.  The integer recurrence over
+        # c_0^(k+1) (c_0 the constant term) makes term k k times as long as
+        # c_0: 5.4 s on the residue of (1 - x)/(2 + x) at e = 462
+        g, k = _canon([den.den], None, c[0]), 1
         while k < n:
             k = min(2 * k, n)
-            g = (g * (two - (den.truncate(k) * g).truncate(k))).truncate(k)
+            g = (g * (_canon([2], None) - (den.truncate(k) * g).truncate(k))).truncate(k)
         return g
 
     def lift(self, f: Poly) -> PolyFrac:
@@ -752,8 +764,10 @@ class PolyLocal(RingCtx):
     def from_int(self, n: int) -> PolyFrac:
         return PolyFrac(Poly.const(n, self.coeff_q), _unit_poly(self.coeff_q))
 
-    def _pi_pow(self, k: int) -> PolyFrac:
-        return PolyFrac(Poly.x_power(k, self.coeff_q), _unit_poly(self.coeff_q))
+    def _pi_pow(self, k: int) -> Poly:
+        return Poly.x_power(k, self.coeff_q)
+
+    _cancel = staticmethod(_cancel)
 
     @staticmethod
     def _normalize(num: Poly, den: Poly) -> PolyFrac:
