@@ -79,13 +79,15 @@ def dumps_triangle(tri) -> str:
 
 
 # -- parsing ------------------------------------------------------------------
-# Work grows without limit in t and in the suites' --max-size: a one-shot
-# `mon cone` of the identity on the 2x2 Q file [[1 + x, 2], [3, x]] takes
-# 0.5 s at t = 512 and 2.3 s at t = 1024 (2-vCPU Xeon).  Values above the
+# Work grows without limit in t and in the suites' --max-size and --iters: a
+# one-shot `mon cone` of the identity on the 2x2 Q file [[1 + x, 2], [3, x]]
+# takes 0.5 s at t = 512 and 2.3 s at t = 1024 (2-vCPU Xeon), and
+# `check --suite sigma --iters 100000000` ran past 10 s.  Values above the
 # bounds exit 2.  A file's own n is not capped: its cost is polynomial in
 # the size of the file.
 MAX_T = 512
 MAX_SIZE = 16
+MAX_ITERS = 10_000
 
 
 def _integer(value, name: str) -> int:
@@ -238,8 +240,8 @@ def _require_at_least(args, bounds) -> None:
 
 
 def _check(args) -> tuple:
-    _require_at_least(args, (("iters", 0), ("max-size", 1, MAX_SIZE),
-                             ("max-t", 1, MAX_T)))
+    _require_at_least(args, (("iters", 0, MAX_ITERS),
+                             ("max-size", 1, MAX_SIZE), ("max-t", 1, MAX_T)))
     names = [args.suite] if args.suite else list(SUITES)
     results = [run_suite(name, seed=args.seed, iters=args.iters,
                          max_size=args.max_size, max_t=args.max_t)

@@ -32,31 +32,36 @@ Normalization policy.  Every scalar, residue and Poly is stored in
 canonical form, so field equality is value equality: exact values compare
 with ``==``, and a value is falsy exactly at zero.  A :class:`Poly` holds
 integer coefficients ``ints`` over one denominator ``den``.  Over F_q the
-ints lie in [0, q), kept there by ``% q`` inline, and den is 1.  Over Q
-den > 0, gcd(den, *ints) = 1 and no trailing zero is stored; each
-operation works on the ints and brings its result to that form with one
-``math.gcd(den, *ints)``, never a gcd per coefficient.  Q alone divides
-with ``_pseudo_divmod`` on integer lists, and its gcd is a remainder
-sequence that keeps the primitive part of each member on Z[x], made monic
-once at the end.  Over F_q three kernels on integer lists do the work,
-one product and two division loops.  A product of len(a) * len(b) >=
-``PACKED_MIN`` coefficient products packs each operand into one int
-(Kronecker substitution, one slot per coefficient, wider than min(len) *
-(q - 1)^2 so no slot carries) and multiplies in C.  The gcd
-(``_fq_gcd``) is Euclid in place, each remainder made monic once, and
-lowest terms divide by the monic gcd with a loop that forms the quotient
-only (``_fq_quotient``).  A :class:`PolyFrac` or Fraction is brought to
-lowest terms once per result: a matrix product accumulates each entry as
-an unreduced numerator over a denominator and normalizes it once (over
-Z_(p) the whole matrix shares one denominator and one gcd, and its
-Fractions are built when read; an entry of one nonzero term is that
-term's product), and a comparison of products (``linalg.sums_equal``)
-normalizes none.  A PolyFrac product or quotient of two fractions in
-lowest terms cancels across: gcd(an * bn, ad * bd) = gcd(an, bd) *
-gcd(bn, ad), two small gcds in place of one large one, each skipped when
-a side is constant, and the denominator is then made monic.  ``+`` still
-takes one full gcd.  Multiplying by the constant 1 returns the other
-factor.
+ints lie in [0, q) and den is 1.  Over Q den > 0, gcd(den, *ints) = 1 and
+no trailing zero is stored.  Each operation works on the ints over den and
+hands its result to ``_canon``, the one place that reduces: over F_q it
+takes the ints mod q, times the inverse of den mod q when den is not 1;
+over Q it takes one ``math.gcd(den, *ints)``, never a gcd per coefficient.
+So ``make``, ``+``, negation, ``scale`` and ``truncate`` have one body for
+both fields, and Poly tests the field only where the algorithm differs: in
+``_canon``, the coefficient view ``_coeff``, the packed product, the gcd
+and the exact quotient of ``_cancel``.  Q alone divides with
+``_pseudo_divmod`` on integer lists, and its gcd is a remainder sequence
+that keeps the primitive part (``_primitive``) of each member on Z[x],
+made monic once at the end.  Over F_q three kernels on integer lists do
+the work, one product and two division loops.  A product of len(a) *
+len(b) >= ``PACKED_MIN`` coefficient products packs each operand into one
+int (Kronecker substitution, one slot per coefficient, wider than
+min(len) * (q - 1)^2 so no slot carries) and multiplies in C.  The gcd
+(``_fq_gcd``) is Euclid in place, each remainder made monic once
+(``_monic``), and lowest terms divide by the monic gcd with a loop that
+forms the quotient only (``_fq_quotient``).  A :class:`PolyFrac` or
+Fraction is brought to lowest terms once per result: a matrix product
+accumulates each entry as an unreduced numerator over a denominator and
+normalizes it once (over Z_(p) the whole matrix shares one denominator and
+one gcd, and its Fractions are built when read; an entry of one nonzero
+term is that term's product), and a comparison of products
+(``linalg.sums_equal``) normalizes none.  A PolyFrac product or quotient
+of two fractions in lowest terms cancels across: gcd(an * bn, ad * bd) =
+gcd(an, bd) * gcd(bn, ad), two small gcds in place of one large one, each
+skipped when a side is constant, and the denominator is then made monic.
+``+`` still takes one full gcd.  Multiplying by the constant 1 returns the
+other factor.
 """
 
 from __future__ import annotations
@@ -121,19 +126,21 @@ class Poly:
     Q (the layout of FLINT's ``fmpq_poly``) ``den`` > 0 and
     gcd(den, *ints) = 1.  No trailing zero is stored, so zero is
     ``((), 1)``, every value has one form, and ``==`` and ``hash`` compare
-    the fields.  ``coeffs`` is a read-only view, with Fraction coefficients
-    over Q.  A Poly is never changed after it is built.
+    the fields.  Every result is built by ``_canon`` from integers over a
+    denominator, on either field.  ``coeffs`` is a read-only view, with
+    Fraction coefficients over Q.  A Poly is never changed after it is
+    built.
     """
 
     __slots__ = ("ints", "den", "q")
 
     @staticmethod
     def make(coeffs, q: int | None = None) -> "Poly":
-        if q is not None:
-            return _canon([_coeff_canon(c, q) for c in coeffs], q)
-        cs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        return _canon([c.numerator * (den // c.denominator) for c in cs], None, den)
+        """The Poly of int or Fraction coefficients, by ascending degree:
+        their numerators over the lcm of their denominators."""
+        cs = list(coeffs)
+        den = math.lcm(*[c.denominator for c in cs])
+        return _canon([c.numerator * (den // c.denominator) for c in cs], q, den)
 
     @staticmethod
     def const(c, q: int | None = None) -> "Poly":
@@ -145,9 +152,7 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        if self.q is not None:
-            return self.ints
-        return tuple(Fraction(c, self.den) for c in self.ints)
+        return tuple(map(self._coeff, self.ints))
 
     def __eq__(self, other):
         if type(other) is not Poly:
@@ -193,9 +198,7 @@ class Poly:
         return _canon([x + y for x, y in zip(a, b)] + list(a[len(b):]), self.q, den)
 
     def __neg__(self) -> "Poly":
-        if self.q is None:
-            return _poly(tuple(-c for c in self.ints), self.den, None)
-        return _canon([-c for c in self.ints], self.q)
+        return _canon([-c for c in self.ints], self.q, self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -219,12 +222,11 @@ class Poly:
                     out[i + j] += x * y
         return _canon(out, self.q, self.den * other.den)
 
-    def scale(self, c) -> "Poly":
-        if self.q is not None:
-            c = _coeff_canon(c, self.q)
-            return _canon([a * c for a in self.ints], self.q)
-        return _canon([a * c.numerator for a in self.ints], None,
-                      self.den * c.denominator)
+    def scale(self, n: int, d: int = 1) -> "Poly":
+        """self * n / d for integers n and d, d nonzero (over F_q, prime to
+        q): the ints times n over den * d, which ``_canon`` brings to
+        canonical form."""
+        return _canon([a * n for a in self.ints], self.q, self.den * d)
 
     def truncate(self, k: int) -> "Poly":
         """Reduce modulo x^k."""
@@ -261,11 +263,19 @@ def _unit_poly(q: int | None) -> Poly:
 
 
 def _canon(cs: list, q: int | None, den: int = 1) -> Poly:
-    """The Poly of the value cs / den: over F_q any integers (reduced here)
-    over den 1; over Q integers over a nonzero den, brought to lowest terms
-    with one gcd.  Trailing zeros are dropped."""
+    """The Poly of the value cs / den, for integers cs over a nonzero
+    integer den, and the one place a value over F_q is reduced: there each
+    int times the inverse of den mod q is taken into [0, q), and den
+    becomes 1 (ZeroDivisionError when q divides den).  Over Q the value is
+    brought to lowest terms with one gcd.  Trailing zeros are dropped."""
     if q is not None:
-        cs = [c % q for c in cs]
+        if den == 1:
+            cs = [c % q for c in cs]
+        elif den % q:
+            inv, den = pow(den, -1, q), 1
+            cs = [c * inv % q for c in cs]
+        else:
+            raise ZeroDivisionError(f"denominator {den} not invertible mod {q}")
     while cs and not cs[-1]:
         cs.pop()
     if den != 1:
@@ -277,26 +287,18 @@ def _canon(cs: list, q: int | None, den: int = 1) -> Poly:
     return _poly(tuple(cs), den, q)
 
 
-def _coeff_canon(c, q: int):
-    """The canonical coefficient in [0, q) of an int or Fraction."""
-    if type(c) is int:
-        return c % q
-    if isinstance(c, Fraction):
-        if c.denominator % q == 0:
-            raise ZeroDivisionError(f"denominator {c.denominator} not invertible mod {q}")
-        return (c.numerator * pow(c.denominator, -1, q)) % q
-    return int(c) % q
-
-
-def _primitive(cs, q: int | None = None) -> list:
-    """The primitive part of cs, integers with no trailing zero: over Q cs
-    divided by its content gcd(*cs); over the field F_q (entries in [0, q))
-    the monic associate."""
-    if q is not None:
-        inv = pow(cs[-1], -1, q) if cs else 1
-        return [c * inv % q for c in cs] if inv != 1 else list(cs)
+def _primitive(cs) -> list:
+    """The primitive part of integers cs with no trailing zero on Z[x]: cs
+    divided by its content gcd(*cs)."""
     g = math.gcd(*cs)
     return [c // g for c in cs] if g > 1 else list(cs)
+
+
+def _monic(cs, q: int) -> list:
+    """The monic associate over F_q of integers cs in [0, q) with no
+    trailing zero."""
+    inv = pow(cs[-1], -1, q) if cs else 1
+    return [c * inv % q for c in cs] if inv != 1 else list(cs)
 
 
 # len(a) * len(b) from which a product over F_q packs its operands
@@ -323,7 +325,7 @@ def _packed_mul(a, b, q: int):
 def _fq_gcd(a, b, q: int) -> list:
     """Monic gcd of two reduced integer sequences over F_q: Euclid in
     place on lists, each remainder made monic once."""
-    a, b = list(a), _primitive(b, q)
+    a, b = list(a), _monic(b, q)
     while b:
         db = len(b) - 1
         for i in range(len(a) - 1 - db, -1, -1):
@@ -334,8 +336,8 @@ def _fq_gcd(a, b, q: int) -> list:
         a = [c % q for c in a[:db]]
         while a and not a[-1]:
             a.pop()
-        a, b = b, _primitive(a, q)
-    return _primitive(a, q)
+        a, b = b, _monic(a, q)
+    return _monic(a, q)
 
 
 def _fq_quotient(a, b, q: int) -> tuple:
@@ -450,11 +452,10 @@ def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 def _monic_den(num: Poly, den: Poly) -> PolyFrac:
     """num / den, already in lowest terms, over a monic denominator."""
-    lead, q = den.ints[-1], num.q
+    lead = den.ints[-1]
     if lead == den.den:
         return PolyFrac(num, den)
-    lead_inv = pow(lead, -1, q) if q is not None else Fraction(den.den, lead)
-    return PolyFrac(num.scale(lead_inv), den.scale(lead_inv))
+    return PolyFrac(num.scale(den.den, lead), den.scale(den.den, lead))
 
 
 def _product(an: Poly, ad: Poly, bn: Poly, bd: Poly) -> PolyFrac:

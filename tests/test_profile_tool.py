@@ -1,0 +1,37 @@
+"""Smoke test of ``tools/profile.py``, the timer and profiler of tails and
+``mon`` commands."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "profile.py"
+
+
+def profile(tmp_path, *argv) -> list:
+    done = subprocess.run([sys.executable, str(TOOL), *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    return done.stdout.splitlines()
+
+
+def test_profiles_a_mon_command_and_writes_nothing(tmp_path):
+    head, code, columns, *rows = profile(tmp_path, "--top", "4", "--mon", "check",
+                                         "--suite", "sigma", "--iters", "1")
+    assert head.startswith("mon check --suite sigma --iters 1: wall ")
+    assert head.endswith(" s under cProfile") and ", process " in head
+    assert code == "mon exit 0"
+    assert columns.split() == ["self", "s", "cum", "s", "calls", "function"]
+    assert len(rows) == 4 and all(row.endswith(")") for row in rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_times_alone_without_a_profiler(tmp_path):
+    lines = profile(tmp_path, "--top", "0", "--mon", "check", "--iters", "10001")
+    assert lines[0].startswith("mon check --iters 10001: wall ")
+    assert lines[0].endswith(" s") and lines[1:] == ["mon exit 2"]
+
+
+def test_names_the_two_tails(tmp_path):
+    usage = " ".join(profile(tmp_path, "--help"))
+    assert "--tail {f2-tr4,q-tr4}" in usage

@@ -1,0 +1,129 @@
+"""Time one slow case of monocat and show where its time goes.
+
+Prints the wall and process time of one run of a target, then the
+functions with the most cProfile self time.  A target is a named tail, a
+slow case that performance work re-times, or any ``mon`` command, run in
+process with its output discarded.  The tails are defined once, in
+``TAILS``:
+
+* ``f2-tr4``: ``mon check --suite tr4 --iters 1 --max-t 512 --max-size 8
+  --seed 2``, the slowest ``mon`` run over F_2 known;
+* ``q-tr4``: the octahedron (``tr4``) trials of ``perfbench`` over
+  k[x]_(x) with k = Q, at n = 3 and t = 2, for seeds 0 to 2.  Their inputs
+  come from ``perfbench/workloads.py``, which is only read, and are drawn
+  before the clock starts.
+
+Standard library only; runs from any directory.
+
+    python3 tools/profile.py --tail f2-tr4
+    python3 tools/profile.py --tail q-tr4 --top 0   # times only, no profiler
+    python3 tools/profile.py --mon check --suite sigma --iters 1
+
+With ``--top 0`` no profiler runs, so the times are those of the bare code;
+otherwise they include cProfile's overhead.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# Run as a script, this folder heads sys.path, and cProfile's own `import
+# profile` would load this file in place of the standard library's.
+if sys.path and Path(sys.path[0] or ".").resolve() == ROOT / "tools":
+    del sys.path[0]
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import cProfile  # noqa: E402
+import importlib  # noqa: E402
+import io  # noqa: E402
+import pstats  # noqa: E402
+import random  # noqa: E402
+import time  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+
+
+def mon_runs(argv: list) -> list:
+    """One run of ``mon argv``, its stdout and stderr discarded."""
+    from monocat import cli
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(list(argv))
+    return [run]
+
+
+def tri_runs(kind: str, q, n: int, t: int, seeds) -> list:
+    """One run per seed of a ``perfbench`` triangle trial over
+    k[x]_(x), its inputs drawn from ``random.Random(seed)``."""
+    import spans
+    import workloads
+    M = SimpleNamespace(**{m: importlib.import_module(f"monocat.{m}")
+                           for m in spans.MODULES})
+    ring, trial = workloads.Ring("poly-local", q, t), workloads._TRI_TRIALS[kind]
+    inputs = [workloads._tri_inputs(M, ring, kind, n, random.Random(s)) for s in seeds]
+    return [lambda args=args: trial(M, ring, *args) for args in inputs]
+
+
+TAILS = {
+    "f2-tr4": lambda: mon_runs(["check", "--suite", "tr4", "--iters", "1", "--max-t",
+                                "512", "--max-size", "8", "--seed", "2"]),
+    "q-tr4": lambda: tri_runs("tr4", None, 3, 2, range(3)),
+}
+
+
+def measure(runs: list, profiler=None) -> tuple:
+    """Run each callable once; (wall s, process s, per-run process s, the
+    last run's return value)."""
+    wall, cpu, out = time.perf_counter(), time.process_time(), None
+    per_run = []
+    for run in runs:
+        start = time.process_time()
+        if profiler is None:
+            out = run()
+        else:
+            out = profiler.runcall(run)
+        per_run.append(time.process_time() - start)
+    return time.perf_counter() - wall, time.process_time() - cpu, per_run, out
+
+
+def top_self(profiler, count: int) -> list:
+    """The ``count`` functions with the most self time, as text rows."""
+    stats = pstats.Stats(profiler).stats
+    rows = sorted(stats.items(), key=lambda item: -item[1][2])[:count]
+    out = [f"{'self s':>8} {'cum s':>8} {'calls':>9}  function"]
+    for (path, line, name), (_, calls, self_s, cum_s, _) in rows:
+        where = f"{Path(path).name}:{line}" if line else path
+        out.append(f"{self_s:8.3f} {cum_s:8.3f} {calls:9,d}  {where}({name})")
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    target = ap.add_mutually_exclusive_group(required=True)
+    target.add_argument("--tail", choices=sorted(TAILS))
+    target.add_argument("--mon", nargs=argparse.REMAINDER, metavar="ARGV",
+                        help="a mon command line; takes the rest of the line")
+    ap.add_argument("--top", type=int, default=15,
+                    help="functions to list by self time; 0 runs no profiler")
+    args = ap.parse_args(argv)
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    runs = TAILS[args.tail]() if args.tail else mon_runs(args.mon)
+    profiler = cProfile.Profile() if args.top > 0 else None
+    wall, cpu, per_run, out = measure(runs, profiler)
+    name = f"--tail {args.tail}" if args.tail else "mon " + " ".join(args.mon)
+    print(f"{name}: wall {wall:.3f} s, process {cpu:.3f} s"
+          + (" under cProfile" if profiler else ""))
+    if len(per_run) > 1:
+        print("per run, process s: " + ", ".join(f"{s:.3f}" for s in per_run))
+    if out is not None:
+        print(f"mon exit {out}")
+    if profiler:
+        print("\n".join(top_self(profiler, args.top)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
