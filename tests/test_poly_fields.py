@@ -35,10 +35,12 @@ def fractions(draw, q):
     return Fraction(draw(st.integers(-40, 40)), den)
 
 
-@st.composite
-def polys(draw, q, max_size=6):
-    cs = draw(st.lists(st.one_of(st.integers(-9, 9), fractions(q)), max_size=max_size))
-    return Poly.make(cs, q)
+def coefficients(q):
+    return st.lists(st.one_of(st.integers(-40, 40), fractions(q)), max_size=7)
+
+
+def polys(q):
+    return coefficients(q).map(lambda cs: Poly.make(cs, q))
 
 
 @settings(max_examples=60, deadline=None)
@@ -50,9 +52,7 @@ def test_make_from_ints_equals_the_reference(q, cs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(FIELDS).flatmap(
-    lambda q: st.tuples(st.just(q), st.lists(st.one_of(st.integers(-40, 40), fractions(q)),
-                                             max_size=7))))
+@given(st.sampled_from(FIELDS).flatmap(lambda q: st.tuples(st.just(q), coefficients(q))))
 def test_make_from_fractions_and_a_generator_equals_the_reference(case):
     q, cs = case
     p = Poly.make(cs, q)
@@ -78,7 +78,7 @@ def test_mon_refuses_a_coefficient_over_f2_with_the_same_text(tmp_path, capsys):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(FIELDS).flatmap(lambda q: polys(q)))
+@given(st.sampled_from(FIELDS).flatmap(polys))
 def test_negation_equals_the_reference(p):
     assert -p == poly_neg_ref(p) and is_canonical_poly(-p)
     assert -(-p) == p
