@@ -7,9 +7,13 @@ lifting the classical chain of cyclic length modules, and a brute-force
 verifier confirms the right-almost-split property: it enumerates every
 morphism class from every indecomposable test object and decides each one
 by two valuation thresholds, with no linear system.  Hom(X, Y) is free
-over S, with one generator per free cell of
-``sampling.morphism_from_params``, and ``factor_strictly`` solves for a
-strict factorization in those coordinates.
+over S, with one generator per cell of the diagonal coordinates
+(``sampling.cell_shifts``): the pi-scaled product of a line of Y's Smith
+transforms with a line of X's (``SnfResult.columns`` and ``rows``).  A
+test object pi^s' is diagonal with identity transforms, so its generators
+are the other side's lines, pi-scaled, and it takes no Smith form.
+``factor_strictly`` solves for a strict factorization in those
+coordinates.
 """
 
 from __future__ import annotations
@@ -68,13 +72,33 @@ class ArSequence:
 
 
 def _hom_generators(src: MonObject, dst: MonObject) -> list:
-    """The S-basis of Hom(src, dst): ``morphism_from_params`` at each unit
-    parameter vector, one free scalar per cell."""
-    ctx = src.ctx
-    cells = src.n * dst.n
-    return [morphism_from_params(src, dst, [ctx.one() if i == k else ctx.zero()
-                                            for i in range(cells)])
-            for k in range(cells)]
+    """The S-basis of Hom(src, dst), one generator per (target row j,
+    source column i) cell, row-major: ``morphism_from_params`` at a unit
+    vector.  With src = U D V and dst = U' D' V', its psi1 is
+    pi^k1 V'^-1 E_ji V and its psi0 is pi^k0 U' E_ji U^-1, and A E_ji B
+    is column j of A times row i of B: one product of two lines each."""
+    cells = product(dst.smith.columns, src.smith.rows)
+    return [_generator(src, dst, c1 @ r1, c0 @ r0, shifts) for ((c1, c0), (r1, r0)), shifts
+            in zip(cells, cell_shifts(src, dst), strict=True)]
+
+
+def _test_generators(src: MonObject, dst: MonObject, lines) -> tuple:
+    """``_hom_generators(src, dst)`` when one end is a test object
+    ``rank_one(ctx, s')``, whose Smith transforms are identities: its
+    generators are pi-scaled ``lines``, ``dst.smith.columns`` when the
+    test is src and ``src.smith.rows`` when it is dst.  The test object
+    takes no Smith form."""
+    return tuple(_generator(src, dst, l1, l0, shifts)
+                 for (l1, l0), shifts in zip(lines, cell_shifts(src, dst), strict=True))
+
+
+def _generator(src: MonObject, dst: MonObject, b1: MatS, b0: MatS,
+               shifts: tuple) -> MonMorphism:
+    """The morphism (pi^k1 b1, pi^k0 b0), checked."""
+    k1, k0 = shifts
+    pi = src.ctx.pi_pow
+    return MonMorphism(src, dst, b1.scale(pi(k1)) if k1 else b1,
+                       b0.scale(pi(k0)) if k0 else b0)
 
 
 def _columns(ctx, columns) -> MatS:
@@ -134,10 +158,13 @@ def _factor_threshold(g: MonMorphism, test: MonObject, tau_gen: MonMorphism):
     """The least valuation mu of the lambda_k in S with
     g o sigma_k = lambda_k tau_gen, over the generators sigma_k of
     Hom(test, g.src) (INFINITY when all are zero), tau_gen generating
-    Hom(test, g.dst).  lambda_k is read off psi1 and checked on psi0."""
+    Hom(test, g.dst).  The test object is ``rank_one(ctx, s')``, so the
+    sigma_k are the pi-scaled ``g.src.smith.columns``
+    (``_test_generators``).  lambda_k is read off psi1 and checked on
+    psi0."""
     ctx = g.ctx
     mu = INFINITY
-    for sigma in _hom_generators(test, g.src):
+    for sigma in _test_generators(test, g.src, g.src.smith.columns):
         lam = (g.psi1 @ sigma.psi1).at(0, 0) / tau_gen.psi1.at(0, 0)
         if not (ctx.in_ring(lam) and sums_equal(tau_gen.psi0.scale(lam),
                                                 [(g.psi0, sigma.psi0)])):
@@ -223,7 +250,11 @@ def verify_right_almost_split(seq: ArSequence):
     least val(lambda_k) (INFINITY when all are zero, as is v for the zero
     class).  So each test object takes one ``_splits`` test, whose section
     check runs when u is a unit, and one mu; every class is still
-    enumerated and counted.
+    enumerated and counted.  The test object is diagonal with identity
+    Smith transforms, so tau, sigma and the sigma_k are pi-scaled lines of
+    seq.end's and seq.g.src's transforms (``_test_generators``): no test
+    object takes a Smith form, and none of these generators a matrix
+    product.
 
     Returns (lines, ok): one TEST line per exponent and a final ARSS
     summary line.
@@ -245,8 +276,8 @@ def verify_right_almost_split(seq: ArSequence):
     for sp in range(ctx.t + 1):
         test = rank_one(ctx, sp)
         residues = class_residues(test, seq.end)
-        (tau_gen,) = _hom_generators(test, seq.end)
-        unit = _splits(tau_gen, _hom_generators(seq.end, test))
+        (tau_gen,) = _test_generators(test, seq.end, seq.end.smith.columns)
+        unit = _splits(tau_gen, _test_generators(seq.end, test, seq.end.smith.rows))
         mu = _factor_threshold(seq.g, test, tau_gen)
         classes = 0
         factored = 0

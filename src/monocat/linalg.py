@@ -461,7 +461,10 @@ class SnfResult:
     that record onto an identity matrix, so callers that need only
     ``svals`` never pay for them.  D and the four transforms are finished
     by ``_from_lines``: over Z_(p) in cleared form, their ``entries`` built
-    only on first read.
+    only on first read.  For a square matrix, ``columns`` pairs column j
+    of V^-1 with column j of U, and ``rows`` pairs row i of V with row i
+    of U^-1, each line cut once from those transforms: A E_ji B is column j
+    of A times row i of B, so a Hom generator is a product of two lines.
     """
 
     d: MatS
@@ -488,6 +491,29 @@ class SnfResult:
     def v_inv(self) -> MatS:
         return _replay(self.d.ctx, self.d.cols, self.col_ops,
                        inverse=True, transpose=True)
+
+    @cached_property
+    def columns(self) -> tuple:
+        return tuple(zip(_lines(self.v_inv, True), _lines(self.u, True), strict=True))
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(zip(_lines(self.v, False), _lines(self.u_inv, False), strict=True))
+
+
+def _lines(a: MatS, columns: bool) -> list:
+    """The columns of a as n x 1 matrices, or its rows as 1 x n ones; over
+    Z_(p) each is cut from the cleared form and reduced on its own."""
+    r, c = a.rows, a.cols
+    if columns:
+        shape, cuts = (r, 1), [slice(j, None, c) for j in range(c)]
+    else:
+        shape, cuts = (1, c), [slice(i * c, (i + 1) * c) for i in range(r)]
+    cleared = a._ints()
+    if cleared is None:
+        return [MatS(a.ctx, *shape, a.entries[cut]) for cut in cuts]
+    nums, den = cleared
+    return [_reduced(a.ctx, *shape, nums[cut], den) for cut in cuts]
 
 
 def _replay(ctx: RingCtx, size: int, ops: tuple, *, inverse: bool,

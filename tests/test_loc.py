@@ -1,13 +1,15 @@
 """Tests of ``tools/loc.py``, the code-line counter."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tools"))
-
-from loc import code_lines  # noqa: E402
+_spec = importlib.util.spec_from_file_location("loc", ROOT / "tools" / "loc.py")
+loc = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(loc)
+code_lines = loc.code_lines
 
 SAMPLE = '''"""A module docstring
 over two lines."""

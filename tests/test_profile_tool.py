@@ -1,6 +1,8 @@
-"""Smoke test of ``tools/profile.py``, the timer and profiler of tails and
-``mon`` commands."""
+"""Smoke test of ``tools/profile.py``, the timer and profiler of tails,
+``mon`` commands and workload passes."""
 
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +37,28 @@ def test_times_alone_without_a_profiler(tmp_path):
 def test_names_the_two_tails(tmp_path):
     usage = " ".join(profile(tmp_path, "--help"))
     assert "--tail {f2-tr4,q-tr4}" in usage
+
+
+def test_profiles_a_workload_pass_and_writes_nothing(tmp_path):
+    head, trials, columns, *rows = profile(tmp_path, "--workload", "enum",
+                                           "--passes", "1", "--top", "3")
+    assert head.startswith("--workload enum --seed 1 --passes 1: wall ")
+    assert head.endswith(" s under cProfile")
+    assert re.fullmatch(r"\d+ trials, median process ms: \d+\.\d{3}", trials)
+    assert columns.split() == ["self", "s", "cum", "s", "calls", "function"]
+    assert len(rows) == 3 and all(row.endswith(")") for row in rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_loading_the_tool_tests_keeps_the_standard_profile_module(tmp_path):
+    # tools/profile.py would shadow the standard library's profile module,
+    # which cProfile imports, if tools/ were put on sys.path
+    code = ("import sys, test_loc, test_reach, cProfile; "
+            "assert callable(cProfile.run); "
+            "assert not [p for p in sys.path if p.endswith('tools')]")
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-B", "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -1,14 +1,17 @@
 """Smoke test of ``tools/reach.py``, the unreached-line report."""
 
+import importlib.util
 import sys
 from pathlib import Path
 
+from monocat import rings
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tools"))
-
-from reach import Reach, _ranges, executable_lines, report  # noqa: E402
-
-from monocat import rings  # noqa: E402
+_spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+reach_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach_tool)
+Reach, _ranges = reach_tool.Reach, reach_tool._ranges
+executable_lines, report = reach_tool.executable_lines, reach_tool.report
 
 
 def module_report(lines: list, name: str) -> list:

@@ -13,11 +13,18 @@ process with its output discarded.  The tails are defined once, in
   come from ``perfbench/workloads.py``, which is only read, and are drawn
   before the clock starts.
 
+``--workload W --seed S --passes K`` runs every trial of the first K passes
+of a ``perfbench`` workload in process.  Its inputs come from
+``perfbench/workloads.py``, which is only read, built from seed S inside a
+temporary directory that is removed afterwards; the trials run once to
+warm up before they are timed.
+
 Standard library only; runs from any directory.
 
     python3 tools/profile.py --tail f2-tr4
     python3 tools/profile.py --tail q-tr4 --top 0   # times only, no profiler
     python3 tools/profile.py --mon check --suite sigma --iters 1
+    python3 tools/profile.py --workload enum --seed 1 --passes 2
 
 With ``--top 0`` no profiler runs, so the times are those of the bare code;
 otherwise they include cProfile's overhead.
@@ -39,6 +46,7 @@ import importlib  # noqa: E402
 import io  # noqa: E402
 import pstats  # noqa: E402
 import random  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
@@ -54,16 +62,33 @@ def mon_runs(argv: list) -> list:
     return [run]
 
 
+def monocat_modules() -> SimpleNamespace:
+    """The monocat modules ``perfbench`` traces, by short name."""
+    import spans
+    return SimpleNamespace(**{m: importlib.import_module(f"monocat.{m}")
+                              for m in spans.MODULES})
+
+
 def tri_runs(kind: str, q, n: int, t: int, seeds) -> list:
     """One run per seed of a ``perfbench`` triangle trial over
     k[x]_(x), its inputs drawn from ``random.Random(seed)``."""
-    import spans
     import workloads
-    M = SimpleNamespace(**{m: importlib.import_module(f"monocat.{m}")
-                           for m in spans.MODULES})
+    M = monocat_modules()
     ring, trial = workloads.Ring("poly-local", q, t), workloads._TRI_TRIALS[kind]
     inputs = [workloads._tri_inputs(M, ring, kind, n, random.Random(s)) for s in seeds]
     return [lambda args=args: trial(M, ring, *args) for args in inputs]
+
+
+def workload_runs(name: str, seed: int, passes: int, workdir: Path) -> list:
+    """One run per trial of the first ``passes`` passes of a ``perfbench``
+    workload, its inputs built from ``seed`` under ``workdir``; each runs
+    once here, to warm up."""
+    import workloads
+    plan = workloads.BUILDERS[name](monocat_modules(), seed, workdir, passes=passes)
+    runs = [trial.run for trial_pass in plan.passes[:passes] for trial in trial_pass]
+    for run in runs:
+        run()
+    return runs
 
 
 TAILS = {
@@ -100,23 +125,36 @@ def top_self(profiler, count: int) -> list:
 
 
 def main(argv=None) -> int:
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     target = ap.add_mutually_exclusive_group(required=True)
     target.add_argument("--tail", choices=sorted(TAILS))
     target.add_argument("--mon", nargs=argparse.REMAINDER, metavar="ARGV",
                         help="a mon command line; takes the rest of the line")
+    target.add_argument("--workload", choices=sorted(workloads.BUILDERS))
+    ap.add_argument("--seed", type=int, default=1, help="the workload's seed")
+    ap.add_argument("--passes", type=int, default=1,
+                    help="the workload's passes to run, from the first")
     ap.add_argument("--top", type=int, default=15,
                     help="functions to list by self time; 0 runs no profiler")
     args = ap.parse_args(argv)
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    runs = TAILS[args.tail]() if args.tail else mon_runs(args.mon)
     profiler = cProfile.Profile() if args.top > 0 else None
-    wall, cpu, per_run, out = measure(runs, profiler)
-    name = f"--tail {args.tail}" if args.tail else "mon " + " ".join(args.mon)
+    with tempfile.TemporaryDirectory() as tmp:  # a workload's input files
+        if args.workload:
+            name = f"--workload {args.workload} --seed {args.seed} --passes {args.passes}"
+            runs = workload_runs(args.workload, args.seed, args.passes, Path(tmp))
+        else:
+            name = f"--tail {args.tail}" if args.tail else "mon " + " ".join(args.mon)
+            runs = TAILS[args.tail]() if args.tail else mon_runs(args.mon)
+        wall, cpu, per_run, out = measure(runs, profiler)
     print(f"{name}: wall {wall:.3f} s, process {cpu:.3f} s"
           + (" under cProfile" if profiler else ""))
-    if len(per_run) > 1:
+    if args.workload:
+        print(f"{len(per_run)} trials, median process ms: "
+              f"{1000 * sorted(per_run)[len(per_run) // 2]:.3f}")
+    elif len(per_run) > 1:
         print("per run, process s: " + ", ".join(f"{s:.3f}" for s in per_run))
     if out is not None:
         print(f"mon exit {out}")
