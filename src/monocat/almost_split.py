@@ -82,14 +82,14 @@ def _hom_generators(src: MonObject, dst: MonObject) -> list:
             in zip(cells, cell_shifts(src, dst), strict=True)]
 
 
-def _test_generators(src: MonObject, dst: MonObject, lines) -> tuple:
+def _test_generators(src: MonObject, dst: MonObject, lines) -> list:
     """``_hom_generators(src, dst)`` when one end is a test object
     ``rank_one(ctx, s')``, whose Smith transforms are identities: its
     generators are pi-scaled ``lines``, ``dst.smith.columns`` when the
     test is src and ``src.smith.rows`` when it is dst.  The test object
     takes no Smith form."""
-    return tuple(_generator(src, dst, l1, l0, shifts)
-                 for (l1, l0), shifts in zip(lines, cell_shifts(src, dst), strict=True))
+    return [_generator(src, dst, l1, l0, shifts)
+            for (l1, l0), shifts in zip(lines, cell_shifts(src, dst), strict=True)]
 
 
 def _generator(src: MonObject, dst: MonObject, b1: MatS, b0: MatS,

@@ -104,9 +104,9 @@ def test_test_side_generators_equal_the_general_ones(ctx, data):
     for y in ys:
         for sp in range(ctx.t + 1):
             test = rank_one(ctx, sp)
-            assert (list(_test_generators(test, y, y.smith.columns))
+            assert (_test_generators(test, y, y.smith.columns)
                     == _hom_generators(rank_one(ctx, sp), y))
-            assert (list(_test_generators(y, test, y.smith.rows))
+            assert (_test_generators(y, test, y.smith.rows)
                     == _hom_generators(y, rank_one(ctx, sp)))
 
 
