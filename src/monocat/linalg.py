@@ -784,28 +784,29 @@ def random_unimodular(n: int, seed: int, ctx: RingCtx) -> MatS:
     """Unit-determinant matrix built from bounded elementary operations.
 
     Deterministic in (n, seed, ctx): the same arguments always give the
-    same matrix.
+    same matrix.  The operations run on lines of numerators over
+    denominator 1, ints or Polys, as every draw (``_random_unit``, ``_pi_num``)
+    is one; ``_from_lines`` finishes them, in cleared form over Z_(p).
     """
     if n == 0:
         return identity(ctx, 0)
     rng = random.Random(seed)
-    m = identity(ctx, n).to_rows()
+    zero, one = ctx.zero().numerator, ctx.one().numerator
+    lines = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for _ in range(2 * n + 4):
         op = rng.randrange(3)
         if op == 0 and n > 1:
             i, j = rng.sample(range(n), 2)
-            c = ctx._random_unit(rng) * ctx.pi_pow(rng.choice([0, 0, 1, 2]))
-            for col in range(n):
-                m[i][col] = m[i][col] + c * m[j][col]
+            c = ctx._random_unit(rng) * ctx._pi_num(rng.choice([0, 0, 1, 2]))
+            lines[i] = [x + c * y if y else x for x, y in zip(lines[i], lines[j])]
         elif op == 1 and n > 1:
             i, j = rng.sample(range(n), 2)
-            m[i], m[j] = m[j], m[i]
+            lines[i], lines[j] = lines[j], lines[i]
         else:
             i = rng.randrange(n)
             c = ctx._random_unit(rng)
-            for col in range(n):
-                m[i][col] = m[i][col] * c
-    return MatS(ctx, n, n, tuple(x for row in m for x in row))
+            lines[i] = [x * c for x in lines[i]]
+    return _from_lines(ctx, n, n, lines, [one] * n)
 
 
 # ---------------------------------------------------------------------------

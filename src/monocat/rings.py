@@ -697,11 +697,11 @@ class IntLocal(RingCtx):
             raise ParseError("polynomial syntax is not valid for int-local rings")
         return coeff
 
-    def _random_unit(self, rng) -> Fraction:
+    def _random_unit(self, rng) -> int:
         while True:
             k = rng.choice([-3, -2, -1, 1, 2, 3])
             if k % self.p != 0:
-                return Fraction(k)
+                return k
 
     def _random_scalar(self, rng) -> Fraction:
         return Fraction(rng.randrange(self.p ** self.t))
@@ -805,10 +805,10 @@ class PolyLocal(RingCtx):
         except ZeroDivisionError as exc:
             raise ParseError(str(exc)) from exc
 
-    def _random_unit(self, rng) -> PolyFrac:
+    def _random_unit(self, rng) -> Poly:
         c = rng.choice([1, 2, -1]) if self.coeff_q != 2 else 1
         d = rng.choice([-1, 0, 0, 1])
-        return self.lift(Poly.make([c, d], self.coeff_q))
+        return Poly.make([c, d], self.coeff_q)
 
     def _random_scalar(self, rng) -> PolyFrac:
         q = self.coeff_q

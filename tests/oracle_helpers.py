@@ -3,13 +3,15 @@
 Everything here decides by exhaustive enumeration over the finite quotient
 ring, or recomputes by the plainest method (trial division, one normalized
 operation at a time, a Smith form that carries its four transforms through
-every step, a Smith form and replay on scalar rows); slow on purpose and
-independent of the library's solvers and kernels.  The library-dead
-``all_morphism_params`` and ``residue_svals`` live here too.
+every step, a Smith form, its replay and the seeded unimodular draw on
+scalar rows); slow on purpose and independent of the library's solvers
+and kernels.  The library-dead ``all_morphism_params`` and
+``residue_svals`` live here too.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -372,6 +374,32 @@ def reference_replay(ctx: RingCtx, size: int, ops: tuple, *, inverse: bool,
     if transpose:
         lines = zip(*lines)
     return MatS(ctx, size, size, tuple(x for line in lines for x in line))
+
+
+def random_unimodular_ref(n: int, seed: int, ctx: RingCtx) -> MatS:
+    """``linalg.random_unimodular`` on scalar rows, one normalized scalar
+    per entry per elementary operation, each draw lifted to a scalar; the
+    same rng calls in the same order, so the same matrix."""
+    if n == 0:
+        return identity(ctx, 0)
+    rng = random.Random(seed)
+    m = identity(ctx, n).to_rows()
+    for _ in range(2 * n + 4):
+        op = rng.randrange(3)
+        if op == 0 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            c = ctx.lift(ctx._random_unit(rng)) * ctx.pi_pow(rng.choice([0, 0, 1, 2]))
+            for col in range(n):
+                m[i][col] = m[i][col] + c * m[j][col]
+        elif op == 1 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            m[i], m[j] = m[j], m[i]
+        else:
+            i = rng.randrange(n)
+            c = ctx.lift(ctx._random_unit(rng))
+            for col in range(n):
+                m[i][col] = m[i][col] * c
+    return MatS(ctx, n, n, tuple(x for row in m for x in row))
 
 
 def reference_transforms(s: SnfResult) -> dict:

@@ -1,5 +1,5 @@
 """Smoke test of ``tools/profile.py``, the timer and profiler of tails,
-``mon`` commands and workload passes."""
+``mon`` commands, workload passes and workload input builds."""
 
 import os
 import re
@@ -10,9 +10,13 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "profile.py"
 
 
-def profile(tmp_path, *argv) -> list:
-    done = subprocess.run([sys.executable, str(TOOL), *argv], cwd=tmp_path,
+def run_tool(tmp_path, *argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOL), *argv], cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
+
+
+def profile(tmp_path, *argv) -> list:
+    done = run_tool(tmp_path, *argv)
     assert done.returncode == 0 and done.stderr == ""
     return done.stdout.splitlines()
 
@@ -34,6 +38,15 @@ def test_times_alone_without_a_profiler(tmp_path):
     assert lines[0].endswith(" s") and lines[1:] == ["mon exit 2"]
 
 
+def test_a_command_mon_refuses_to_parse_is_not_timed(tmp_path):
+    # --mon takes the rest of the line, so a trailing --top goes to mon
+    done = run_tool(tmp_path, "--mon", "check", "--suite", "sigma", "--top", "12")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "unrecognized arguments: --top 12" in done.stderr
+    assert "must come last" in " ".join(profile(tmp_path, "--help"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_names_the_two_tails(tmp_path):
     usage = " ".join(profile(tmp_path, "--help"))
     assert "--tail {f2-tr4,q-tr4}" in usage
@@ -45,6 +58,17 @@ def test_profiles_a_workload_pass_and_writes_nothing(tmp_path):
     assert head.startswith("--workload enum --seed 1 --passes 1: wall ")
     assert head.endswith(" s under cProfile")
     assert re.fullmatch(r"\d+ trials, median process ms: \d+\.\d{3}", trials)
+    assert columns.split() == ["self", "s", "cum", "s", "calls", "function"]
+    assert len(rows) == 3 and all(row.endswith(")") for row in rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_profiles_a_workload_setup_and_writes_nothing(tmp_path):
+    head, built, columns, *rows = profile(tmp_path, "--workload", "enum", "--setup",
+                                          "--top", "3")
+    assert head.startswith("--workload enum --seed 1 --passes 1 --setup: wall ")
+    assert head.endswith(" s under cProfile")
+    assert re.fullmatch(r"1 passes, \d+ trials built", built)
     assert columns.split() == ["self", "s", "cum", "s", "calls", "function"]
     assert len(rows) == 3 and all(row.endswith(")") for row in rows)
     assert list(tmp_path.iterdir()) == []

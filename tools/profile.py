@@ -17,14 +17,25 @@ process with its output discarded.  The tails are defined once, in
 of a ``perfbench`` workload in process.  Its inputs come from
 ``perfbench/workloads.py``, which is only read, built from seed S inside a
 temporary directory that is removed afterwards; the trials run once to
-warm up before they are timed.
+warm up before they are timed.  With ``--setup`` the input build itself,
+``BUILDERS[W]`` of those K passes, is timed and profiled in place of the
+trials: the cost a ``perfbench`` run reports as ``setup_s``, less the
+interpreter start and the imports.  ``perfbench/run.py --seconds 20``
+builds 7 passes of ``tri-int``.
+
+``--mon`` takes the rest of the line as the ``mon`` command, so it must come
+last; the tool's own options go before it.  A command line that ``mon``'s
+parser refuses is not timed: its usage error is printed and its exit code
+returned.  A command that parses is timed whatever its exit code, which is
+printed.
 
 Standard library only; runs from any directory.
 
     python3 tools/profile.py --tail f2-tr4
     python3 tools/profile.py --tail q-tr4 --top 0   # times only, no profiler
-    python3 tools/profile.py --mon check --suite sigma --iters 1
+    python3 tools/profile.py --top 12 --mon check --suite sigma --iters 1
     python3 tools/profile.py --workload enum --seed 1 --passes 2
+    python3 tools/profile.py --workload tri-int --passes 7 --setup
 
 With ``--top 0`` no profiler runs, so the times are those of the bare code;
 otherwise they include cProfile's overhead.
@@ -91,6 +102,15 @@ def workload_runs(name: str, seed: int, passes: int, workdir: Path) -> list:
     return runs
 
 
+def setup_runs(name: str, seed: int, passes: int, workdir: Path) -> list:
+    """One run that builds the inputs of the first ``passes`` passes of a
+    ``perfbench`` workload from ``seed`` under ``workdir``, and returns
+    its plan."""
+    import workloads
+    M = monocat_modules()
+    return [lambda: workloads.BUILDERS[name](M, seed, workdir, passes=passes)]
+
+
 TAILS = {
     "f2-tr4": lambda: mon_runs(["check", "--suite", "tr4", "--iters", "1", "--max-t",
                                 "512", "--max-size", "8", "--seed", "2"]),
@@ -132,31 +152,46 @@ def main(argv=None) -> int:
     target = ap.add_mutually_exclusive_group(required=True)
     target.add_argument("--tail", choices=sorted(TAILS))
     target.add_argument("--mon", nargs=argparse.REMAINDER, metavar="ARGV",
-                        help="a mon command line; takes the rest of the line")
+                        help="a mon command line; takes the rest of the line, "
+                             "so it must come last")
     target.add_argument("--workload", choices=sorted(workloads.BUILDERS))
     ap.add_argument("--seed", type=int, default=1, help="the workload's seed")
     ap.add_argument("--passes", type=int, default=1,
                     help="the workload's passes to run, from the first")
+    ap.add_argument("--setup", action="store_true",
+                    help="time the workload's input build, not its trials")
     ap.add_argument("--top", type=int, default=15,
                     help="functions to list by self time; 0 runs no profiler")
     args = ap.parse_args(argv)
+    if args.setup and not args.workload:
+        ap.error("--setup needs --workload")
+    if args.mon is not None:
+        from monocat import cli
+        try:
+            cli.build_parser().parse_args(args.mon)
+        except SystemExit as exc:  # a mistyped command: nothing to time
+            return int(exc.code or 0)
     profiler = cProfile.Profile() if args.top > 0 else None
     with tempfile.TemporaryDirectory() as tmp:  # a workload's input files
         if args.workload:
             name = f"--workload {args.workload} --seed {args.seed} --passes {args.passes}"
-            runs = workload_runs(args.workload, args.seed, args.passes, Path(tmp))
+            make = setup_runs if args.setup else workload_runs
+            runs = make(args.workload, args.seed, args.passes, Path(tmp))
+            name += " --setup" if args.setup else ""
         else:
             name = f"--tail {args.tail}" if args.tail else "mon " + " ".join(args.mon)
             runs = TAILS[args.tail]() if args.tail else mon_runs(args.mon)
         wall, cpu, per_run, out = measure(runs, profiler)
     print(f"{name}: wall {wall:.3f} s, process {cpu:.3f} s"
           + (" under cProfile" if profiler else ""))
-    if args.workload:
+    if args.setup:
+        print(f"{len(out.passes)} passes, {sum(map(len, out.passes))} trials built")
+    elif args.workload:
         print(f"{len(per_run)} trials, median process ms: "
               f"{1000 * sorted(per_run)[len(per_run) // 2]:.3f}")
     elif len(per_run) > 1:
         print("per run, process s: " + ", ".join(f"{s:.3f}" for s in per_run))
-    if out is not None:
+    if args.mon is not None:
         print(f"mon exit {out}")
     if profiler:
         print("\n".join(top_self(profiler, args.top)))
