@@ -7,8 +7,9 @@ below); over k[x]_(x) it works entrywise with the exact scalar types from
 :mod:`monocat.rings`.  The Smith form is one elimination for both rings:
 its work rows, and the lines its transforms are replayed on, are
 numerators over one denominator per line, ints or Polys, and one finisher
-(``_from_lines``) turns lines into a ``MatS``.  ``MatR`` holds canonical
-residues and computes modulo omega.
+(``_from_lines``) turns lines into a ``MatS``, also for ``diag_pi`` and
+the seeded draw ``random_unimodular``, whose lines are over denominator 1.
+``MatR`` holds canonical residues and computes modulo omega.
 """
 
 from __future__ import annotations
@@ -785,8 +786,9 @@ def random_unimodular(n: int, seed: int, ctx: RingCtx) -> MatS:
 
     Deterministic in (n, seed, ctx): the same arguments always give the
     same matrix.  The operations run on lines of numerators over
-    denominator 1, ints or Polys, as every draw (``_random_unit``, ``_pi_num``)
-    is one; ``_from_lines`` finishes them, in cleared form over Z_(p).
+    denominator 1, ints or Polys, as every draw (``_random_unit``,
+    ``_pi_num``) is one; ``_from_lines`` finishes them, in cleared form
+    over Z_(p).
     """
     if n == 0:
         return identity(ctx, 0)

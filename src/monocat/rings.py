@@ -24,9 +24,10 @@ private primitives on an int or a Poly: ``_valuation``, ``_mod``
 gcd, for the Smith form's lines of numerators over one denominator each),
 ``_clear`` (a matrix's entries as integer numerators over one
 denominator, or None where matrices work entrywise), ``_scalar_text``
-and ``_term`` (the text form), and the seeded draws ``_random_unit`` and
-``_random_scalar``.  It overrides no method of RingCtx, so a wrapper on a
-RingCtx method sees every call of it.
+and ``_term`` (the text form), and the seeded draws ``_random_unit`` (a
+unit numerator, an int or a Poly, for ``linalg.random_unimodular``'s
+lines) and ``_random_scalar``.  It overrides no method of RingCtx, so a
+wrapper on a RingCtx method sees every call of it.
 
 Normalization policy.  Every scalar, residue and Poly is stored in
 canonical form, so field equality is value equality: exact values compare

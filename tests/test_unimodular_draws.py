@@ -34,7 +34,8 @@ def entry_reprs(m) -> list:
 def test_draw_equals_the_scalar_reference(ctx):
     for n in range(6):
         for seed in range(100):
-            got, want = random_unimodular(n, seed, ctx), random_unimodular_ref(n, seed, ctx)
+            got = random_unimodular(n, seed, ctx)
+            want = random_unimodular_ref(n, seed, ctx)
             assert (got.rows, got.cols) == (want.rows, want.cols) == (n, n)
             assert entry_reprs(got) == entry_reprs(want), (n, seed)
 

@@ -157,7 +157,8 @@ def main(argv=None) -> int:
     target.add_argument("--workload", choices=sorted(workloads.BUILDERS))
     ap.add_argument("--seed", type=int, default=1, help="the workload's seed")
     ap.add_argument("--passes", type=int, default=1,
-                    help="the workload's passes to run, from the first")
+                    help="the workload's passes to run (with --setup, to "
+                         "build), from the first")
     ap.add_argument("--setup", action="store_true",
                     help="time the workload's input build, not its trials")
     ap.add_argument("--top", type=int, default=15,
@@ -185,7 +186,8 @@ def main(argv=None) -> int:
     print(f"{name}: wall {wall:.3f} s, process {cpu:.3f} s"
           + (" under cProfile" if profiler else ""))
     if args.setup:
-        print(f"{len(out.passes)} passes, {sum(map(len, out.passes))} trials built")
+        built = out.passes
+        print(f"{len(built)} passes, {sum(map(len, built))} trials built")
     elif args.workload:
         print(f"{len(per_run)} trials, median process ms: "
               f"{1000 * sorted(per_run)[len(per_run) // 2]:.3f}")
