@@ -63,16 +63,15 @@ def test_int_local_draw_is_cleared_and_builds_no_fraction(ctx, monkeypatch):
     def counting(cls, *args, **kwargs):
         built.append(args)
         return new(cls, *args, **kwargs)
-    for n in range(1, 6):
-        for seed in range(20):
-            monkeypatch.setattr(Fraction, "__new__", counting)
-            u = random_unimodular(n, seed, ctx)
-            monkeypatch.undo()
-            assert built == [], (n, seed)
-            assert u._entries is None
-            nums, den = u._cleared
-            assert den == 1 and len(nums) == n * n
-            assert all(type(x) is int for x in nums)
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        draws = [random_unimodular(n, seed, ctx) for n in range(1, 6) for seed in range(20)]
+    assert built == []
+    for u in draws:
+        assert u._entries is None
+        nums, den = u._cleared
+        assert den == 1 and len(nums) == u.rows * u.cols
+        assert all(type(x) is int for x in nums)
 
 
 @pytest.mark.parametrize("ctx", RINGS, ids=IDS)
