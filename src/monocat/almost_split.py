@@ -19,6 +19,7 @@ coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .category import (MonMorphism, MonObject, composes_to,
@@ -61,6 +62,9 @@ def tau_gp(m: RModuleObj, d: int = 0) -> RModuleObj:
     return syzygy(m)
 
 
+_SPLIT = "g is a split epimorphism"
+
+
 @dataclass(frozen=True)
 class ArSequence:
     """An almost split sequence 0 -> tau_f -> middle -> end -> 0."""
@@ -70,6 +74,16 @@ class ArSequence:
     theta: MonMorphism
     g: MonMorphism
 
+    @cached_property
+    def failure(self) -> str | None:
+        """The structure verdict, checked once per sequence: None when the
+        sequence is componentwise split exact and g, onto an end of rank
+        one, is no split epimorphism, else a short reason."""
+        reason = _exactness_failure(self.tau_f, self.middle, self.end, self.theta, self.g)
+        if reason is None and _splits(self.g, _hom_generators(self.end, self.middle)):
+            return _SPLIT
+        return reason
+
 
 def _hom_generators(src: MonObject, dst: MonObject) -> list:
     """The S-basis of Hom(src, dst), one generator per (target row j,
@@ -77,28 +91,22 @@ def _hom_generators(src: MonObject, dst: MonObject) -> list:
     vector.  With src = U D V and dst = U' D' V', its psi1 is
     pi^k1 V'^-1 E_ji V and its psi0 is pi^k0 U' E_ji U^-1, and A E_ji B
     is column j of A times row i of B: one product of two lines each."""
-    cells = product(dst.smith.columns, src.smith.rows)
-    return [_generator(src, dst, c1 @ r1, c0 @ r0, shifts) for ((c1, c0), (r1, r0)), shifts
-            in zip(cells, cell_shifts(src, dst), strict=True)]
+    return _test_generators(src, dst, ((c1 @ r1, c0 @ r0) for (c1, c0), (r1, r0)
+                                       in product(dst.smith.columns, src.smith.rows)))
 
 
 def _test_generators(src: MonObject, dst: MonObject, lines) -> list:
-    """``_hom_generators(src, dst)`` when one end is a test object
-    ``rank_one(ctx, s')``, whose Smith transforms are identities: its
-    generators are pi-scaled ``lines``, ``dst.smith.columns`` when the
-    test is src and ``src.smith.rows`` when it is dst.  The test object
-    takes no Smith form."""
-    return [_generator(src, dst, l1, l0, shifts)
-            for (l1, l0), shifts in zip(lines, cell_shifts(src, dst), strict=True)]
-
-
-def _generator(src: MonObject, dst: MonObject, b1: MatS, b0: MatS,
-               shifts: tuple) -> MonMorphism:
-    """The morphism (pi^k1 b1, pi^k0 b0), checked."""
-    k1, k0 = shifts
+    """The generators (pi^k1 b1, pi^k0 b0) of Hom(src, dst), checked, one
+    per cell with shifts (k1, k0) and ``lines`` (b1, b0).  The one builder
+    of generators: ``_hom_generators`` passes its line products, and when
+    one end is a test object ``rank_one(ctx, s')``, whose Smith transforms
+    are identities, the generators are pi-scaled ``lines``,
+    ``dst.smith.columns`` when the test is src and ``src.smith.rows`` when
+    it is dst.  The test object takes no Smith form."""
     pi = src.ctx.pi_pow
-    return MonMorphism(src, dst, b1.scale(pi(k1)) if k1 else b1,
-                       b0.scale(pi(k0)) if k0 else b0)
+    return [MonMorphism(src, dst, b1.scale(pi(k1)) if k1 else b1,
+                        b0.scale(pi(k0)) if k0 else b0)
+            for (b1, b0), (k1, k0) in zip(lines, cell_shifts(src, dst), strict=True)]
 
 
 def _columns(ctx, columns) -> MatS:
@@ -198,11 +206,12 @@ def ar_sequence(f: MonObject) -> ArSequence:
     start = tau(f, 0)
     theta = MonMorphism(start, middle, col, col)
     g = MonMorphism(middle, f, row, row)
-    if _exactness_failure(start, middle, f, theta, g) is not None:
-        raise InternalInvariantError("almost split sequence is not exact")
-    if _splits(g, _hom_generators(f, middle)):
+    seq = ArSequence(start, middle, f, theta, g)
+    if seq.failure == _SPLIT:
         raise InternalInvariantError("almost split sequence splits")
-    return ArSequence(start, middle, f, theta, g)
+    if seq.failure is not None:
+        raise InternalInvariantError("almost split sequence is not exact")
+    return seq
 
 
 def _exactness_failure(start, middle, end, theta, g):
@@ -263,16 +272,9 @@ def verify_right_almost_split(seq: ArSequence):
         raise NotIndecomposable("the verifier needs an end of rank one")
     ctx = seq.end.ctx
     label = ",".join(str(v) for v in seq.end.svals)
-    lines = []
-    reason = _exactness_failure(seq.tau_f, seq.middle, seq.end, seq.theta,
-                                seq.g)
-    if reason is None and _splits(seq.g, _hom_generators(seq.end, seq.middle)):
-        reason = "g is a split epimorphism"
-    if reason is not None:
-        lines.append(f"STRUCT {reason} FAIL")
-        lines.append(f"ARSS {label} {ctx.t} FAIL")
-        return lines, False
-    ok = True
+    if seq.failure is not None:
+        return [f"STRUCT {seq.failure} FAIL", f"ARSS {label} {ctx.t} FAIL"], False
+    lines, ok = [], True
     for sp in range(ctx.t + 1):
         test = rank_one(ctx, sp)
         residues = class_residues(test, seq.end)

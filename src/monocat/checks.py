@@ -19,9 +19,9 @@ from .category import (compose, decompose, identity_morphism,
                        partner_morphism, rank_one)
 from .errors import MonocatError, ParametersTooLarge
 from .homotopy import (complete_square, cone, cone_maps,
-                       factor_through_projective, is_iso_in_homotopy,
-                       null_homotopy, octahedron, standard_triangle,
-                       suspend_morphism, triangle_composite_witnesses)
+                       factor_through_projective, null_homotopy, octahedron,
+                       standard_triangle, suspend_morphism,
+                       triangle_composite_witnesses)
 from .linalg import identity, sums_equal
 from .rings import RingCtx
 from .sampling import random_morphism, random_null_homotopic, random_object
@@ -166,9 +166,9 @@ def suite_tr4(ctx, rng, max_size, i):
     z = random_object(ctx, rng, max_size)
     u = random_morphism(x, y, rng)
     v = random_morphism(y, z, rng)
-    data = octahedron(u, v)
-    return (is_iso_in_homotopy(data.comparison)
-            and triangle_composite_witnesses(data.bottom) is not None)
+    # octahedron raises NotExactTriangle unless its comparison map is
+    # invertible, so only the bottom triangle is left to check
+    return triangle_composite_witnesses(octahedron(u, v).bottom) is not None
 
 
 @_suite("INV")

@@ -239,6 +239,12 @@ def _require_at_least(args, bounds) -> None:
             raise ValueError(f"--{option} must be at most {high[0]}")
 
 
+def _dim(args) -> int:
+    """``--dim``, refused (exit 2) below 0: it is a Krull dimension."""
+    _require_at_least(args, (("dim", 0),))
+    return args.dim
+
+
 def _check(args) -> tuple:
     _require_at_least(args, (("iters", 0, MAX_ITERS),
                              ("max-size", 1, MAX_SIZE), ("max-t", 1, MAX_T)))
@@ -311,11 +317,11 @@ COMMANDS = (
      "print the two alternating differentials of the periodic resolution "
      "over the quotient ring", (), _resolve),
     ("tau", OBJ, True, "emit the Auslander-Reiten translate", (DIM,),
-     lambda f, args: (dumps_object(tau(f, args.dim)), 0)),
+     lambda f, args: (dumps_object(tau(f, _dim(args))), 0)),
     ("tau-gp", OBJ, False, "print the translate of the cokernel module",
      (DIM,),
      lambda f, args: (
-         f"exps: {format_lengths(tau_gp(cokernel(f), args.dim).exps)}", 0)),
+         f"exps: {format_lengths(tau_gp(cokernel(f), _dim(args)).exps)}", 0)),
     ("ar-seq", OBJ, True,
      "emit the almost split sequence ending at the object", (), _ar_seq),
     ("ar-verify", OBJ, False,

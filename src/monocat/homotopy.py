@@ -252,29 +252,27 @@ def complete_square(top: MonMorphism, bottom: MonMorphism,
     and bottom together with eta: cone(top) -> cone(bottom) making both
     connecting squares commute strictly.
     """
-    return _complete_square(standard_triangle(top), standard_triangle(bottom),
-                            left, right)
-
-
-def _complete_square(tri: Triangle, tri2: Triangle, left: MonMorphism,
-                     right: MonMorphism) -> tuple[Triangle, Triangle, MonMorphism]:
-    """``complete_square`` on the standard triangles of top and bottom,
-    already built."""
-    top, bottom = tri.u, tri2.u
     if left.src != top.src or left.dst != bottom.src:
         raise NotComposable("left comparison map has wrong endpoints")
     if right.src != top.dst or right.dst != bottom.dst:
         raise NotComposable("right comparison map has wrong endpoints")
-    defect = compose(right, top) - compose(bottom, left)
-    w = null_homotopy(defect)
+    w = null_homotopy(compose(right, top) - compose(bottom, left))
     if w is None:
         raise SquaresNotHomotopyCommuting(
             "the square does not commute up to homotopy")
-    ctx = top.ctx
-    eta1 = block(ctx, [[right.psi1, w.s0], [None, left.psi0]])
-    eta0 = block(ctx, [[right.psi0, w.s1], [None, left.psi1]])
-    eta = MonMorphism(tri.c, tri2.c, eta1, eta0)
-    return tri, tri2, eta
+    tri, tri2 = standard_triangle(top), standard_triangle(bottom)
+    return tri, tri2, _cone_map(tri, tri2, left, right, w.s0, w.s1)
+
+
+def _cone_map(tri: Triangle, tri2: Triangle, left: MonMorphism, right: MonMorphism,
+              s0: MatS | None, s1: MatS | None) -> MonMorphism:
+    """eta: cone(tri.u) -> cone(tri2.u) for the square of ``complete_square``
+    with null-homotopy (s0, s1) of its defect, checked; None stands for a
+    zero block."""
+    ctx = left.ctx
+    return MonMorphism(tri.c, tri2.c,
+                       block(ctx, [[right.psi1, s0], [None, left.psi0]]),
+                       block(ctx, [[right.psi0, s1], [None, left.psi1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +311,14 @@ def octahedron(first: MonMorphism, second: MonMorphism) -> Octahedron:
     if first.dst != second.src:
         raise NotComposable("octahedron needs composable morphisms")
     ctx = first.ctx
-    composite = compose(second, first)
-    tri_first, tri_composite, to_composite = complete_square(
-        first, composite, identity_morphism(first.src), second)
-    _, tri_second, to_second = _complete_square(
-        tri_composite, standard_triangle(second), first,
-        identity_morphism(second.dst))
+    tri_first, tri_composite, tri_second = map(
+        standard_triangle, (first, compose(second, first), second))
+    # both squares commute strictly, the composite being second . first, so
+    # the null-homotopy of each defect is zero
+    to_composite = _cone_map(tri_first, tri_composite,
+                             identity_morphism(first.src), second, None, None)
+    to_second = _cone_map(tri_composite, tri_second, first,
+                          identity_morphism(second.dst), None, None)
     cu = tri_first.c
     cv = tri_second.c
     # connecting map: project cone(second) to shift(y), then include into

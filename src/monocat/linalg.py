@@ -41,10 +41,11 @@ class MatS:
     ``diag_pi`` and ``truncated_svals`` run on those ints, with no Fraction
     per entry; residues modulo omega, the congruence solver and blocks read
     ``entries``.  A matrix built from entries keeps them and is cleared on
-    first need (``RingCtx._clear``); a matrix computed in cleared form
-    builds ``entries``, a tuple of Fractions, on first read.  Each form is
-    built at most once.  Over k[x]_(x) ``_clear`` gives None and every
-    operation reads the entries; the Smith form seeds its rows from them.
+    first need (``_clear``); a matrix computed in cleared form builds
+    ``entries``, a tuple of Fractions, on first read.  Each form is built
+    at most once.  Over k[x]_(x) there is no cleared form
+    (``_cleared_ring``) and every operation reads the entries; the Smith
+    form seeds its rows from them.
     """
 
     __slots__ = ("ctx", "rows", "cols", "_entries", "_cleared")
@@ -76,7 +77,7 @@ class MatS:
         """The cleared form (nums, den), or None over k[x]_(x)."""
         c = self._cleared
         if c is _UNSET:
-            c = self.ctx._clear(self._entries)
+            c = _clear(self._entries) if _cleared_ring(self.ctx) else None
             _set(self, "_cleared", c)
         return c
 
@@ -150,6 +151,22 @@ class MatS:
         k = c.numerator
         return _reduced(self.ctx, self.rows, self.cols,
                         [k * n for n in a[0]], a[1] * c.denominator)
+
+
+def _cleared_ring(ctx: RingCtx) -> bool:
+    """Whether matrices over ctx have a cleared form: over Z_(p), whose
+    scalars are Fractions of ints."""
+    return type(ctx.one().numerator) is int
+
+
+def _clear(entries) -> tuple:
+    """The cleared form of a matrix's entries (see ``MatS``): integer
+    numerators over their least common denominator."""
+    pairs = [x.as_integer_ratio() for x in entries]
+    den = lcm(*[d for _, d in pairs])
+    if den == 1:
+        return tuple([n for n, _ in pairs]), 1
+    return tuple([n * (den // d) for n, d in pairs]), den
 
 
 def _reduced(ctx: RingCtx, rows: int, cols: int, nums: list, den: int) -> MatS:
@@ -551,7 +568,7 @@ def _from_lines(ctx: RingCtx, rows: int, cols: int, lines: list, dens: list,
     or its columns when ``transpose``.  The one finisher of lines of
     numerators: over Z_(p) the lines are brought to the lcm of dens, one
     cleared form; over k[x]_(x) each entry is normalized once."""
-    cleared = type(ctx.one().numerator) is int  # Z_(p)
+    cleared = _cleared_ring(ctx)
     if cleared:
         den = lcm(*dens)
         lines = [[x * (den // d) for x in line] if d != den else line

@@ -22,12 +22,13 @@ private primitives on an int or a Poly: ``_valuation``, ``_mod``
 ``_pi_pow`` (pi^k as an int or a Poly, which ``pi_pow`` lifts),
 ``_normalize`` (lowest terms), ``_cancel`` (a and b divided by their
 gcd, for the Smith form's lines of numerators over one denominator each),
-``_clear`` (a matrix's entries as integer numerators over one
-denominator, or None where matrices work entrywise), ``_scalar_text``
-and ``_term`` (the text form), and the seeded draws ``_random_unit`` (a
-unit numerator, an int or a Poly, for ``linalg.random_unimodular``'s
-lines) and ``_random_scalar``.  It overrides no method of RingCtx, so a
-wrapper on a RingCtx method sees every call of it.
+``_scalar_text`` and ``_term`` (the text form), and the seeded draws
+``_random_unit`` (a unit numerator, an int or a Poly, for
+``linalg.random_unimodular``'s lines) and ``_random_scalar``.  It
+overrides no method of RingCtx, so a wrapper on a RingCtx method sees
+every call of it.  The cleared form of a matrix over Z_(p), integer
+numerators over one denominator, is built in ``linalg``, which owns that
+format.
 
 Normalization policy.  Every scalar, residue and Poly is stored in
 canonical form, so field equality is value equality: exact values compare
@@ -666,16 +667,6 @@ class IntLocal(RingCtx):
     from_int = lift  # an integer is its own lift
     _normalize = staticmethod(Fraction)
 
-    @staticmethod
-    def _clear(entries) -> tuple:
-        """The cleared form of a matrix's entries (see ``linalg.MatS``):
-        integer numerators over their least common denominator."""
-        pairs = [x.as_integer_ratio() for x in entries]
-        den = math.lcm(*[d for _, d in pairs])
-        if den == 1:
-            return tuple([n for n, _ in pairs]), 1
-        return tuple([n * (den // d) for n, d in pairs]), den
-
     def _pi_pow(self, k: int) -> int:
         return self.p ** k
 
@@ -774,11 +765,6 @@ class PolyLocal(RingCtx):
     @staticmethod
     def _normalize(num: Poly, den: Poly) -> PolyFrac:
         return PolyFrac.make(num, den)  # looked up per call, as tracers wrap it
-
-    @staticmethod
-    def _clear(entries) -> None:
-        """No cleared form: matrices over k[x]_(x) work entrywise."""
-        return None
 
     def residue_elements(self) -> Iterator[Poly]:
         """All of R in a fixed order; requires a finite residue field."""

@@ -19,9 +19,9 @@ from monocat.almost_split import (ArSequence, _factor_threshold,
 from monocat.category import (MonMorphism, MonObject, cokernel, compose,
                               direct_sum, identity_morphism, make_object,
                               rank_one, zero_morphism)
-from monocat.errors import (InfiniteResidueField, NotComposable,
-                            NotIndecomposable, ParametersTooLarge,
-                            ProjectiveObject)
+from monocat.errors import (InfiniteResidueField, InternalInvariantError,
+                            NotComposable, NotIndecomposable,
+                            ParametersTooLarge, ProjectiveObject)
 from monocat.homotopy import is_iso_in_homotopy
 from monocat.linalg import MatS, diag_pi, mat, snf
 from monocat.rings import INFINITY, RingCtx
@@ -217,6 +217,58 @@ def test_verify_rejects_split_sequence():
     lines, ok = verify_right_almost_split(split)
     assert not ok
     assert lines[0] == "STRUCT g is a split epimorphism FAIL"
+
+
+@pytest.fixture
+def hom_builds(monkeypatch):
+    """The (src, dst) of every ``_hom_generators`` call while the test
+    runs, in order."""
+    seen = []
+
+    def counting(src, dst):
+        seen.append((src, dst))
+        return _hom_generators(src, dst)
+
+    monkeypatch.setattr("monocat.almost_split._hom_generators", counting)
+    return seen
+
+
+@pytest.mark.parametrize("ctx", [Z22, Z23, RingCtx.poly_local(2, q=3)],
+                         ids=["Z2-t2", "Z2-t3", "F3-t2"])
+def test_sequence_and_verifier_build_hom_end_middle_once(ctx, hom_builds):
+    for s in range(1, ctx.t):
+        hom_builds.clear()
+        seq = ar_sequence(rank_one(ctx, s))
+        lines, ok = verify_right_almost_split(seq)
+        assert ok and seq.failure is None
+        assert hom_builds == [(seq.end, seq.middle)]
+
+
+def test_hand_built_sequences_report_their_one_verdict(hom_builds):
+    seq = ar_sequence(rank_one(Z22, 1))
+    a = seq.end
+    middle = direct_sum(a, a)
+    col = MatS(Z22, 2, 1, (Z22.one(), Z22.zero()))
+    row = MatS(Z22, 1, 2, (Z22.zero(), Z22.one()))
+    split = ArSequence(a, middle, a, MonMorphism(a, middle, col, col),
+                       MonMorphism(middle, a, row, row))
+    flipped = ArSequence(seq.tau_f, MonObject(Z22, mat(Z22, [[2, -1], [0, 2]])),
+                         seq.end, seq.theta, seq.g)
+    for bad, reason in ((split, "g is a split epimorphism"),
+                        (flipped, "theta endpoints")):
+        hom_builds.clear()
+        lines, ok = verify_right_almost_split(bad)
+        assert not ok and bad.failure == reason
+        assert lines == [f"STRUCT {reason} FAIL", "ARSS 1 2 FAIL"]
+        # a second read is the cached verdict: nothing is rebuilt
+        assert verify_right_almost_split(bad) == (lines, ok)
+        assert len(hom_builds) == (reason == "g is a split epimorphism")
+
+
+def test_a_split_sequence_is_refused_by_its_postcondition(monkeypatch):
+    monkeypatch.setattr("monocat.almost_split._splits", lambda h, generators: True)
+    with pytest.raises(InternalInvariantError, match="^almost split sequence splits$"):
+        ar_sequence(rank_one(Z22, 1))
 
 
 def test_verify_guards():

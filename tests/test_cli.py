@@ -246,6 +246,23 @@ def test_internal_invariant_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert err == "internal error: almost split sequence is not exact\n"
 
 
+def test_split_postcondition_failure_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(almost_split, "_splits", lambda h, generators: True)
+    code, out, err = run(capsys, "ar-seq", rank_one_file(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == "internal error: almost split sequence splits\n"
+
+
+@pytest.mark.parametrize("command", ["tau", "tau-gp"])
+@pytest.mark.parametrize("dim", ["-1", "-3"])
+def test_negative_dim_is_refused(tmp_path, capsys, command, dim):
+    # d is the Krull dimension of the singularity: never negative
+    path = rank_one_file(tmp_path)
+    assert run(capsys, command, path, "--dim", dim) == (
+        2, "", "error: --dim must be at least 0\n")
+    assert run(capsys, command, path, "--dim", "0")[0] == 0
+
+
 def test_faithful_report(capsys):
     code, out, _ = run(capsys, "faithful", "--max-t", "2")
     assert code == 0

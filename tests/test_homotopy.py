@@ -445,6 +445,52 @@ def test_octahedron_random_pairs(builds):
         assert triangle_composite_witnesses(data.bottom) is not None
 
 
+OCTAHEDRON_RINGS = {"Z2": lambda t: RingCtx.int_local(2, t),
+                    "Z3": lambda t: RingCtx.int_local(3, t),
+                    "F2": lambda t: RingCtx.poly_local(t, q=2),
+                    "F3": lambda t: RingCtx.poly_local(t, q=3),
+                    "Q": lambda t: RingCtx.poly_local(t)}
+
+
+def composable_pair(ring: str, t: int, seed: int) -> tuple:
+    """u: x -> y and v: y -> z over the named ring at t, of ranks <= 2."""
+    ctx, rng = OCTAHEDRON_RINGS[ring](t), random.Random(seed)
+    x, y, z = (random_object(ctx, rng, 2) for _ in range(3))
+    return random_morphism(x, y, rng), random_morphism(y, z, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(OCTAHEDRON_RINGS)), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_octahedron_cone_maps_are_the_completed_squares(ring, t, seed):
+    # both squares commute strictly, so the null-homotopy that
+    # complete_square solves for is exactly zero
+    u, v = composable_pair(ring, t, seed)
+    data = octahedron(u, v)
+    composite = compose(v, u)
+    _, _, eta = complete_square(u, composite, identity_morphism(u.src), v)
+    assert data.to_composite == eta
+    _, _, eta = complete_square(composite, v, u, identity_morphism(v.dst))
+    assert data.to_second == eta
+
+
+def test_octahedron_solves_no_null_homotopy(monkeypatch):
+    solved = []
+
+    def counting(psi):
+        solved.append(psi)
+        return null_homotopy(psi)
+
+    monkeypatch.setattr("monocat.homotopy.null_homotopy", counting)
+    for seed, ring in enumerate(sorted(OCTAHEDRON_RINGS)):
+        u, v = composable_pair(ring, 2, seed)
+        octahedron(u, v)
+        assert solved == []
+    # the counter sees the solve a square completion makes
+    complete_square(u, compose(v, u), identity_morphism(u.src), v)
+    assert len(solved) == 1
+
+
 def test_octahedron_identity_pair():
     f = rank_one(Z2, 1)
     data = octahedron(identity_morphism(f), identity_morphism(f))

@@ -86,3 +86,27 @@ def test_loading_the_tool_tests_keeps_the_standard_profile_module(tmp_path):
     done = subprocess.run([sys.executable, "-B", "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_lists_the_callers_of_a_function_and_writes_nothing(tmp_path):
+    head, trials, title, columns, *rows = profile(
+        tmp_path, "--workload", "enum", "--passes", "1", "--top", "0",
+        "--callers", "_hom_generators")
+    assert head.endswith(" s under cProfile")
+    assert re.fullmatch(r"\d+ trials, median process ms: \d+\.\d{3}", trials)
+    found = re.fullmatch(r"callers of almost_split\.py:\d+\(_hom_generators\): "
+                         r"([\d,]+) calls, \d+\.\d{3} s cumulative", title)
+    assert found and columns.split() == ["calls", "cum", "s", "caller"]
+    counts = [re.fullmatch(r" *([\d,]+) +\d+\.\d{3}  \S+:\d+\(\w+\)", row) for row in rows]
+    assert rows and all(counts)
+    # each call comes from one caller
+    calls = [int(c.group(1).replace(",", "")) for c in counts]
+    assert sum(calls) == int(found.group(1).replace(",", ""))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_name_no_function_has_exits_one(tmp_path):
+    done = run_tool(tmp_path, "--top", "0", "--callers", "no_such_function",
+                    "--mon", "check", "--suite", "sigma", "--iters", "1")
+    assert done.returncode == 1
+    assert done.stderr == "no profiled function is named no_such_function\n"

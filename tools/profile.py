@@ -37,8 +37,15 @@ Standard library only; runs from any directory.
     python3 tools/profile.py --workload enum --seed 1 --passes 2
     python3 tools/profile.py --workload tri-int --passes 7 --setup
 
-With ``--top 0`` no profiler runs, so the times are those of the bare code;
-otherwise they include cProfile's overhead.
+``--callers NAME`` lists, for each profiled function named NAME, its
+callers with the calls each made and the cumulative seconds spent in those
+calls, from ``pstats``' caller data.  A NAME that no profiled function has
+prints a note on stderr and exits 1.
+
+    python3 tools/profile.py --workload enum --callers _hom_generators --top 0
+
+With ``--top 0`` and no ``--callers`` no profiler runs, so the times are
+those of the bare code; otherwise they include cProfile's overhead.
 """
 
 import sys
@@ -133,14 +140,37 @@ def measure(runs: list, profiler=None) -> tuple:
     return time.perf_counter() - wall, time.process_time() - cpu, per_run, out
 
 
+def where(func: tuple) -> str:
+    """A pstats function key (path, line, name) as ``file:line(name)``."""
+    path, line, name = func
+    return f"{Path(path).name}:{line}({name})" if line else f"{path}({name})"
+
+
 def top_self(profiler, count: int) -> list:
     """The ``count`` functions with the most self time, as text rows."""
     stats = pstats.Stats(profiler).stats
     rows = sorted(stats.items(), key=lambda item: -item[1][2])[:count]
     out = [f"{'self s':>8} {'cum s':>8} {'calls':>9}  function"]
-    for (path, line, name), (_, calls, self_s, cum_s, _) in rows:
-        where = f"{Path(path).name}:{line}" if line else path
-        out.append(f"{self_s:8.3f} {cum_s:8.3f} {calls:9,d}  {where}({name})")
+    for func, (_, calls, self_s, cum_s, _) in rows:
+        out.append(f"{self_s:8.3f} {cum_s:8.3f} {calls:9,d}  {where(func)}")
+    return out
+
+
+def callers(profiler, name: str) -> list:
+    """For each profiled function named ``name``, a head row with its calls
+    and cumulative seconds, then one row per caller, the most cumulative
+    time first: the calls it made and the cumulative seconds they took."""
+    stats = pstats.Stats(profiler).stats
+    out = []
+    for func, (_, calls, _, cum_s, by_caller) in sorted(stats.items()):
+        if func[2] != name:
+            continue
+        out.append(f"callers of {where(func)}: {calls:,d} calls, "
+                   f"{cum_s:.3f} s cumulative")
+        out.append(f"{'calls':>9} {'cum s':>8}  caller")
+        for caller, (_, ncalls, _, c_cum) in sorted(by_caller.items(),
+                                                     key=lambda item: -item[1][3]):
+            out.append(f"{ncalls:9,d} {c_cum:8.3f}  {where(caller)}")
     return out
 
 
@@ -162,7 +192,11 @@ def main(argv=None) -> int:
     ap.add_argument("--setup", action="store_true",
                     help="time the workload's input build, not its trials")
     ap.add_argument("--top", type=int, default=15,
-                    help="functions to list by self time; 0 runs no profiler")
+                    help="functions to list by self time; 0 runs no profiler "
+                         "unless --callers asks for one")
+    ap.add_argument("--callers", metavar="NAME",
+                    help="list the callers of each function named NAME, with "
+                         "their calls and cumulative seconds")
     args = ap.parse_args(argv)
     if args.setup and not args.workload:
         ap.error("--setup needs --workload")
@@ -172,7 +206,7 @@ def main(argv=None) -> int:
             cli.build_parser().parse_args(args.mon)
         except SystemExit as exc:  # a mistyped command: nothing to time
             return int(exc.code or 0)
-    profiler = cProfile.Profile() if args.top > 0 else None
+    profiler = cProfile.Profile() if args.top > 0 or args.callers else None
     with tempfile.TemporaryDirectory() as tmp:  # a workload's input files
         if args.workload:
             name = f"--workload {args.workload} --seed {args.seed} --passes {args.passes}"
@@ -195,8 +229,14 @@ def main(argv=None) -> int:
         print("per run, process s: " + ", ".join(f"{s:.3f}" for s in per_run))
     if args.mon is not None:
         print(f"mon exit {out}")
-    if profiler:
+    if args.top > 0:
         print("\n".join(top_self(profiler, args.top)))
+    if args.callers:
+        rows = callers(profiler, args.callers)
+        if not rows:
+            print(f"no profiled function is named {args.callers}", file=sys.stderr)
+            return 1
+        print("\n".join(rows))
     return 0
 
 
