@@ -228,14 +228,6 @@ def direct_sum(a: MonObject, b: MonObject) -> MonObject:
     return MonObject(a.ctx, block(a.ctx, [[a.mat, None], [None, b.mat]]))
 
 
-def direct_sum_morphism(p: MonMorphism, q: MonMorphism) -> MonMorphism:
-    ctx = p.ctx
-    return MonMorphism(
-        direct_sum(p.src, q.src), direct_sum(p.dst, q.dst),
-        block(ctx, [[p.psi1, None], [None, q.psi1]]),
-        block(ctx, [[p.psi0, None], [None, q.psi0]]))
-
-
 def rank_one(ctx: RingCtx, s: int) -> MonObject:
     """The indecomposable object pi^s (0 <= s <= t)."""
     return MonObject(ctx, mat(ctx, [[ctx.pi_pow(s)]]))

@@ -74,13 +74,13 @@ def _tally(name: str, iters: int, trial) -> SuiteResult:
 SUITES = {}  # name on the command line -> suite, in definition order
 
 
-def _suite(name: str, iters: int = 100, max_size: int = 3):
+def _suite(name: str):
     """Make ``law(ctx, rng, max_size, i) -> bool`` the suite ``name``,
     registered in SUITES as ``name.lower()``.  The suite owns the preamble:
     seed -> ``random.Random`` -> a ring context drawn per trial before the
-    law draws -> tally.  ``iters`` and ``max_size`` are its defaults."""
+    law draws -> tally."""
     def wrap(law):
-        def suite(seed=0, iters=iters, max_size=max_size, max_t=3,
+        def suite(seed=0, iters=100, max_size=3, max_t=3,
                   primes=(2, 3), allow_poly=True) -> SuiteResult:
             rng = random.Random(seed)
 
@@ -158,7 +158,7 @@ def suite_tr3(ctx, rng, max_size, i):
             and compose(tri2.w, eta) == compose(suspend_morphism(left), tri.w))
 
 
-@_suite("TR4", iters=50, max_size=2)
+@_suite("TR4")
 def suite_tr4(ctx, rng, max_size, i):
     """Octahedra assemble and their comparison map is invertible."""
     x = random_object(ctx, rng, max_size)
@@ -195,7 +195,7 @@ def suite_factor(ctx, rng, max_size, i):
             and compose(beta, alpha) == psi)
 
 
-@_suite("PERIODIC", iters=50, max_size=2)
+@_suite("PERIODIC")
 def suite_periodic(ctx, rng, max_size, i):
     """The emitted 2-periodic complex over R is exact, by enumeration."""
     f = random_object(ctx, rng, max_size)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -249,6 +250,10 @@ def _check(args) -> tuple:
     _require_at_least(args, (("iters", 0, MAX_ITERS),
                              ("max-size", 1, MAX_SIZE), ("max-t", 1, MAX_T)))
     names = [args.suite] if args.suite else list(SUITES)
+    # tau runs (max-t - 1) * max-t trials, whatever --iters says
+    if "tau" in names and args.max_t * (args.max_t - 1) > MAX_ITERS:
+        cap = max(m for m in range(MAX_T) if m * (m - 1) <= MAX_ITERS)
+        raise ValueError(f"--max-t must be at most {cap} when the tau suite runs")
     results = [run_suite(name, seed=args.seed, iters=args.iters,
                          max_size=args.max_size, max_t=args.max_t)
                for name in names]
@@ -384,7 +389,14 @@ def main(argv=None) -> int:
         if getattr(args, "out", None):
             Path(args.out).write_text(text)
         else:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader closed stdout, which is no input error; as the
+                # signal module's documentation advises, stdout goes to
+                # devnull so that Python's flush at exit does not fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write("".join(notes))
         return code
     except (ParseError, OSError, json.JSONDecodeError, KeyError, TypeError,

@@ -110,9 +110,6 @@ class StableHomModule:
 
     lengths: tuple
 
-    def is_zero(self) -> bool:
-        return not self.lengths
-
 
 def stable_hom(src: MonObject, dst: MonObject) -> StableHomModule:
     """Invariant factors of Hom(src, dst) modulo null-homotopy.

@@ -180,11 +180,6 @@ class Poly:
     def constant_term(self):
         return self._coeff(self.ints[0] if self.ints else 0)
 
-    def leading(self):
-        if not self.ints:
-            raise ZeroDivisionError("leading coefficient of zero polynomial")
-        return self._coeff(self.ints[-1])
-
     def _check(self, other: "Poly"):
         if self.q != other.q:
             raise ContextMismatch("polynomials over different coefficient fields")

@@ -50,9 +50,6 @@ class RModuleMap:
     def at(self, j: int, i: int):
         return self.entries[j * len(self.src.exps) + i]
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
 
 def coker_functor(psi: MonMorphism) -> RModuleMap:
     """The induced map of cokernels in the diagonalized generator bases."""
@@ -76,30 +73,17 @@ def syzygy(m: RModuleObj) -> RModuleObj:
     return RModuleObj(m.ctx, tuple(sorted(t - e for e in m.stable_exps())))
 
 
-def cosyzygy(m: RModuleObj) -> RModuleObj:
-    """Stable inverse of the syzygy; the same exponent flip here."""
-    return syzygy(m)
-
-
-def transpose(m: RModuleObj) -> RModuleObj:
-    """Auslander transpose; identity on stable classes for these rings."""
-    return RModuleObj(m.ctx, tuple(sorted(m.stable_exps())))
-
-
 @dataclass(frozen=True)
 class PeriodicResolution:
     """The 2-periodic complex ... -> R^n -f_bar-> R^n -fsig_bar-> R^n -> ...
 
     resolving the cokernel of f over R.  Its two differentials are its
-    whole content: ``term(k)`` reads the k-th of the infinite complex.
+    whole content: the k-th of the infinite complex, counted from the
+    augmentation end, is ``f_bar`` for even k and ``fsig_bar`` for odd k.
     """
 
     f_bar: MatR
     fsig_bar: MatR
-
-    def term(self, k: int) -> MatR:
-        """Differential number k counting from the augmentation end."""
-        return self.f_bar if k % 2 == 0 else self.fsig_bar
 
 
 def two_periodic_resolution(f: MonObject) -> PeriodicResolution:
@@ -245,7 +229,8 @@ def check_fully_faithful(ctx: RingCtx, max_s: int) -> tuple[list, bool]:
 
 
 def intertwine_suspension_check(f: MonObject) -> bool:
-    """cokernel(shift f) equals the cosyzygy of cokernel(f) stably."""
+    """cokernel(shift f) equals the cosyzygy of cokernel(f) stably.  Over R
+    the cosyzygy is the syzygy: its flip e -> t - e is its own inverse."""
     left = tuple(sorted(cokernel(suspend(f)).stable_exps()))
-    right = cosyzygy(cokernel(f)).stable_exps()
+    right = syzygy(cokernel(f)).stable_exps()
     return left == tuple(sorted(right))

@@ -6,8 +6,7 @@ import pytest
 
 from monocat.category import (MonMorphism, MonObject, check_morphism, cokernel,
                               compose, decompose, direct_sum,
-                              direct_sum_morphism, identity_morphism,
-                              make_object, partner_morphism,
+                              identity_morphism, make_object, partner_morphism,
                               projective_envelope, rank_one, zero_morphism)
 from monocat.errors import (CokernelNotOmegaTorsion, NonSquare, NotComposable,
                             NotMono, SquareNotCommuting)
@@ -97,8 +96,6 @@ def test_direct_sum_and_decompose():
     b = rank_one(Z2, 2)
     s = direct_sum(a, b)
     assert decompose(s) == (1, 2)
-    m = direct_sum_morphism(identity_morphism(a), identity_morphism(b))
-    assert m.psi1.entries == identity(Z2, 2).entries
     assert cokernel(s).exps == (1, 2)
     assert cokernel(rank_one(Z2, 0)).exps == ()
 

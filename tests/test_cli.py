@@ -11,11 +11,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from monocat import almost_split, stable
-from monocat.cli import (COMMANDS, MAX_SIZE, MAX_T, build_parser, dumps_object,
-                         load_object_file, main)
-from monocat.rings import MAX_INT_DIGITS, MAX_X_DEGREE
+from monocat.cli import (COMMANDS, MAX_SIZE, MAX_T, build_parser, dumps_morphism,
+                         dumps_object, load_morphism_file, load_object_file, main)
+from monocat.homotopy import standard_triangle
+from monocat.rings import MAX_INT_DIGITS, MAX_X_DEGREE, RingCtx
+from monocat.sampling import random_morphism, random_object
 
 CANON = ('{"ring": {"kind": "int-local", "p": 2}, "t": 2, '
          '"matrix": [["2","1"],["0","-2"]]}')
@@ -42,6 +45,30 @@ def run(capsys, *argv):
 def test_roundtrip_on_canonical_bytes(tmp_path):
     path = put(tmp_path, "canon.json", CANON)
     assert dumps_object(load_object_file(path)) == CANON
+
+
+# Z_(2), Z_(3), Z_(5), F_2[x]_(x), F_3[x]_(x) and Q[x]_(x), at t <= 3
+CONTEXTS = st.integers(1, 3).flatmap(lambda t: st.sampled_from(
+    [RingCtx.int_local(p, t) for p in (2, 3, 5)]
+    + [RingCtx.poly_local(t, q=q) for q in (2, 3, None)]))
+
+
+@settings(max_examples=36, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ctx=CONTEXTS, seed=st.integers(0, 2 ** 32 - 1))
+def test_what_mon_writes_it_reads_back(tmp_path, ctx, seed):
+    rng = random.Random(seed)
+    f, g = random_object(ctx, rng, 2), random_object(ctx, rng, 2)
+    psi = random_morphism(f, g, rng)
+    text = dumps_object(f)
+    back = load_object_file(put(tmp_path, "f.json", text))
+    assert back == f and dumps_object(back) == text
+    tri = standard_triangle(psi)
+    # tri.u is psi; v and w run between objects of rank up to 4
+    for m in (psi, tri.v, tri.w):
+        text = dumps_morphism(m)
+        back = load_morphism_file(put(tmp_path, "m.json", text))
+        assert back == m and dumps_morphism(back) == text
 
 
 def test_sigma_emits_partner(tmp_path, capsys):
@@ -644,3 +671,25 @@ def test_one_shot_mon_matches_in_process_main(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     build_parser()
     assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-m", "monocat.cli", "check", "--suite", "tr1", "--iters", "2"], 0),
+    (["-m", "monocat.cli", "is-projective", "f.json"], 1),
+    (["-m", "monocat.cli", "sigma", "f.json"], 0),
+    ([str(Path(SRC).parent / "tools" / "loc.py")], 1)],
+    ids=["check", "is-projective", "sigma", "loc"])
+def test_a_closed_stdout_is_no_input_error(tmp_path, argv, code):
+    # mon returns its command's own code and the tools exit 1, with nothing
+    # on stderr; the read end is closed before the process starts, so its
+    # first write to stdout fails every time
+    rank_one_file(tmp_path)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")

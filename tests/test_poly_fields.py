@@ -91,7 +91,7 @@ def test_polyfrac_make_is_monic_in_lowest_terms(pair):
     num, den = pair
     f = PolyFrac.make(num, den)
     assert f == polyfrac_ref(num, den)
-    assert f.denominator.leading() == 1
+    assert f.denominator.coeffs[-1] == 1
     assert is_canonical_poly(f.numerator) and is_canonical_poly(f.denominator)
     if f.numerator:
         assert poly_gcd_ref(f.numerator, f.denominator).degree == 0

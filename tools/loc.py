@@ -10,6 +10,7 @@ from any directory.
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -51,4 +52,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the signal module's documented recipe,
+        # so that Python's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -62,6 +62,7 @@ import contextlib  # noqa: E402
 import cProfile  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
+import os  # noqa: E402
 import pstats  # noqa: E402
 import random  # noqa: E402
 import tempfile  # noqa: E402
@@ -241,4 +242,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the signal module's documented recipe,
+        # so that Python's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

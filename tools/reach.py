@@ -15,6 +15,7 @@ It only reads ``perfbench``: bytecode writing is off, and the files of the
 import argparse
 import ast
 import importlib
+import os
 import sys
 import tempfile
 import types
@@ -128,4 +129,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the signal module's documented recipe,
+        # so that Python's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
